@@ -50,6 +50,7 @@ from .polyring import (
 )
 from .linalg import (
     ExactMatrix,
+    GrowingEchelon,
     RrefResult,
     cokernel_witness,
     nullspace_basis,
@@ -78,6 +79,7 @@ from .dirichlet import (
     QuadricDomain,
     ResidualReport,
     VerificationRecord,
+    boundary_mismatch,
     boundary_samples,
     dirichlet_solve,
     ks_residual,

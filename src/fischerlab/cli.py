@@ -382,7 +382,13 @@ def build_parser():
     common.add_argument("--format", choices=_OUTPUT_FORMATS, default="json")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--tol-root", type=float, default=1e-12)
-    common.add_argument("--tol-boundary", type=float, default=1e-9)
+    common.add_argument(
+        "--tol-boundary",
+        type=float,
+        default=1e-9,
+        help="a boundary sample passes when |f - h| < TOL * max(1, sum of |terms "
+        "of f|, sum of |terms of h|) at the point (default 1e-9)",
+    )
     common.add_argument("--out", help="write the report to a file instead of stdout")
     common.add_argument("--slack", type=int, default=0)
 

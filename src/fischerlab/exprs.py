@@ -8,12 +8,14 @@ Grammar (whitespace insensitive, no implicit multiplication):
     atom   := rational | 'i' | varname | '(' expr ')'
     rational := int ('/' uint)?
 
+Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
 'i' is only available over field Qi.  The printer emits terms in degree-
 descending graded lex order and round-trips: parse(format(p)) == p exactly.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +33,10 @@ from .scalars import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# deepest parenthesis nesting the parser accepts; each level costs a few
+# stack frames, so deeper input is refused instead of exhausting the stack
+MAX_NESTING = 100
 
 
 def validate_var_names(names):
@@ -122,6 +128,7 @@ class _Parser:
     def __init__(self, text, var_names, field):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.field = field
         self.vars = {name: i for i, name in enumerate(var_names)}
 
@@ -199,30 +206,51 @@ class _Parser:
                 return Var(self.vars[value])
             raise UnknownVariableError(value, position)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", position)
             node = self._expr()
             kind, _, position = self._advance()
             if kind != ")":
                 raise ParseError("expected ')'", position)
+            self.depth -= 1
             return node
         raise ParseError("expected a number, variable, or '('", position)
 
 
-def _lower(node, arity, field):
-    if isinstance(node, Const):
-        return Poly.constant(arity, as_scalar(node.value, field), field)
-    if isinstance(node, Var):
-        return Poly.variable(arity, node.index, field)
-    if isinstance(node, Add):
-        return _lower(node.left, arity, field) + _lower(node.right, arity, field)
-    if isinstance(node, Sub):
-        return _lower(node.left, arity, field) - _lower(node.right, arity, field)
-    if isinstance(node, Mul):
-        return _lower(node.left, arity, field) * _lower(node.right, arity, field)
-    if isinstance(node, Neg):
-        return -_lower(node.operand, arity, field)
-    if isinstance(node, Pow):
-        return _lower(node.base, arity, field) ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _lower(root, arity, field):
+    # post-order walk on an explicit stack: a sum or product of k terms
+    # nests k deep, more than recursion allows for long inputs
+    values = []
+    stack = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Const):
+            values.append(Poly.constant(arity, as_scalar(node.value, field), field))
+        elif isinstance(node, Var):
+            values.append(Poly.variable(arity, node.index, field))
+        elif not children_done:
+            stack.append((node, True))
+            if isinstance(node, (Add, Sub, Mul)):
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            elif isinstance(node, Neg):
+                stack.append((node.operand, False))
+            elif isinstance(node, Pow):
+                stack.append((node.base, False))
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        elif isinstance(node, Neg):
+            values.append(-values.pop())
+        elif isinstance(node, Pow):
+            values.append(values.pop() ** node.exponent)
+        else:
+            right = values.pop()
+            values.append(_BINARY[type(node)](values.pop(), right))
+    return values.pop()
 
 
 def parse_expression(text, var_names, field=FIELD_Q):

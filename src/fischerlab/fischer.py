@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoDecompositionFoundError, InconsistentSystemError
-from .linalg import ExactMatrix, rref, solve
+from .linalg import ExactMatrix, GrowingEchelon, rref, solve
 from .polyring import (
     FILTERED,
     HOMOGENEOUS,
     Poly,
     apply_operator,
+    basis_dimension,
     coordinates,
     filtered_basis,
     from_coordinates,
@@ -168,10 +169,10 @@ def fischer_decompose(psi, f, slack=0):
 class RankProfileRow:
     """One tested (target degree, source degree) pair.
 
-    dim_target and rank describe the matrix actually reduced: its codomain is
-    the smallest filtered slice containing all images (degree n + s in
-    filtered mode) or the homogeneous slice of degree n.  surjective records
-    whether the image covers the degree-n slice under test.
+    dim_target and rank describe the operator on the source slice: its
+    codomain is the smallest filtered slice containing all images (degree
+    n + s in filtered mode) or the homogeneous slice of degree n.  surjective
+    records whether the image covers the degree-n slice under test.
     """
 
     target_degree: int
@@ -252,10 +253,15 @@ def _homogeneous_profile(psi, max_target_degree):
 def _filtered_profile(psi, max_target_degree, slack):
     op = FischerOperator(psi)
     deg_psi = psi.degree
+    image = GrowingEchelon(psi.field)
+    # spans[m] = (rank, leading coordinates) of the image of filtered(m), in
+    # the graded basis of filtered(m + deg_psi - 2); grown only as far as a
+    # rung asks
+    spans = []
     rows = []
     verdicts = []
     for n in range(max_target_degree + 1):
-        tested_dim = len(filtered_basis(psi.arity, n))
+        tested_dim = basis_dimension(psi.arity, FILTERED, n)
         verdict = None
         witness = None
         for s in range(slack + 1):
@@ -266,30 +272,34 @@ def _filtered_profile(psi, max_target_degree, slack):
                 rows.append(RankProfileRow(n, m, 0, tested_dim, 0, False))
                 witness = _monomial_poly(psi.arity, (0,) * psi.arity, psi.field)
                 continue
-            source = filtered_basis(psi.arity, m)
-            # images live in degree <= n + s; this slice also contains the
-            # degree-n block being tested, as its first tested_dim monomials
-            target = filtered_basis(psi.arity, m + deg_psi - 2)
-            matrix = operator_matrix(op, source, target)
-            block = ExactMatrix.from_columns(
-                [
-                    [1 if i == j else 0 for i in range(len(target))]
-                    for j in range(tested_dim)
-                ],
-                rows=len(target),
-                field=psi.field,
-            )
-            result = rref(matrix.hstack(block), want_transform=False)
-            rank = sum(1 for p in result.pivot_cols if p < matrix.cols)
-            missed = [p - matrix.cols for p in result.pivot_cols if p >= matrix.cols]
-            surjective = not missed
+            while len(spans) <= m:
+                k = len(spans)
+                if k + deg_psi - 2 >= 0:
+                    # the images of the degree-k monomials join the span
+                    source = homogeneous_basis(psi.arity, k)
+                    target = filtered_basis(psi.arity, k + deg_psi - 2)
+                    image.extend(operator_matrix(op, source, target))
+                spans.append((image.rank, image.leading))
+            rank, leading = spans[m]
+            # the degree-n block is the first tested_dim target coordinates;
+            # the image covers it iff each e_j there leads some reduced row
+            missed = next((j for j in range(tested_dim) if j not in leading), None)
+            surjective = missed is None
             rows.append(
-                RankProfileRow(n, m, len(source), len(target), rank, surjective)
+                RankProfileRow(
+                    n,
+                    m,
+                    basis_dimension(psi.arity, FILTERED, m),
+                    basis_dimension(psi.arity, FILTERED, m + deg_psi - 2),
+                    rank,
+                    surjective,
+                )
             )
             if surjective:
                 verdict = DegreeVerdict(n, SURJECTIVE, slack=s)
                 break
-            witness = _monomial_poly(psi.arity, target.monomials[missed[0]], psi.field)
+            exponents = filtered_basis(psi.arity, n).monomials[missed]
+            witness = _monomial_poly(psi.arity, exponents, psi.field)
         if verdict is None:
             verdict = DegreeVerdict(n, UNDETERMINED, witness=witness)
         verdicts.append(verdict)
@@ -303,6 +313,12 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     slice map either is or is not onto.  Filtered mode climbs the slack
     ladder and reports UNDETERMINED with a witness when the ladder is
     exhausted, never a negative, since higher source degrees remain untried.
+
+    Filtered mode keeps one growing echelon form of the image for the whole
+    ladder: source degree m adds the images of the degree-m monomials, and
+    every rung reads its rank, verdict and witness from the form at its m.
+    Rows and witnesses are those of reducing each rung's [A | E] afresh,
+    with E the identity on the degree-n block.
     """
     if psi.degree < 1:
         raise ValueError("psi must be non-constant")

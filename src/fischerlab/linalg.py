@@ -199,6 +199,54 @@ def rref(matrix, want_transform=True):
     return RrefResult(rref=reduced, rank=len(pivots), pivot_cols=pivots, transform=transform)
 
 
+class GrowingEchelon:
+    """Reduced row echelon form of a growing span of coordinate vectors.
+
+    ``extend`` adds the columns of a matrix to the span.  Each matrix may
+    have more rows than the one before: its coordinates extend the earlier
+    ones, which keep their indices (as a filtered slice extends a smaller
+    one).  The reduced rows are kept as kernel int lists with coordinates
+    reversed, so each row leads with its highest nonzero coordinate.
+    ``leading`` is the set of those coordinates: e_j lies in
+    span + span(e_0..e_{j-1}) exactly when j is in it, and ``rank`` is its
+    size.  Neither depends on the kernel's pivot rule.
+    """
+
+    def __init__(self, field=FIELD_Q):
+        validate_field(field)
+        self.field = field
+        self.width = 0
+        self.rank = 0
+        self.leading = frozenset()
+        self._parts = [[], []] if field == FIELD_Q else [[], [], [], []]
+
+    def extend(self, matrix):
+        if matrix.field != self.field:
+            raise ValueError(f"field mismatch: {self.field} vs {matrix.field}")
+        pad = matrix.rows - self.width
+        if pad < 0:
+            raise ValueError("a later matrix cannot have fewer rows than an earlier one")
+        width, count = matrix.rows, matrix.cols
+        new_parts = matrix._flat_q() if self.field == FIELD_Q else matrix._flat_qi()
+        parts = []
+        # zero is 0/1: numerators pad with 0, denominators with 1
+        for kept, new, fill in zip(self._parts, new_parts, (0, 1, 0, 1)):
+            out = []
+            for r in range(self.rank):
+                out += [fill] * pad
+                out += kept[r * self.width : (r + 1) * self.width]
+            for i in range(count):
+                out += new[i::count][::-1]
+            parts.append(out)
+        kernel = _kernels.rref_q if self.field == FIELD_Q else _kernels.rref_qi
+        result = kernel(*parts, self.rank + count, width, False)
+        pivots = result[len(parts)]
+        self.width = width
+        self.rank = len(pivots)
+        self.leading = frozenset(width - 1 - p for p in pivots)
+        self._parts = [part[: self.rank * width] for part in result[: len(parts)]]
+
+
 def solve(matrix, rhs):
     """One exact solution of matrix @ x == rhs, free variables pinned to zero.
 

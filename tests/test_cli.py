@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -175,6 +176,17 @@ def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("opening", ["(", "-("])
+def test_deeply_nested_psi_is_a_usage_error(capsys, opening):
+    psi = opening * 5000 + "x" + ")" * 5000
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "decompose", f"--psi={psi}", "--f", "x", "--vars", "x")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "nest deeper" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -9,9 +9,11 @@ from fischerlab import (
     Poly,
     QuadricDomain,
     UnsolvableSliceError,
+    boundary_mismatch,
     boundary_samples,
     dirichlet_solve,
     ks_residual,
+    parse_polynomial,
     squared_norm,
     verify_solution,
 )
@@ -136,6 +138,31 @@ def test_verify_solution_detects_tampering():
     record = verify_solution(solution, count=10, rng=random.Random(6))
     assert not record.identity_exact
     assert not record.passed
+
+
+def test_boundary_check_is_relative_to_the_size_of_the_terms():
+    # the terms of (3x + yz + 2)^8 reach ~3.5e6 on this ellipsoid, so the
+    # float value of f - h misses 0 by ~4e-9 though both exact checks hold
+    domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    f = parse_polynomial("(3*x+y*z+2)^8", ("x", "y", "z"))
+    solution = dirichlet_solve(domain, f)
+    record = verify_solution(solution, count=100, tol=1e-9, rng=random.Random(1))
+    assert record.harmonic_exact and record.identity_exact
+    assert record.passed
+    points = boundary_samples(domain, 100, rng=random.Random(1))
+    mismatches = [boundary_mismatch(f, solution.h, p) for p in points]
+    # the report keeps the absolute figure, here above the tolerance itself
+    assert record.boundary_max_error == max(error for error, _ in mismatches)
+    assert record.boundary_max_error > 1e-9
+    assert all(error < 1e-9 * scale for error, scale in mismatches)
+    # an h off by 1e-6 of the scale fails at every sample
+    shift = Fraction(max(scale for _, scale in mismatches) * 1e-6)
+    shifted = solution.h + Poly.constant(3, shift)
+    for point in points:
+        error, scale = boundary_mismatch(f, shifted, point)
+        assert not error < 1e-9 * scale
+    solution.h = shifted
+    assert not verify_solution(solution, count=100, rng=random.Random(1)).passed
 
 
 def test_verify_solution_exact_zero_error_when_h_equals_f():

@@ -16,10 +16,13 @@ from fischerlab import (
     parse_scalar,
     validate_var_names,
 )
+from fischerlab.exprs import MAX_NESTING
 from helpers import random_poly
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+X = Poly.variable(2, 0)
+Y = Poly.variable(2, 1)
 
 
 def test_parse_circle():
@@ -92,6 +95,28 @@ def test_parse_errors_carry_positions():
 def test_parse_rejects_bad_input(text):
     with pytest.raises(ParseError):
         parse_polynomial(text, XY)
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, XY) == X
+    negated = "-(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(negated, XY) == (X if MAX_NESTING % 2 == 0 else -X)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+def test_nesting_beyond_the_limit_is_a_parse_error(depth):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("(" * depth + "x" + ")" * depth, XY)
+    assert info.value.position == MAX_NESTING
+    with pytest.raises(ParseError):
+        parse_polynomial("-(" * depth + "x" + ")" * depth, XY)
+
+
+def test_long_sums_and_products_parse():
+    # a k-term sum nests k deep in the syntax tree
+    assert parse_polynomial("+".join(["x"] * 5000), XY) == X.scale(5000)
+    assert parse_polynomial("-".join(["y"] * 5000), XY) == Y.scale(-4998)
+    assert parse_polynomial("*".join(["x"] * 3000), XY) == X**3000
 
 
 def test_format_circle():

@@ -5,6 +5,7 @@ import pytest
 
 from fischerlab import (
     BasisOverflowError,
+    DegreeVerdict,
     ExactMatrix,
     FIELD_QI,
     FischerOperator,
@@ -14,6 +15,7 @@ from fischerlab import (
     NoDecompositionFoundError,
     NOT_SURJECTIVE,
     Poly,
+    RankProfileRow,
     SURJECTIVE,
     UNDETERMINED,
     coordinates,
@@ -281,6 +283,118 @@ def test_rank_profile_khavinson_linear_phi_surjective_at_low_degrees():
     profile = rank_profile(psi, 2, slack=2)
     assert profile.all_surjective()
     assert all(v.slack == 0 for v in profile.verdicts)
+
+
+def _per_rung_ladder(psi, max_target_degree, slack):
+    """The filtered ladder rebuilt rung by rung, as a reference.
+
+    Every (n, s) reduces [A | E] afresh: A maps filtered(m) into
+    filtered(m + deg psi - 2) and E is the identity on the degree-n prefix
+    of that target, so a pivot in E marks a block monomial outside image(A).
+    """
+    op = FischerOperator(psi)
+    rows = []
+    verdicts = []
+    for n in range(max_target_degree + 1):
+        tested_dim = len(filtered_basis(psi.arity, n))
+        verdict = witness = None
+        for s in range(slack + 1):
+            m = n - psi.degree + 2 + s
+            if m < 0:
+                rows.append(RankProfileRow(n, m, 0, tested_dim, 0, False))
+                witness = Poly.monomial(psi.arity, (0,) * psi.arity, 1, psi.field)
+                continue
+            source = filtered_basis(psi.arity, m)
+            target = filtered_basis(psi.arity, m + psi.degree - 2)
+            matrix = operator_matrix(op, source, target)
+            block = ExactMatrix.from_columns(
+                [[1 if i == j else 0 for i in range(len(target))] for j in range(tested_dim)],
+                rows=len(target),
+                field=psi.field,
+            )
+            result = rref(matrix.hstack(block), want_transform=False)
+            rank = sum(1 for p in result.pivot_cols if p < matrix.cols)
+            missed = [p - matrix.cols for p in result.pivot_cols if p >= matrix.cols]
+            rows.append(RankProfileRow(n, m, len(source), len(target), rank, not missed))
+            if not missed:
+                verdict = DegreeVerdict(n, SURJECTIVE, slack=s)
+                break
+            witness = Poly.monomial(psi.arity, target.monomials[missed[0]], 1, psi.field)
+        verdicts.append(verdict or DegreeVerdict(n, UNDETERMINED, witness=witness))
+    return tuple(rows), tuple(verdicts)
+
+
+X3, Y3, Z3 = (Poly.variable(3, i) for i in range(3))
+ONE3 = Poly.constant(3, 1)
+
+# (psi, max_target_degree, slack): Qi and Q, two and three variables,
+# ladders that cover, ladders that end undetermined, rungs with m < 0
+LADDER_CASES = {
+    "khavinson-(2+3i)z^2": (khavinson_psi([0, 0, GaussianRational(2, 3)]), 2, 6),
+    "khavinson-1+z+z^2": (khavinson_psi([1, 1, 1]), 1, 3),
+    "khavinson-z": (khavinson_psi([0, 1]), 2, 1),
+    "ellipse": (X * X.scale(2) + Y * Y.scale(3) - Poly.constant(2, 1), 5, 1),
+    "ellipsoid-3d": (X3 * X3 + Y3 * Y3.scale(2) + Z3 * Z3.scale(3) - ONE3, 3, 1),
+    "xyz-1": (X3 * Y3 * Z3 - ONE3, 2, 2),
+    "x^3": (Poly.monomial(2, (3, 0)), 3, 3),
+    "xy-1": (X * Y - Poly.constant(2, 1), 4, 2),
+    "x^5+y": (Poly.monomial(2, (5, 0)) + Y, 3, 2),
+    "x": (X, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_filtered_ladder_matches_per_rung_reduction(case):
+    psi, max_target_degree, slack = LADDER_CASES[case]
+    profile = rank_profile(psi, max_target_degree, slack=slack)
+    rows, verdicts = _per_rung_ladder(psi, max_target_degree, slack)
+    assert profile.rows == rows
+    assert profile.verdicts == verdicts
+
+
+@pytest.mark.parametrize("case", ["khavinson-(2+3i)z^2", "khavinson-1+z+z^2", "xyz-1",
+                                  "x^3", "xy-1", "x^5+y"])
+def test_filtered_witnesses_certify_every_missed_rung(case):
+    # cutting the ladder at a missed rung makes that rung the last one, so
+    # its witness surfaces in the verdict; it must be outside that rung's image
+    psi, max_target_degree, slack = LADDER_CASES[case]
+    profile = rank_profile(psi, max_target_degree, slack=slack)
+    op = FischerOperator(psi)
+    missed = [row for row in profile.rows if not row.surjective]
+    assert missed
+    last_witness = {}
+    for row in missed:
+        n, m = row.target_degree, row.source_degree
+        cut = rank_profile(psi, n, slack=m - (n - psi.degree + 2))
+        verdict = cut.verdicts[n]
+        assert verdict.status == UNDETERMINED
+        assert verdict.witness.degree <= n
+        last_witness[n] = verdict.witness
+        if m < 0:
+            continue  # the image is {0}: any nonzero witness is outside it
+        source = filtered_basis(psi.arity, m)
+        target = filtered_basis(psi.arity, m + psi.degree - 2)
+        with pytest.raises(InconsistentSystemError):
+            solve(operator_matrix(op, source, target), coordinates(verdict.witness, target))
+    for verdict in profile.verdicts:
+        if verdict.status == UNDETERMINED:
+            assert verdict.witness == last_witness[verdict.target_degree]
+
+
+def test_filtered_covering_rung_solves_every_block_monomial():
+    psi, _, slack = LADDER_CASES["khavinson-(2+3i)z^2"]
+    profile = rank_profile(psi, 1, slack=slack)
+    assert profile.all_surjective()
+    op = FischerOperator(psi)
+    for row in profile.rows:
+        if not row.surjective:
+            continue
+        source = filtered_basis(psi.arity, row.source_degree)
+        target = filtered_basis(psi.arity, row.source_degree + psi.degree - 2)
+        matrix = operator_matrix(op, source, target)
+        for exponents in filtered_basis(psi.arity, row.target_degree):
+            e = Poly.monomial(psi.arity, exponents, 1, psi.field)
+            solve(matrix, coordinates(e, target))
 
 
 def test_fischer_theorem_examples():

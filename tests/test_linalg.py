@@ -7,6 +7,7 @@ from fischerlab import (
     ExactMatrix,
     FIELD_Q,
     FIELD_QI,
+    GrowingEchelon,
     InconsistentSystemError,
     cokernel_witness,
     nullspace_basis,
@@ -159,3 +160,39 @@ def test_qi_rref_rank_of_conjugate_pair():
     )
     # second row is i times the first
     assert rref(m).rank == 1
+
+
+def _leading_by_ranks(columns, width, field):
+    # j leads some reduced row iff e_j lies in span(columns) + span(e_0..e_{j-1})
+    leading = set()
+    for j in range(width):
+        units = [[1 if i == k else 0 for i in range(width)] for k in range(j + 1)]
+        with_j = rref(ExactMatrix.from_columns(columns + units, rows=width, field=field)).rank
+        without = rref(
+            ExactMatrix.from_columns(columns + units[:-1], rows=width, field=field)
+        ).rank
+        if with_j == without:
+            leading.add(j)
+    return leading
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_growing_echelon_tracks_rank_and_leading_coordinates(field):
+    rng = random.Random(17)
+    echelon = GrowingEchelon(field)
+    columns = []  # every vector so far, padded to the current width
+    for width, count in ((3, 2), (5, 2), (5, 1), (8, 3)):
+        new = [
+            [random_scalar(rng, field) if rng.random() < 0.3 else 0 for _ in range(width)]
+            for _ in range(count)
+        ]
+        echelon.extend(ExactMatrix.from_columns(new, rows=width, field=field))
+        columns = [c + [0] * (width - len(c)) for c in columns] + new
+        stacked = ExactMatrix.from_columns(columns, rows=width, field=field)
+        assert echelon.rank == rref(stacked).rank
+        assert echelon.leading == _leading_by_ranks(columns, width, field)
+    with pytest.raises(ValueError):
+        echelon.extend(ExactMatrix(7, 1, [0] * 7, field))
+    other = FIELD_Q if field == FIELD_QI else FIELD_QI
+    with pytest.raises(ValueError):
+        echelon.extend(ExactMatrix(8, 1, [0] * 8, other))
