@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -89,8 +90,9 @@ def _build_config(args):
     slack = getattr(args, "slack", 0)
     if slack < 0:
         raise ValueError("--slack must be non-negative")
-    if args.tol_root <= 0 or args.tol_boundary <= 0:
-        raise ValueError("tolerances must be positive")
+    for tol in (args.tol_root, args.tol_boundary):
+        if not math.isfinite(tol) or tol <= 0:
+            raise ValueError("tolerances must be positive and finite")
     return RunConfig(
         field=field,
         var_names=var_names,
@@ -282,7 +284,9 @@ def _cmd_dirichlet(config, args):
         f"boundary_max_error = {record.boundary_max_error!r} over {record.samples} samples",
         f"passed = {record.passed}",
     ]
-    csv_text = _dirichlet_csv(domain, solution, args.samples, config)
+    csv_text = None
+    if config.output == "csv":
+        csv_text = _dirichlet_csv(domain, solution, args.samples, config)
     return _report("dirichlet", config, result, checks), (0 if record.passed else 1), text, csv_text
 
 

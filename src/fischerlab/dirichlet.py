@@ -6,8 +6,13 @@ data f the solver finds q with laplacian(psi*q) == laplacian(f) on the
 square filtered slice, sets h = f - psi*q, and verifies: h is exactly
 harmonic, the identity f - h == psi*q holds exactly, and |f - h| is small
 at sampled boundary points, relative to the size of the terms of f and h.
-For ellipsoidal psi the slice matrix is nonsingular, so q is unique and
-deg h <= deg f.
+
+For ellipsoidal psi = P2 + c0 (P2 a positive diagonal form, c0 < 0) the
+slice matrix is block-triangular by degree with nonsingular homogeneous
+blocks q_k -> laplacian(P2*q_k) (Fischer), so q is unique, deg h <= deg f,
+and q is found one homogeneous degree at a time from the top down.  Other
+quadrics, whose blocks can be singular, take one solve on the whole
+filtered slice.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from fractions import Fraction
 from .errors import InconsistentSystemError, NoBoundaryHitError, UnsolvableSliceError
 from .fischer import FischerOperator, operator_matrix
 from .linalg import solve
-from .polyring import Poly, coordinates, filtered_basis, from_coordinates, squared_norm
+from .polyring import (
+    Poly,
+    coordinates,
+    filtered_basis,
+    from_coordinates,
+    homogeneous_basis,
+    squared_norm,
+)
 from .scalars import FIELD_Q
 
 
@@ -115,14 +127,32 @@ class DirichletSolution:
     verification: VerificationRecord
 
 
+def _solve_by_degree(psi, lap_f, top):
+    # psi = P2 + c0, so the degree-k part of laplacian(psi*q) is
+    # laplacian(P2*q_k) + c0*laplacian(q_{k+2}): solve for q_top, ..., q_0
+    arity = psi.arity
+    c0 = psi.coefficient((0,) * arity)
+    block = FischerOperator(psi.homogeneous_component(2))
+    zero = Poly.zero(arity, FIELD_Q)
+    parts = [zero] * (top + 3)
+    for k in range(top, -1, -1):
+        basis = homogeneous_basis(arity, k)
+        rhs = lap_f.homogeneous_component(k) - parts[k + 2].laplacian().scale(c0)
+        x = solve(operator_matrix(block, basis, basis), coordinates(rhs, basis))
+        parts[k] = from_coordinates(x, basis, FIELD_Q)
+    return sum(parts, zero)
+
+
 def dirichlet_solve(domain, f):
     """Construct the polynomial Dirichlet solution for data f.
 
     Solves laplacian(psi*q) == laplacian(f) with q in the filtered slice of
-    degree deg f - 2; since deg psi = 2 this slice maps to itself, and for
-    ellipsoidal psi the square matrix is nonsingular.  Raises
-    UnsolvableSliceError when the slice system is inconsistent (possible
-    only for non-ellipsoidal quadrics).
+    degree deg f - 2; since deg psi = 2 this slice maps to itself.  For
+    ellipsoidal psi the square matrix is nonsingular and the solve runs by
+    back-substitution over homogeneous degrees, one block of the top slice's
+    size at most; other quadrics solve the whole filtered slice at once,
+    with free variables pinned to zero.  Raises UnsolvableSliceError when
+    the system is inconsistent (possible only for non-ellipsoidal quadrics).
     """
     psi = domain.psi
     if f.field != FIELD_Q:
@@ -132,24 +162,28 @@ def dirichlet_solve(domain, f):
     lap_f = f.laplacian()
     if not lap_f:
         q = Poly.zero(f.arity, f.field)
-        h = f
     else:
-        source = filtered_basis(f.arity, f.degree - 2)
-        matrix = operator_matrix(FischerOperator(psi), source, source)
         try:
-            x = solve(matrix, coordinates(lap_f, source))
+            if domain.ellipsoidal:
+                q = _solve_by_degree(psi, lap_f, f.degree - 2)
+            else:
+                source = filtered_basis(f.arity, f.degree - 2)
+                matrix = operator_matrix(FischerOperator(psi), source, source)
+                x = solve(matrix, coordinates(lap_f, source))
+                q = from_coordinates(x, source, f.field)
         except InconsistentSystemError:
             raise UnsolvableSliceError(
                 "the square slice system is inconsistent for this quadric"
             ) from None
-        q = from_coordinates(x, source, f.field)
-        h = f - psi * q
+    h = f - psi * q
+    harmonic_exact = not h.laplacian()
+    identity_exact = not (f - h - psi * q)
     record = VerificationRecord(
-        harmonic_exact=not h.laplacian(),
-        identity_exact=not (f - h - psi * q),
+        harmonic_exact=harmonic_exact,
+        identity_exact=identity_exact,
         boundary_max_error=None,
         samples=0,
-        passed=(not h.laplacian()) and (not (f - h - psi * q)),
+        passed=harmonic_exact and identity_exact,
     )
     return DirichletSolution(domain=domain, f=f, h=h, q=q, verification=record)
 

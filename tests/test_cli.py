@@ -1,8 +1,10 @@
+import hashlib
 import json
 import time
 
 import pytest
 
+from fischerlab import cli
 from fischerlab.cli import run
 
 
@@ -287,3 +289,64 @@ def test_out_flag_writes_file(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+_ELLIPSE_DIRICHLET = (
+    "dirichlet", "--psi", "1/4*x^2+y^2-1", "--f", "x^3*y+x", "--vars", "x,y",
+    "--interior", "0,0", "--seed", "3", "--samples", "3",
+)
+_ELLIPSE_TEXT = """\
+psi = 1/4*x^2 + y^2 - 1
+f = x^3*y + x
+q = 4/5*x*y
+h = 4/5*x^3*y - 4/5*x*y^3 + 4/5*x*y + x
+harmonic_exact = True
+identity_exact = True
+boundary_max_error = 2.220446049250313e-16 over 3 samples
+passed = True
+"""
+_ELLIPSE_CSV = """\
+x,y,psi,f_minus_h
+0.07571064682695175,0.999283230365276,0.0,6.938893903907228e-18
+-0.8496340246077344,0.9052792420337584,2.220446049250313e-16,-2.220446049250313e-16
+-0.8879620945589933,-0.896036176533404,0.0,1.1102230246251565e-16
+"""
+# sha256 of the 2-space indented JSON report for the same argv
+_ELLIPSE_JSON_SHA256 = "eb38d2904a2e3273c3ff2847099342164a1d51b8056ce193cc700ce7d847ae4c"
+
+
+def test_dirichlet_outputs_are_pinned_on_an_ellipse(capsys):
+    code, out, _ = run_cli(capsys, *_ELLIPSE_DIRICHLET, "--format", "text")
+    assert code == 0
+    assert out == _ELLIPSE_TEXT
+    code, out, _ = run_cli(capsys, *_ELLIPSE_DIRICHLET, "--format", "csv")
+    assert code == 0
+    assert out == _ELLIPSE_CSV
+    code, out, _ = run_cli(capsys, *_ELLIPSE_DIRICHLET, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["q"]["expr"] == "4/5*x*y"
+    assert report["checks"]["boundary_max_error"] == 2.220446049250313e-16
+    assert hashlib.sha256(out.encode()).hexdigest() == _ELLIPSE_JSON_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_dirichlet_csv_rows_are_built_only_for_csv(capsys, monkeypatch, fmt):
+    def fail(*args, **kwargs):
+        raise AssertionError("csv rows built for another format")
+
+    monkeypatch.setattr(cli, "_dirichlet_csv", fail)
+    code, _, _ = run_cli(capsys, *_ELLIPSE_DIRICHLET, "--format", fmt)
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--tol-boundary", "--tol-root"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerances_are_usage_errors(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "dirichlet", "--psi", "1/4*x^2+y^2-1", "--f", "x^2", "--vars", "x,y",
+        "--interior", "0,0", f"{flag}={value}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err

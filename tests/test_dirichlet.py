@@ -5,15 +5,24 @@ import pytest
 
 from fischerlab import (
     FIELD_QI,
+    FischerOperator,
+    InconsistentSystemError,
     NoBoundaryHitError,
     Poly,
     QuadricDomain,
     UnsolvableSliceError,
     boundary_mismatch,
     boundary_samples,
+    coordinates,
+    dirichlet,
     dirichlet_solve,
+    filtered_basis,
+    from_coordinates,
+    homogeneous_basis,
     ks_residual,
+    operator_matrix,
     parse_polynomial,
+    solve,
     squared_norm,
     verify_solution,
 )
@@ -216,3 +225,95 @@ def test_ks_residual_requires_ellipsoidal():
     hyperbola = QuadricDomain(X * X - Y * Y - Poly.constant(2, 1), (0.0, 0.0))
     with pytest.raises(ValueError):
         ks_residual(hyperbola)
+
+
+def _filtered_solution(domain, f):
+    # one solve on the whole filtered slice of degree deg f - 2
+    if not f.laplacian():
+        return Poly.zero(f.arity), f
+    source = filtered_basis(f.arity, f.degree - 2)
+    matrix = operator_matrix(FischerOperator(domain.psi), source, source)
+    q = from_coordinates(solve(matrix, coordinates(f.laplacian(), source)), source)
+    return q, f - domain.psi * q
+
+
+def _assert_matches_filtered_solve(domain, f):
+    solution = dirichlet_solve(domain, f)
+    q, h = _filtered_solution(domain, f)
+    assert solution.q == q
+    assert solution.h == h
+    assert solution.verification.harmonic_exact
+    assert solution.verification.identity_exact
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_degree_wise_solve_matches_filtered_solve_on_random_ellipsoids(arity):
+    rng = random.Random(40 + arity)
+    for _ in range(12):
+        domain = random_ellipsoid(rng, arity)
+        f = random_poly(rng, arity, rng.randint(2, 7), nonzero=True)
+        _assert_matches_filtered_solve(domain, f)
+
+
+def test_degree_wise_solve_matches_filtered_solve_on_scaled_psi():
+    rng = random.Random(44)
+    for base, scale in ((ELLIPSE, Fraction(7, 3)), (random_ellipsoid(rng, 3), 5)):
+        domain = QuadricDomain(base.psi.scale(scale), (0.0,) * base.arity)
+        assert domain.ellipsoidal
+        f = random_poly(rng, base.arity, 6, nonzero=True)
+        _assert_matches_filtered_solve(domain, f)
+
+
+@pytest.mark.parametrize(
+    "text", ["7/3", "x^2 - y^2 + 3*x*y - 2*z", "x^2", "2*x*y - 1/3*z^2 + x"]
+)
+def test_degree_wise_solve_matches_filtered_solve_on_low_degree_data(text):
+    domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    _assert_matches_filtered_solve(domain, parse_polynomial(text, ("x", "y", "z")))
+
+
+def test_degree_wise_solve_matches_filtered_solve_at_degree_10():
+    domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    f = parse_polynomial("(x+y*z-2)^5 + 3*x^7*z - y^4", ("x", "y", "z"))
+    assert f.degree == 10
+    _assert_matches_filtered_solve(domain, f)
+
+
+def _recording_solve(monkeypatch):
+    sizes = []
+
+    def recording(matrix, rhs):
+        sizes.append(matrix.rows)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(dirichlet, "solve", recording)
+    return sizes
+
+
+def test_ellipsoids_solve_no_system_larger_than_the_top_slice(monkeypatch):
+    sizes = _recording_solve(monkeypatch)
+    domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    f = parse_polynomial("(3*x+y*z+2)^4", ("x", "y", "z"))
+    dirichlet_solve(domain, f)
+    assert sizes == [len(homogeneous_basis(3, k)) for k in range(6, -1, -1)]
+
+
+def test_other_quadrics_keep_the_filtered_solve(monkeypatch):
+    sizes = _recording_solve(monkeypatch)
+    # laplacian(x^2 - y^2) = 0: the degree-0 block is singular here
+    hyperbola = QuadricDomain(X * X - Y * Y - Poly.constant(2, 1), (0.0, 0.0))
+    f = hyperbola.psi * (X * Y + X * X) + X * X * X - (X * Y * Y).scale(3)
+    solution = dirichlet_solve(hyperbola, f)
+    assert sizes == [len(filtered_basis(2, 2))]
+    assert (solution.q, solution.h) == _filtered_solution(hyperbola, f)
+    assert solution.verification.harmonic_exact
+    assert solution.verification.identity_exact
+
+
+def test_inconsistent_block_fails_closed(monkeypatch):
+    def inconsistent(matrix, rhs):
+        raise InconsistentSystemError("right-hand side is outside the column space")
+
+    monkeypatch.setattr(dirichlet, "solve", inconsistent)
+    with pytest.raises(UnsolvableSliceError):
+        dirichlet_solve(ELLIPSE, X * X)
