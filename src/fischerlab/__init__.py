@@ -14,6 +14,7 @@ from ._kernels import backend_name
 from .errors import (
     BasisOverflowError,
     FischerlabError,
+    FloatEvaluationError,
     InconsistentSystemError,
     NoBoundaryHitError,
     NoDecompositionFoundError,

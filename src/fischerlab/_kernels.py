@@ -1,11 +1,10 @@
-"""Pure-Python row reduction kernels.
+"""Row reduction kernels: exact Gauss-Jordan elimination on integer lists.
 
 Matrix entries travel as parallel integer lists: numerators and positive
 denominators over the rationals, plus a second numerator/denominator pair
-for the imaginary part over the Gaussian rationals.  Working on raw ints
-(rather than Fraction instances) is exactly what the compiled backend
-accelerates; both backends must produce bit-identical output, including
-the pivot choices.
+for the imaginary part over the Gaussian rationals.  The kernels are pure
+Python.  Callers look ``rref_q`` and ``rref_qi`` up on this module at call
+time, so a wrapper installed here (a tracer) sees every elimination.
 
 Pivot rule: among the eligible rows of the current column, take the entry
 whose combined numerator/denominator bit length is smallest, breaking ties
@@ -15,6 +14,12 @@ by row index.  This limits coefficient growth without affecting exactness.
 from __future__ import annotations
 
 from math import gcd
+
+
+def backend_name():
+    """Name of the kernel implementation, always "pure" (printed in test
+    headers and benchmark reports)."""
+    return "pure"
 
 
 def _red(n, d):
@@ -65,22 +70,14 @@ def _submul_row(num, den, width, r, pr, fn, fd):
         den[rb + c] = rd
 
 
-def rref_q(num, den, rows, cols, want_transform=False):
+def rref_q(num, den, rows, cols):
     """Gauss-Jordan over the rationals.
 
-    Returns (num, den, pivots, tnum, tden) where the first two lists hold the
-    reduced matrix and tnum/tden the row-operation record (None unless
-    requested); transform * input == output exactly.
+    Returns (num, den, pivots): the reduced matrix as new lists (the inputs
+    are not modified) and its pivot columns in increasing order.
     """
     num = list(num)
     den = list(den)
-    if want_transform:
-        tnum = [0] * (rows * rows)
-        tden = [1] * (rows * rows)
-        for i in range(rows):
-            tnum[i * rows + i] = 1
-    else:
-        tnum = tden = None
     pivots = []
     pr = 0
     for pc in range(cols):
@@ -99,14 +96,10 @@ def rref_q(num, den, rows, cols, want_transform=False):
             continue
         if best != pr:
             _swap_rows(num, den, cols, pr, best)
-            if want_transform:
-                _swap_rows(tnum, tden, rows, pr, best)
         pn = num[pr * cols + pc]
         pd = den[pr * cols + pc]
         if pn != pd:
             _scale_row(num, den, cols, pr, pd, pn)
-            if want_transform:
-                _scale_row(tnum, tden, rows, pr, pd, pn)
         for r in range(rows):
             if r == pr:
                 continue
@@ -115,11 +108,9 @@ def rref_q(num, den, rows, cols, want_transform=False):
                 continue
             fd = den[r * cols + pc]
             _submul_row(num, den, cols, r, pr, fn, fd)
-            if want_transform:
-                _submul_row(tnum, tden, rows, r, pr, fn, fd)
         pivots.append(pc)
         pr += 1
-    return num, den, pivots, tnum, tden
+    return num, den, pivots
 
 
 def _qmul(n1, d1, n2, d2):
@@ -178,25 +169,16 @@ def _submul_row4(an, ad, bn, bd, width, r, pr, frn, frd, fin, fid):
         bn[rb + c], bd[rb + c] = _qsub(bn[rb + c], bd[rb + c], *ti)
 
 
-def rref_qi(ren, red, imn, imd, rows, cols, want_transform=False):
+def rref_qi(ren, red, imn, imd, rows, cols):
     """Gauss-Jordan over the Gaussian rationals.
 
     Same contract as rref_q, with separate real and imaginary
-    numerator/denominator lists.
+    numerator/denominator lists: returns (ren, red, imn, imd, pivots).
     """
     ren = list(ren)
     red = list(red)
     imn = list(imn)
     imd = list(imd)
-    if want_transform:
-        trn = [0] * (rows * rows)
-        trd = [1] * (rows * rows)
-        tin = [0] * (rows * rows)
-        tid = [1] * (rows * rows)
-        for i in range(rows):
-            trn[i * rows + i] = 1
-    else:
-        trn = trd = tin = tid = None
     pivots = []
     pr = 0
     for pc in range(cols):
@@ -220,8 +202,6 @@ def rref_qi(ren, red, imn, imd, rows, cols, want_transform=False):
             continue
         if best != pr:
             _swap_rows4(ren, red, imn, imd, cols, pr, best)
-            if want_transform:
-                _swap_rows4(trn, trd, tin, tid, rows, pr, best)
         k = pr * cols + pc
         prn, prd, pin, pid = ren[k], red[k], imn[k], imd[k]
         if prn != prd or pin != 0:
@@ -230,8 +210,6 @@ def rref_qi(ren, red, imn, imd, rows, cols, want_transform=False):
             srn, srd = _qmul(prn, prd, nd, nn)
             sin, sid = _qmul(-pin, pid, nd, nn)
             _scale_row4(ren, red, imn, imd, cols, pr, srn, srd, sin, sid)
-            if want_transform:
-                _scale_row4(trn, trd, tin, tid, rows, pr, srn, srd, sin, sid)
         for r in range(rows):
             if r == pr:
                 continue
@@ -241,8 +219,6 @@ def rref_qi(ren, red, imn, imd, rows, cols, want_transform=False):
                 continue
             frd, fid = red[k], imd[k]
             _submul_row4(ren, red, imn, imd, cols, r, pr, frn, frd, fin, fid)
-            if want_transform:
-                _submul_row4(trn, trd, tin, tid, rows, r, pr, frn, frd, fin, fid)
         pivots.append(pc)
         pr += 1
-    return ren, red, imn, imd, pivots, trn, trd, tin, tid
+    return ren, red, imn, imd, pivots

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .dirichlet import QuadricDomain, boundary_samples, dirichlet_solve, ks_residual, verify_solution
 from .errors import (
+    FloatEvaluationError,
     NoBoundaryHitError,
     NoDecompositionFoundError,
     ParseError,
@@ -458,7 +459,7 @@ def run(argv=None):
     try:
         config = _build_config(args)
         report, code, text_lines, csv_text = _HANDLERS[args.command](config, args)
-    except ParseError as exc:
+    except (ParseError, FloatEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -259,12 +259,8 @@ def boundary_samples(domain, count, tol=1e-12, rng=None):
 def _term_magnitude(p, point):
     # sum of |c * x^e| over the terms: the size of what evaluate() cancels
     total = 0.0
-    for m, c in p.terms.items():
-        term = abs(float(c))
-        for v, e in zip(point, m):
-            if e:
-                term *= abs(v) ** e
-        total += term
+    for term in p.float_terms(point):
+        total += abs(term)
     return total
 
 

@@ -31,6 +31,11 @@ class BasisOverflowError(FischerlabError):
     """Raised when an image monomial falls outside the chosen target basis."""
 
 
+class FloatEvaluationError(FischerlabError):
+    """Raised when evaluating a polynomial in floating point overflows: a
+    coefficient or a power of a coordinate is beyond the float range."""
+
+
 class InconsistentSystemError(FischerlabError):
     """Raised by the exact solver when the right-hand side is outside the
     column space of the matrix."""

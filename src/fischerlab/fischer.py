@@ -189,8 +189,9 @@ class DegreeVerdict:
 
     status "surjective" carries the smallest successful slack;
     "undetermined" (filtered mode, slack exhausted) and "not_surjective"
-    (homogeneous mode, conclusive) carry a witness polynomial provably
-    outside the image of the last tested slice.
+    (homogeneous mode, conclusive) carry a witness: the first monomial of
+    the tested block, in its graded basis order, that lies outside the
+    image of the last tested slice.  Every earlier monomial lies inside.
     """
 
     target_degree: int
@@ -234,18 +235,17 @@ def _homogeneous_profile(psi, max_target_degree):
             verdicts.append(DegreeVerdict(n, NOT_SURJECTIVE, witness=witness))
             continue
         source = homogeneous_basis(psi.arity, m)
-        matrix = operator_matrix(op, source, target)
-        result = rref(matrix, want_transform=True)
-        surjective = result.rank == len(target)
+        image = GrowingEchelon(psi.field)
+        image.extend(operator_matrix(op, source, target))
+        missed = image.first_missing(len(target))
+        surjective = missed is None
         rows.append(
-            RankProfileRow(n, m, len(source), len(target), result.rank, surjective)
+            RankProfileRow(n, m, len(source), len(target), image.rank, surjective)
         )
         if surjective:
             verdicts.append(DegreeVerdict(n, SURJECTIVE, slack=0))
         else:
-            y = result.transform.row(result.rank)
-            j = next(i for i, v in enumerate(y) if v)
-            witness = _monomial_poly(psi.arity, target.monomials[j], psi.field)
+            witness = _monomial_poly(psi.arity, target.monomials[missed], psi.field)
             verdicts.append(DegreeVerdict(n, NOT_SURJECTIVE, witness=witness))
     return rows, verdicts
 
@@ -254,9 +254,10 @@ def _filtered_profile(psi, max_target_degree, slack):
     op = FischerOperator(psi)
     deg_psi = psi.degree
     image = GrowingEchelon(psi.field)
-    # spans[m] = (rank, leading coordinates) of the image of filtered(m), in
-    # the graded basis of filtered(m + deg_psi - 2); grown only as far as a
-    # rung asks
+    # spans[m] = (rank, first missing coordinate below top_dim) of the image
+    # of filtered(m), in the graded basis of filtered(m + deg_psi - 2); grown
+    # only as far as a rung asks
+    top_dim = basis_dimension(psi.arity, FILTERED, max_target_degree)
     spans = []
     rows = []
     verdicts = []
@@ -279,12 +280,10 @@ def _filtered_profile(psi, max_target_degree, slack):
                     source = homogeneous_basis(psi.arity, k)
                     target = filtered_basis(psi.arity, k + deg_psi - 2)
                     image.extend(operator_matrix(op, source, target))
-                spans.append((image.rank, image.leading))
-            rank, leading = spans[m]
-            # the degree-n block is the first tested_dim target coordinates;
-            # the image covers it iff each e_j there leads some reduced row
-            missed = next((j for j in range(tested_dim) if j not in leading), None)
-            surjective = missed is None
+                spans.append((image.rank, image.first_missing(top_dim)))
+            rank, missed = spans[m]
+            # the degree-n block is the first tested_dim target coordinates
+            surjective = missed is None or missed >= tested_dim
             rows.append(
                 RankProfileRow(
                     n,
@@ -313,7 +312,10 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     slice map either is or is not onto.  Filtered mode climbs the slack
     ladder and reports UNDETERMINED with a witness when the ladder is
     exhausted, never a negative, since higher source degrees remain untried.
+    Either witness is the first monomial of the tested block outside the
+    image (see DegreeVerdict).
 
+    Homogeneous mode reduces each slice matrix in a fresh GrowingEchelon.
     Filtered mode keeps one growing echelon form of the image for the whole
     ladder: source degree m adds the images of the degree-m monomials, and
     every rung reads its rank, verdict and witness from the form at its m.
@@ -366,7 +368,7 @@ def fischer_theorem_check(p, max_degree):
     for m in range(max_degree + 1):
         basis = homogeneous_basis(p.arity, m)
         matrix = operator_matrix(op, basis, basis)
-        result = rref(matrix, want_transform=False)
+        result = rref(matrix)
         slices.append(
             BijectivitySlice(
                 degree=m,

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the coefficient fields.
 
-The row-reduction inner loop lives in fischerlab._kernels (compiled when
-available, pure Python otherwise); this module owns the user-facing matrix
-type plus reduced row echelon form, solving, nullspaces, and cokernel
-witnesses.  Matrices are immutable and all operations are pure functions.
+The row-reduction inner loop lives in fischerlab._kernels; this module owns
+the user-facing matrix type plus reduced row echelon form, solving,
+nullspaces, and cokernel witnesses.  Matrices are immutable and all
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -155,48 +155,36 @@ def _matrix_from_flat_qi(ren, red, imn, imd, rows, cols):
 
 @dataclass(frozen=True)
 class RrefResult:
-    """Reduced row echelon form plus the row-operation record.
+    """Reduced row echelon form of a matrix.
 
-    transform @ original == rref holds exactly; pivot_cols is strictly
-    increasing with length equal to the rank.
+    rref has the row space of the original; pivot_cols is strictly
+    increasing with length equal to the rank.  The form is unique, so
+    neither depends on the kernel's pivot rule.
     """
 
     rref: ExactMatrix
     rank: int
     pivot_cols: tuple
-    transform: ExactMatrix | None
 
 
-def _kernel_rref(matrix, want_transform):
+def _kernel_rref(matrix):
     if matrix.field == FIELD_Q:
         num, den = matrix._flat_q()
-        num, den, pivots, tnum, tden = _kernels.rref_q(
-            num, den, matrix.rows, matrix.cols, want_transform
-        )
+        num, den, pivots = _kernels.rref_q(num, den, matrix.rows, matrix.cols)
         reduced = _matrix_from_flat_q(num, den, matrix.rows, matrix.cols)
-        transform = (
-            _matrix_from_flat_q(tnum, tden, matrix.rows, matrix.rows)
-            if want_transform
-            else None
-        )
     else:
         ren, red, imn, imd = matrix._flat_qi()
-        ren, red, imn, imd, pivots, trn, trd, tin, tid = _kernels.rref_qi(
-            ren, red, imn, imd, matrix.rows, matrix.cols, want_transform
+        ren, red, imn, imd, pivots = _kernels.rref_qi(
+            ren, red, imn, imd, matrix.rows, matrix.cols
         )
         reduced = _matrix_from_flat_qi(ren, red, imn, imd, matrix.rows, matrix.cols)
-        transform = (
-            _matrix_from_flat_qi(trn, trd, tin, tid, matrix.rows, matrix.rows)
-            if want_transform
-            else None
-        )
-    return reduced, tuple(pivots), transform
+    return reduced, tuple(pivots)
 
 
-def rref(matrix, want_transform=True):
+def rref(matrix):
     """Reduced row echelon form by exact Gauss-Jordan elimination."""
-    reduced, pivots, transform = _kernel_rref(matrix, want_transform)
-    return RrefResult(rref=reduced, rank=len(pivots), pivot_cols=pivots, transform=transform)
+    reduced, pivots = _kernel_rref(matrix)
+    return RrefResult(rref=reduced, rank=len(pivots), pivot_cols=pivots)
 
 
 class GrowingEchelon:
@@ -209,7 +197,9 @@ class GrowingEchelon:
     reversed, so each row leads with its highest nonzero coordinate.
     ``leading`` is the set of those coordinates: e_j lies in
     span + span(e_0..e_{j-1}) exactly when j is in it, and ``rank`` is its
-    size.  Neither depends on the kernel's pivot rule.
+    size.  Neither depends on the kernel's pivot rule.  So the first
+    coordinate that leads no row is the first e_j outside the span
+    (``first_missing``).
     """
 
     def __init__(self, field=FIELD_Q):
@@ -239,12 +229,20 @@ class GrowingEchelon:
                 out += new[i::count][::-1]
             parts.append(out)
         kernel = _kernels.rref_q if self.field == FIELD_Q else _kernels.rref_qi
-        result = kernel(*parts, self.rank + count, width, False)
+        result = kernel(*parts, self.rank + count, width)
         pivots = result[len(parts)]
         self.width = width
         self.rank = len(pivots)
         self.leading = frozenset(width - 1 - p for p in pivots)
         self._parts = [part[: self.rank * width] for part in result[: len(parts)]]
+
+    def first_missing(self, count):
+        """The first j < count with e_j outside the span, or None.
+
+        Every e_i with i < j lies in the span.  Coordinates at or beyond
+        ``width`` lead no row, so they count as outside.
+        """
+        return next((j for j in range(count) if j not in self.leading), None)
 
 
 def solve(matrix, rhs):
@@ -259,7 +257,7 @@ def solve(matrix, rhs):
     augmented = matrix.hstack(
         ExactMatrix(matrix.rows, 1, rhs, matrix.field)
     )
-    reduced, pivots, _ = _kernel_rref(augmented, want_transform=False)
+    reduced, pivots = _kernel_rref(augmented)
     if pivots and pivots[-1] == matrix.cols:
         raise InconsistentSystemError("right-hand side is outside the column space")
     zero = as_scalar(0, matrix.field)
@@ -273,7 +271,7 @@ def solve(matrix, rhs):
 
 def nullspace_basis(matrix):
     """Linearly independent exact vectors spanning the kernel."""
-    result = rref(matrix, want_transform=False)
+    result = rref(matrix)
     pivots = list(result.pivot_cols)
     pivot_set = set(pivots)
     zero = as_scalar(0, matrix.field)
@@ -293,15 +291,14 @@ def nullspace_basis(matrix):
 def cokernel_witness(matrix):
     """A right-hand side provably outside the column space, or None.
 
-    When rank < rows, some transform row y beyond the rank satisfies
-    y @ matrix == 0; any standard basis vector e_j with y[j] != 0 then makes
-    matrix @ x == e_j unsolvable.
+    The witness is e_j for the first j such that matrix @ x == e_j has no
+    solution; every e_i with i < j is solvable.  None means full row rank.
     """
-    result = rref(matrix, want_transform=True)
-    if result.rank == matrix.rows:
+    echelon = GrowingEchelon(matrix.field)
+    echelon.extend(matrix)
+    j = echelon.first_missing(matrix.rows)
+    if j is None:
         return None
-    y = result.transform.row(result.rank)
-    j = next(i for i, v in enumerate(y) if v)
     zero = as_scalar(0, matrix.field)
     one = as_scalar(1, matrix.field)
     witness = [zero] * matrix.rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from types import MappingProxyType
 
-from .errors import BasisOverflowError
+from .errors import BasisOverflowError, FloatEvaluationError
 from .scalars import (
     FIELD_Q,
     GaussianRational,
@@ -239,17 +239,34 @@ class Poly:
         degrees = {sum(m) for m in self._terms}
         return len(degrees) <= 1
 
-    def evaluate(self, point):
-        """Numeric evaluation at a float point; complex over field Qi."""
+    def float_terms(self, point):
+        """The terms c * x^m at a float point, as floats (complex over Qi).
+
+        Raises FloatEvaluationError when a coordinate, a coefficient or a
+        power of a coordinate is beyond the float range.
+        """
         if len(point) != self.arity:
             raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
-        values = [float(v) for v in point]
+        terms = []
+        try:
+            values = [float(v) for v in point]
+            for m, c in self._terms.items():
+                term = complex(c) if isinstance(c, GaussianRational) else float(c)
+                for v, e in zip(values, m):
+                    if e:
+                        term *= v**e
+                terms.append(term)
+        except OverflowError:
+            raise FloatEvaluationError(
+                "floating-point evaluation overflowed: a coefficient or a power "
+                "of a coordinate is beyond the float range (about 1.8e308)"
+            ) from None
+        return terms
+
+    def evaluate(self, point):
+        """Numeric evaluation at a float point; complex over field Qi."""
         total = 0j if self.field != FIELD_Q else 0.0
-        for m, c in self._terms.items():
-            term = complex(c) if isinstance(c, GaussianRational) else float(c)
-            for v, e in zip(values, m):
-                if e:
-                    term *= v**e
+        for term in self.float_terms(point):
             total += term
         return total
 

@@ -2,13 +2,18 @@
 
 from fractions import Fraction
 
+import pytest
+
 from fischerlab import (
     ExactMatrix,
     FIELD_Q,
     GaussianRational,
+    InconsistentSystemError,
     Poly,
     QuadricDomain,
+    as_scalar,
     filtered_basis,
+    solve,
 )
 
 
@@ -57,3 +62,16 @@ def random_ellipsoid(rng, arity):
         Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(arity)
     ]
     return QuadricDomain.ellipsoid(semi_axes)
+
+
+def unit_vector(n, j, field=FIELD_Q):
+    return [as_scalar(1 if i == j else 0, field) for i in range(n)]
+
+
+def assert_first_unsolvable_unit(matrix, j):
+    """Brute force: matrix @ x == e_j has no solution, and each e_i with
+    i < j has one."""
+    with pytest.raises(InconsistentSystemError):
+        solve(matrix, unit_vector(matrix.rows, j, matrix.field))
+    for i in range(j):
+        solve(matrix, unit_vector(matrix.rows, i, matrix.field))

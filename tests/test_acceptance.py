@@ -61,7 +61,7 @@ def test_ellipsoid_bijectivity():
                 checked += 1
                 if matrix.rows != matrix.cols:
                     failures.append((arity, m, "not square"))
-                elif rref(matrix, want_transform=False).rank != len(basis):
+                elif rref(matrix).rank != len(basis):
                     failures.append((arity, m, "singular"))
     elapsed = time.perf_counter() - started
     passed = not failures and elapsed < 60.0
@@ -280,7 +280,7 @@ def test_linear_algebra_self_verification():
         field = FIELD_Q if i % 3 else FIELD_QI
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         matrix = random_matrix(rng, rows, cols, field)
-        result = rref(matrix, want_transform=False)
+        result = rref(matrix)
         if result.rank + len(nullspace_basis(matrix)) != cols:
             nullity_failures += 1
     _report(

@@ -191,6 +191,29 @@ def test_deeply_nested_psi_is_a_usage_error(capsys, opening):
     assert "nest deeper" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a coefficient beyond the float range, in f and in psi
+        ["dirichlet", "--psi", "x^2+y^2-1", "--f", "10^400*x^2", "--interior", "0,0"],
+        ["dirichlet", "--psi", "x^2+y^2-10^400", "--f", "x^2", "--interior", "0,0"],
+        ["ks-residual", "--psi", "x^2+y^2-10^400", "--interior", "0,0"],
+        # a power of a coordinate beyond it
+        ["dirichlet", "--psi", "x^2+y^2-1", "--f", "x^3", "--interior", "1e308,0"],
+    ],
+    ids=["f-coefficient", "psi-coefficient", "ks-residual", "interior-power"],
+)
+def test_float_overflow_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--vars", "x,y")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: floating-point evaluation overflowed")
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["solve-everything"]) == 2
     capsys.readouterr()

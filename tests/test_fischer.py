@@ -11,6 +11,7 @@ from fischerlab import (
     FischerOperator,
     GAUSSIAN_I,
     GaussianRational,
+    HOMOGENEOUS,
     InconsistentSystemError,
     NoDecompositionFoundError,
     NOT_SURJECTIVE,
@@ -31,7 +32,7 @@ from fischerlab import (
     solve,
     squared_norm,
 )
-from helpers import random_poly, random_scalar
+from helpers import assert_first_unsolvable_unit, random_poly, random_scalar
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -249,6 +250,39 @@ def test_rank_profile_x_cubed_homogeneous_is_conclusively_negative():
                 solve(matrix, coordinates(verdict.witness, target))
 
 
+@pytest.mark.parametrize(
+    "psi, max_target_degree",
+    [
+        (Poly.monomial(3, (3, 0, 0)) + Poly.monomial(3, (0, 3, 0), 2)
+         + Poly.monomial(3, (0, 0, 3), 3), 9),
+        (Poly.monomial(3, (1, 1, 1)), 6),
+        # misses the second monomial at odd degrees: x^n is in the image
+        (Poly.monomial(2, (1, 2)), 7),
+    ],
+    ids=["x^3+2y^3+3z^3", "xyz", "xy^2"],
+)
+def test_homogeneous_witness_is_the_first_monomial_outside_the_image(psi, max_target_degree):
+    profile = rank_profile(psi, max_target_degree, mode=HOMOGENEOUS)
+    op = FischerOperator(psi)
+    negatives = 0
+    for row, verdict in zip(profile.rows, profile.verdicts):
+        target = homogeneous_basis(psi.arity, row.target_degree)
+        if row.source_degree < 0:
+            matrix = ExactMatrix(len(target), 0, [], psi.field)
+        else:
+            source = homogeneous_basis(psi.arity, row.source_degree)
+            matrix = operator_matrix(op, source, target)
+        assert row.rank == rref(matrix).rank
+        if verdict.status != NOT_SURJECTIVE:
+            continue
+        negatives += 1
+        (exponents,) = verdict.witness.terms
+        j = target.monomials.index(exponents)
+        assert verdict.witness == Poly.monomial(psi.arity, exponents, 1, psi.field)
+        assert_first_unsolvable_unit(matrix, j)
+    assert negatives == max_target_degree + 1
+
+
 def test_rank_profile_x_cubed_filtered_is_undetermined():
     psi = Poly.monomial(2, (3, 0))
     profile = rank_profile(psi, 2, slack=1)
@@ -312,7 +346,7 @@ def _per_rung_ladder(psi, max_target_degree, slack):
                 rows=len(target),
                 field=psi.field,
             )
-            result = rref(matrix.hstack(block), want_transform=False)
+            result = rref(matrix.hstack(block))
             rank = sum(1 for p in result.pivot_cols if p < matrix.cols)
             missed = [p - matrix.cols for p in result.pivot_cols if p >= matrix.cols]
             rows.append(RankProfileRow(n, m, len(source), len(target), rank, not missed))

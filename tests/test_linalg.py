@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from fischerlab import _kernels
 from fischerlab import (
     ExactMatrix,
     FIELD_Q,
     FIELD_QI,
     GrowingEchelon,
     InconsistentSystemError,
+    backend_name,
     cokernel_witness,
     nullspace_basis,
     rref,
     solve,
 )
-from helpers import random_matrix, random_scalar
+from helpers import assert_first_unsolvable_unit, random_matrix, random_scalar, unit_vector
 
 
 def test_rref_identity():
@@ -29,12 +31,16 @@ def test_rref_proportional_rows():
     assert rref(m).rank == 1
 
 
-def test_rref_transform_reproduces_reduction():
+def test_rref_keeps_the_row_space():
     rng = random.Random(5)
-    for _ in range(10):
-        m = random_matrix(rng, 8, 8)
-        result = rref(m)
-        assert result.transform @ m == result.rref
+    for field in (FIELD_Q, FIELD_QI):
+        for inner in (2, 5, 8):
+            # rank at most inner: the product of 8 x inner and inner x 8
+            m = random_matrix(rng, 8, inner, field) @ random_matrix(rng, inner, 8, field)
+            result = rref(m)
+            rows = [m.row(i) for i in range(8)] + [result.rref.row(i) for i in range(8)]
+            assert rref(ExactMatrix.from_rows(rows, field)).rank == result.rank
+            assert rref(result.rref).rank == result.rank
 
 
 def test_rref_structure_on_randoms():
@@ -51,14 +57,6 @@ def test_rref_structure_on_randoms():
                 column = result.rref.column(pc)
                 assert column[r] == one
                 assert all(not v for i, v in enumerate(column) if i != r)
-
-
-def test_transform_is_invertible():
-    rng = random.Random(11)
-    for _ in range(10):
-        m = random_matrix(rng, 5, 7)
-        result = rref(m)
-        assert rref(result.transform).rank == m.rows
 
 
 def test_solve_identity():
@@ -106,7 +104,7 @@ def test_rank_nullity_and_kernel_membership():
     for field in (FIELD_Q, FIELD_QI):
         for _ in range(25):
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), field)
-            result = rref(m, want_transform=False)
+            result = rref(m)
             basis = nullspace_basis(m)
             assert result.rank + len(basis) == m.cols
             zero = [v for v in m.mul_vector([0] * m.cols)]
@@ -114,7 +112,7 @@ def test_rank_nullity_and_kernel_membership():
                 assert m.mul_vector(v) == zero
             if basis:
                 stacked = ExactMatrix.from_columns(basis, rows=m.cols, field=field)
-                assert rref(stacked, want_transform=False).rank == len(basis)
+                assert rref(stacked).rank == len(basis)
 
 
 def test_cokernel_witness_none_for_full_row_rank():
@@ -139,6 +137,31 @@ def test_cokernel_witness_is_unsolvable():
         with pytest.raises(InconsistentSystemError):
             solve(m, witness)
     assert found > 0
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_cokernel_witness_is_the_first_unsolvable_unit_vector(field):
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(30):
+        # e_0..e_{k-1} and a few random columns, mixed by a random square
+        # matrix: the column space holds e_0..e_{k-1}, so the witness is past them
+        rows = rng.randint(1, 7)
+        k = rng.randint(0, min(rows, 4))
+        columns = [unit_vector(rows, i, field) for i in range(k)]
+        columns += [random_matrix(rng, rows, 1, field).column(0) for _ in range(rng.randint(1, 3))]
+        mix = random_matrix(rng, len(columns), len(columns), field)
+        m = ExactMatrix.from_columns(columns, rows, field) @ mix
+        witness = cokernel_witness(m)
+        if witness is None:
+            assert rref(m).rank == m.rows
+            continue
+        j = next(i for i, v in enumerate(witness) if v)
+        assert witness == unit_vector(rows, j, field)
+        assert j >= k
+        assert_first_unsolvable_unit(m, j)
+        seen.add(j)
+    assert len(seen) >= 3
 
 
 def test_matrix_validation():
@@ -196,3 +219,19 @@ def test_growing_echelon_tracks_rank_and_leading_coordinates(field):
     other = FIELD_Q if field == FIELD_QI else FIELD_QI
     with pytest.raises(ValueError):
         echelon.extend(ExactMatrix(8, 1, [0] * 8, other))
+
+
+def test_backend_name_is_pure():
+    assert backend_name() == "pure"
+
+
+def test_kernels_do_not_mutate_input():
+    rng = random.Random(7)
+    for field, kernel in ((FIELD_Q, _kernels.rref_q), (FIELD_QI, _kernels.rref_qi)):
+        m = random_matrix(rng, 3, 3, field)
+        parts = m._flat_q() if field == FIELD_Q else m._flat_qi()
+        snapshot = [list(part) for part in parts]
+        result = kernel(*parts, 3, 3)
+        assert [list(part) for part in parts] == snapshot
+        # the reduced parts, then the pivot columns
+        assert len(result) == len(parts) + 1

@@ -8,6 +8,7 @@ from fischerlab import (
     BasisOverflowError,
     FIELD_Q,
     FIELD_QI,
+    FloatEvaluationError,
     NEG_INF,
     Poly,
     apply_operator,
@@ -168,6 +169,18 @@ def test_evaluate_examples():
     circle = x * x + y * y - Poly.constant(2, 1)
     assert circle.evaluate((1.0, 0.0)) == 0.0
     assert (x * x - y * y).evaluate((2.0, 1.0)) == 3.0
+
+
+@pytest.mark.parametrize(
+    "coefficient, point",
+    [(Fraction(10**400), (1.0, 0.0)), (1, (1e200, 0.0)), (1, (10**400, 0))],
+    ids=["coefficient", "power", "coordinate"],
+)
+def test_float_evaluation_overflow_is_typed(coefficient, point):
+    x, _ = xy()
+    p = (x * x).scale(coefficient)
+    with pytest.raises(FloatEvaluationError):
+        p.evaluate(point)
 
 
 def test_evaluate_at_origin_is_constant_term():

@@ -1,14 +1,12 @@
-"""Cross-module properties: pivot determinism, slice geometry, purity."""
+"""Cross-module properties: slice geometry, purity, determinism."""
 
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import pytest
 
 from fischerlab import (
-    ExactMatrix,
     FIELD_QI,
     FischerOperator,
     GaussianRational,
@@ -19,23 +17,9 @@ from fischerlab import (
     filtered_basis,
     operator_matrix,
     rank_profile,
-    rref,
 )
 from fischerlab.cli import run
 from helpers import random_ellipsoid, random_poly
-
-
-def test_pivot_rule_prefers_smallest_bit_size():
-    # column entries 4 and 1: the 1 has the smaller numerator+denominator
-    # bit size, so it is swapped up and used as the pivot
-    result = rref(ExactMatrix.from_rows([[4], [1]]))
-    assert result.transform == ExactMatrix.from_rows([[0, 1], [1, -4]])
-
-
-def test_pivot_rule_breaks_ties_by_row_index():
-    result = rref(ExactMatrix.from_rows([[3], [3]]))
-    # equal sizes: the earlier row stays in place, no swap happens
-    assert result.transform.row(0) == (Fraction(1, 3), Fraction(0))
 
 
 def test_quadric_square_slice_even_when_not_ellipsoidal():
@@ -66,33 +50,6 @@ def test_shared_values_safe_under_concurrency():
     with ThreadPoolExecutor(max_workers=8) as pool:
         profiles = list(pool.map(lambda _: rank_profile(psi, 4), range(8)))
     assert all(p == profiles[0] for p in profiles)
-
-
-def test_profile_rows_and_solution_agree_across_backends(monkeypatch):
-    # the selected backend must not influence any observable result
-    pytest.importorskip("fischerlab._kernels._speedups")
-    import subprocess
-    import sys
-
-    script = (
-        "import json, random\n"
-        "import fischerlab as fl\n"
-        "x = fl.Poly.variable(2, 0); y = fl.Poly.variable(2, 1)\n"
-        "psi = x*x + y*y.scale(3) - fl.Poly.constant(2, 2)\n"
-        "prof = fl.rank_profile(psi, 5)\n"
-        "sol = fl.dirichlet_solve(fl.QuadricDomain(psi, (0.0, 0.0)), x*x*y)\n"
-        "print(json.dumps([[r.rank for r in prof.rows],"
-        " fl.format_polynomial(sol.h, ('x', 'y'))]))\n"
-    )
-    outputs = {}
-    for backend in ("pure", "compiled"):
-        env = {"FISCHERLAB_BACKEND": backend, "PATH": "/usr/bin:/bin"}
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == 0, result.stderr
-        outputs[backend] = result.stdout
-    assert outputs["pure"] == outputs["compiled"]
 
 
 def test_boundary_samples_rejects_nonpositive_count():
