@@ -19,6 +19,7 @@ from .errors import (
     NoBoundaryHitError,
     NoDecompositionFoundError,
     ParseError,
+    SliceTooLargeError,
     UnknownVariableError,
     UnsolvableSliceError,
 )
@@ -35,6 +36,7 @@ from .polyring import (
     Basis,
     FILTERED,
     HOMOGENEOUS,
+    MAX_SLICE_DIMENSION,
     NEG_INF,
     Poly,
     apply_operator,

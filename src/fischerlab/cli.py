@@ -26,6 +26,7 @@ from .errors import (
     NoBoundaryHitError,
     NoDecompositionFoundError,
     ParseError,
+    SliceTooLargeError,
     UnsolvableSliceError,
 )
 from .exprs import format_polynomial, parse_polynomial, parse_scalar, validate_var_names
@@ -459,7 +460,7 @@ def run(argv=None):
     try:
         config = _build_config(args)
         report, code, text_lines, csv_text = _HANDLERS[args.command](config, args)
-    except (ParseError, FloatEvaluationError) as exc:
+    except (ParseError, FloatEvaluationError, SliceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

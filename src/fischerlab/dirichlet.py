@@ -27,6 +27,7 @@ from .fischer import FischerOperator, operator_matrix
 from .linalg import solve
 from .polyring import (
     Poly,
+    check_slice_dimension,
     coordinates,
     filtered_basis,
     from_coordinates,
@@ -163,6 +164,8 @@ def dirichlet_solve(domain, f):
     if not lap_f:
         q = Poly.zero(f.arity, f.field)
     else:
+        # the filtered slice of q, whole or as its homogeneous blocks
+        check_slice_dimension(f.arity, f.degree - 2)
         try:
             if domain.ellipsoidal:
                 q = _solve_by_degree(psi, lap_f, f.degree - 2)

@@ -31,6 +31,11 @@ class BasisOverflowError(FischerlabError):
     """Raised when an image monomial falls outside the chosen target basis."""
 
 
+class SliceTooLargeError(FischerlabError):
+    """Raised before any slice is built when the slices of a request would
+    span more monomials than polyring.MAX_SLICE_DIMENSION."""
+
+
 class FloatEvaluationError(FischerlabError):
     """Raised when evaluating a polynomial in floating point overflows: a
     coefficient or a power of a coordinate is beyond the float range."""

@@ -20,6 +20,7 @@ from .polyring import (
     Poly,
     apply_operator,
     basis_dimension,
+    check_slice_dimension,
     coordinates,
     filtered_basis,
     from_coordinates,
@@ -149,6 +150,9 @@ def fischer_decompose(psi, f, slack=0):
         return DecompositionCertificate.build(psi, f, Poly.zero(f.arity, f.field))
     op = FischerOperator(psi)
     deg_psi = psi.degree
+    # every slice built lies in filtered(top) or filtered(top + deg_psi - 2)
+    top = f.degree - deg_psi + 2 + slack
+    check_slice_dimension(f.arity, max(top, top + deg_psi - 2))
     for s in range(slack + 1):
         m = f.degree - deg_psi + 2 + s
         if m < 0:
@@ -328,14 +332,18 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
         raise ValueError("max_target_degree must be a non-negative int")
     if not isinstance(slack, int) or slack < 0:
         raise ValueError(f"slack must be a non-negative int, got {slack!r}")
-    if mode == HOMOGENEOUS:
-        if not psi.is_homogeneous():
-            raise ValueError("homogeneous mode requires a homogeneous psi")
-        rows, verdicts = _homogeneous_profile(psi, max_target_degree)
-    elif mode == FILTERED:
-        rows, verdicts = _filtered_profile(psi, max_target_degree, slack)
-    else:
+    if mode not in (HOMOGENEOUS, FILTERED):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == HOMOGENEOUS and not psi.is_homogeneous():
+        raise ValueError("homogeneous mode requires a homogeneous psi")
+    # every slice built, or looped over, lies in filtered(top) or
+    # filtered(top + deg psi - 2), top the highest source degree
+    top = max_target_degree - psi.degree + 2 + (slack if mode == FILTERED else 0)
+    check_slice_dimension(psi.arity, max(top, top + psi.degree - 2))
+    if mode == HOMOGENEOUS:
+        rows, verdicts = _homogeneous_profile(psi, max_target_degree)
+    else:
+        rows, verdicts = _filtered_profile(psi, max_target_degree, slack)
     return RankProfile(
         psi=psi,
         mode=mode,
@@ -363,6 +371,7 @@ def fischer_theorem_check(p, max_degree):
     """
     if not p.is_homogeneous() or p.degree < 1:
         raise ValueError("p must be homogeneous and non-constant")
+    check_slice_dimension(p.arity, max_degree)
     op = FischerOperator(psi=p, operator=p)
     slices = []
     for m in range(max_degree + 1):

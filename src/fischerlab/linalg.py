@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
-The row-reduction inner loop lives in fischerlab._kernels; this module owns
-the user-facing matrix type plus reduced row echelon form, solving,
-nullspaces, and cokernel witnesses.  Matrices are immutable and all
+ExactMatrix is a dense, immutable matrix of field scalars.  Every
+elimination is sparse echelon insertion in fischerlab._kernels: rows (or
+columns) go in as dicts of their nonzero entries, as reduced integer
+tuples, and come back out as scalars.  On top of it this module owns
+reduced row echelon form, solving, nullspaces, cokernel witnesses and the
+growing echelon of a filtered ladder.  Apart from GrowingEchelon, all
 operations are pure functions.
 """
 
@@ -127,39 +130,44 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, field={self.field!r})"
 
-    def _flat_q(self):
-        num = [e.numerator for e in self._entries]
-        den = [e.denominator for e in self._entries]
-        return num, den
 
-    def _flat_qi(self):
-        ren = [e.re.numerator for e in self._entries]
-        red = [e.re.denominator for e in self._entries]
-        imn = [e.im.numerator for e in self._entries]
-        imd = [e.im.denominator for e in self._entries]
-        return ren, red, imn, imd
+def _entry(value):
+    """The kernel entry of a field scalar."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    re, im = value.re, value.im
+    return re.numerator, re.denominator, im.numerator, im.denominator
 
 
-def _matrix_from_flat_q(num, den, rows, cols):
-    entries = [Fraction(n, d) for n, d in zip(num, den)]
-    return ExactMatrix(rows, cols, entries, FIELD_Q)
+def _scalar(entry):
+    """The field scalar of a kernel entry."""
+    if len(entry) == 2:
+        return Fraction(*entry)
+    return GaussianRational(Fraction(*entry[:2]), Fraction(*entry[2:]))
 
 
-def _matrix_from_flat_qi(ren, red, imn, imd, rows, cols):
-    entries = [
-        GaussianRational(Fraction(rn, rd), Fraction(inn, ind))
-        for rn, rd, inn, ind in zip(ren, red, imn, imd)
+def _kernel(field):
+    # looked up at call time, so a wrapper installed on _kernels sees the call
+    if field == FIELD_Q:
+        return _kernels.rref_q, _kernels.Q
+    return _kernels.rref_qi, _kernels.QI
+
+
+def _rows(matrix):
+    """The rows of a matrix as kernel vectors keyed by column."""
+    return [
+        {j: _entry(e) for j, e in enumerate(matrix.row(i)) if e}
+        for i in range(matrix.rows)
     ]
-    return ExactMatrix(rows, cols, entries, FIELD_QI)
 
 
 @dataclass(frozen=True)
 class RrefResult:
     """Reduced row echelon form of a matrix.
 
-    rref has the row space of the original; pivot_cols is strictly
-    increasing with length equal to the rank.  The form is unique, so
-    neither depends on the kernel's pivot rule.
+    rref has the row space of the original, its nonzero rows first;
+    pivot_cols is strictly increasing with length equal to the rank.  The
+    form is unique, so neither depends on the order of the rows.
     """
 
     rref: ExactMatrix
@@ -167,39 +175,34 @@ class RrefResult:
     pivot_cols: tuple
 
 
-def _kernel_rref(matrix):
-    if matrix.field == FIELD_Q:
-        num, den = matrix._flat_q()
-        num, den, pivots = _kernels.rref_q(num, den, matrix.rows, matrix.cols)
-        reduced = _matrix_from_flat_q(num, den, matrix.rows, matrix.cols)
-    else:
-        ren, red, imn, imd = matrix._flat_qi()
-        ren, red, imn, imd, pivots = _kernels.rref_qi(
-            ren, red, imn, imd, matrix.rows, matrix.cols
-        )
-        reduced = _matrix_from_flat_qi(ren, red, imn, imd, matrix.rows, matrix.cols)
-    return reduced, tuple(pivots)
-
-
 def rref(matrix):
-    """Reduced row echelon form by exact Gauss-Jordan elimination."""
-    reduced, pivots = _kernel_rref(matrix)
-    return RrefResult(rref=reduced, rank=len(pivots), pivot_cols=pivots)
+    """Reduced row echelon form: the rows go into one echelon, then
+    back-substitution clears every pivot column."""
+    kernel, field = _kernel(matrix.field)
+    reduced = _kernels.back_substitute(field, kernel(_rows(matrix), {}))
+    pivots = tuple(sorted(reduced))
+    zero = as_scalar(0, matrix.field)
+    entries = [zero] * (matrix.rows * matrix.cols)
+    for r, pc in enumerate(pivots):
+        for j, e in reduced[pc].items():
+            entries[r * matrix.cols + j] = _scalar(e)
+    reduced_matrix = ExactMatrix(matrix.rows, matrix.cols, entries, matrix.field)
+    return RrefResult(rref=reduced_matrix, rank=len(pivots), pivot_cols=pivots)
 
 
 class GrowingEchelon:
-    """Reduced row echelon form of a growing span of coordinate vectors.
+    """Echelon form of a growing span of coordinate vectors.
 
     ``extend`` adds the columns of a matrix to the span.  Each matrix may
     have more rows than the one before: its coordinates extend the earlier
     ones, which keep their indices (as a filtered slice extends a smaller
-    one).  The reduced rows are kept as kernel int lists with coordinates
-    reversed, so each row leads with its highest nonzero coordinate.
-    ``leading`` is the set of those coordinates: e_j lies in
-    span + span(e_0..e_{j-1}) exactly when j is in it, and ``rank`` is its
-    size.  Neither depends on the kernel's pivot rule.  So the first
-    coordinate that leads no row is the first e_j outside the span
-    (``first_missing``).
+    one).  The kernel echelon is kept across calls, keyed by -j for
+    coordinate j, so each row leads with its highest nonzero coordinate and
+    only the new columns are inserted.  ``leading`` is the set of those
+    coordinates: e_j lies in span + span(e_0..e_{j-1}) exactly when j is in
+    it, and ``rank`` is its size.  Neither depends on the order in which
+    vectors arrive.  So the first coordinate that leads no row is the first
+    e_j outside the span (``first_missing``).
     """
 
     def __init__(self, field=FIELD_Q):
@@ -208,33 +211,22 @@ class GrowingEchelon:
         self.width = 0
         self.rank = 0
         self.leading = frozenset()
-        self._parts = [[], []] if field == FIELD_Q else [[], [], [], []]
+        self._echelon = {}
 
     def extend(self, matrix):
         if matrix.field != self.field:
             raise ValueError(f"field mismatch: {self.field} vs {matrix.field}")
-        pad = matrix.rows - self.width
-        if pad < 0:
+        if matrix.rows < self.width:
             raise ValueError("a later matrix cannot have fewer rows than an earlier one")
-        width, count = matrix.rows, matrix.cols
-        new_parts = matrix._flat_q() if self.field == FIELD_Q else matrix._flat_qi()
-        parts = []
-        # zero is 0/1: numerators pad with 0, denominators with 1
-        for kept, new, fill in zip(self._parts, new_parts, (0, 1, 0, 1)):
-            out = []
-            for r in range(self.rank):
-                out += [fill] * pad
-                out += kept[r * self.width : (r + 1) * self.width]
-            for i in range(count):
-                out += new[i::count][::-1]
-            parts.append(out)
-        kernel = _kernels.rref_q if self.field == FIELD_Q else _kernels.rref_qi
-        result = kernel(*parts, self.rank + count, width)
-        pivots = result[len(parts)]
-        self.width = width
-        self.rank = len(pivots)
-        self.leading = frozenset(width - 1 - p for p in pivots)
-        self._parts = [part[: self.rank * width] for part in result[: len(parts)]]
+        kernel, _ = _kernel(self.field)
+        columns = [
+            {-i: _entry(e) for i, e in enumerate(matrix.column(j)) if e}
+            for j in range(matrix.cols)
+        ]
+        kernel(columns, self._echelon)
+        self.width = matrix.rows
+        self.rank = len(self._echelon)
+        self.leading = frozenset(-lead for lead in self._echelon)
 
     def first_missing(self, count):
         """The first j < count with e_j outside the span, or None.
@@ -248,22 +240,25 @@ class GrowingEchelon:
 def solve(matrix, rhs):
     """One exact solution of matrix @ x == rhs, free variables pinned to zero.
 
-    Raises InconsistentSystemError when rhs is outside the column space.
-    The returned solution is rechecked exactly before being returned.
+    The rows of [matrix | rhs] go into one echelon.  Raises
+    InconsistentSystemError when the rhs column leads a row, i.e. rhs is
+    outside the column space; otherwise back-substitution reads x off the
+    rhs column.  The solution is rechecked exactly before being returned.
     """
     rhs = [as_scalar(v, matrix.field) for v in rhs]
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
-    augmented = matrix.hstack(
-        ExactMatrix(matrix.rows, 1, rhs, matrix.field)
-    )
-    reduced, pivots = _kernel_rref(augmented)
-    if pivots and pivots[-1] == matrix.cols:
+    rows = _rows(matrix)
+    for row, value in zip(rows, rhs):
+        if value:
+            row[matrix.cols] = _entry(value)
+    kernel, field = _kernel(matrix.field)
+    echelon = kernel(rows, {})
+    if matrix.cols in echelon:
         raise InconsistentSystemError("right-hand side is outside the column space")
-    zero = as_scalar(0, matrix.field)
-    x = [zero] * matrix.cols
-    for k, pc in enumerate(pivots):
-        x[pc] = reduced.entry(k, matrix.cols)
+    x = [as_scalar(0, matrix.field)] * matrix.cols
+    for pc, value in _kernels.solution(field, echelon, matrix.cols).items():
+        x[pc] = _scalar(value)
     if matrix.mul_vector(x) != rhs:
         raise AssertionError("internal error: solution failed the exact recheck")
     return x

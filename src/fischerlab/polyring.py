@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from types import MappingProxyType
 
-from .errors import BasisOverflowError, FloatEvaluationError
+from .errors import BasisOverflowError, FloatEvaluationError, SliceTooLargeError
 from .scalars import (
     FIELD_Q,
     GaussianRational,
@@ -415,6 +415,30 @@ def basis_dimension(arity, kind, degree):
     if kind == FILTERED:
         return math.comb(degree + arity, arity)
     raise ValueError(f"unknown slice kind {kind!r}")
+
+
+# The most monomials a request's slices may span.  The largest slice that the
+# tests and the benchmark workloads build has 680; the slice matrices are
+# dense, so a bound much above this one would let a single request fill
+# memory.
+MAX_SLICE_DIMENSION = 4096
+
+
+def check_slice_dimension(arity, degree):
+    """Raise SliceTooLargeError when the filtered slice of this degree has
+    more than MAX_SLICE_DIMENSION monomials.
+
+    Every slice a request builds, and every homogeneous slice it loops over,
+    lies in the filtered slice of its top degree, so one check bounds them
+    all.  Negative degrees give empty slices.
+    """
+    if degree >= 0:
+        dimension = basis_dimension(arity, FILTERED, degree)
+        if dimension > MAX_SLICE_DIMENSION:
+            raise SliceTooLargeError(
+                f"the filtered slice of degree {degree} in {arity} variables has "
+                f"{dimension} monomials, more than the limit of {MAX_SLICE_DIMENSION}"
+            )
 
 
 def coordinates(p, basis):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from fischerlab import cli
+from fischerlab import MAX_SLICE_DIMENSION, cli
 from fischerlab.cli import run
 
 
@@ -211,6 +211,30 @@ def test_float_overflow_is_a_usage_error(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: floating-point evaluation overflowed")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--psi", "x^2+y^2-1", "--f", "x^99999999", "--vars", "x,y"],
+        ["rank-profile", "--psi", "x^2+y^2-1", "--vars", "x,y", "--max-degree", "99999999"],
+        ["fischer-theorem", "--p", "x^2+y^2", "--vars", "x,y", "--max-degree", "99999999"],
+        ["khavinson", "--phi", "0,0,1", "--max-degree", "99999999"],
+        ["dirichlet", "--psi", "x^2+y^2-1", "--f", "x^99999999", "--vars", "x,y",
+         "--interior", "0,0"],
+    ],
+    ids=["decompose", "rank-profile", "fischer-theorem", "khavinson", "dirichlet"],
+)
+def test_oversized_slice_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: the ")
+    assert f"more than the limit of {MAX_SLICE_DIMENSION}" in err
     assert err.count("\n") == 1
 
 

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from fischerlab import _kernels
+from fischerlab import _kernels, linalg
 from fischerlab import (
     ExactMatrix,
     FIELD_Q,
     FIELD_QI,
+    GaussianRational,
     GrowingEchelon,
     InconsistentSystemError,
+    as_scalar,
     backend_name,
     cokernel_witness,
     nullspace_basis,
@@ -175,7 +177,7 @@ def test_matrix_validation():
 
 
 def test_qi_rref_rank_of_conjugate_pair():
-    from fischerlab import GAUSSIAN_I, GaussianRational
+    from fischerlab import GAUSSIAN_I
 
     one = GaussianRational(1)
     m = ExactMatrix.from_rows(
@@ -227,11 +229,213 @@ def test_backend_name_is_pure():
 
 def test_kernels_do_not_mutate_input():
     rng = random.Random(7)
-    for field, kernel in ((FIELD_Q, _kernels.rref_q), (FIELD_QI, _kernels.rref_qi)):
-        m = random_matrix(rng, 3, 3, field)
-        parts = m._flat_q() if field == FIELD_Q else m._flat_qi()
-        snapshot = [list(part) for part in parts]
-        result = kernel(*parts, 3, 3)
-        assert [list(part) for part in parts] == snapshot
-        # the reduced parts, then the pivot columns
-        assert len(result) == len(parts) + 1
+    for field, kernel in ((FIELD_Q, "rref_q"), (FIELD_QI, "rref_qi")):
+        m = random_matrix(rng, 4, 4, field)
+        snapshot = [m.row(i) for i in range(4)]
+        # the entry points, each on the caller's matrix and right-hand side
+        rhs = [random_scalar(rng, field) for _ in range(4)]
+        rhs_snapshot = list(rhs)
+        rref(m)
+        nullspace_basis(m)
+        GrowingEchelon(field).extend(m)
+        try:
+            solve(m, rhs)
+        except InconsistentSystemError:
+            pass
+        assert [m.row(i) for i in range(4)] == snapshot
+        assert rhs == rhs_snapshot
+        # the kernel itself: its vectors stay as they were, its echelon grows
+        vectors = linalg._rows(m)
+        vectors_snapshot = [dict(v) for v in vectors]
+        table = _kernels.Q if field == FIELD_Q else _kernels.QI
+        echelon = getattr(_kernels, kernel)(vectors, {})
+        assert vectors == vectors_snapshot
+        assert tuple(sorted(echelon)) == rref(m).pivot_cols
+        assert all(row[lead] == table.one for lead, row in echelon.items())
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_echelon_does_not_depend_on_the_order_of_the_vectors(field):
+    rng = random.Random(31)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        inner = rng.randint(1, min(rows, cols))
+        # rank at most inner, so rows and columns are often dependent
+        m = random_matrix(rng, rows, inner, field) @ random_matrix(rng, inner, cols, field)
+        columns = [m.column(j) for j in range(cols)]
+        order = list(range(rows))
+        rng.shuffle(order)
+        rng.shuffle(columns)
+        shuffled_rows = ExactMatrix.from_rows([m.row(i) for i in order], field)
+        shuffled_columns = ExactMatrix.from_columns(columns, rows, field)
+        assert rref(shuffled_rows) == rref(m)
+        echelons = []
+        for matrix in (m, shuffled_columns):
+            echelon = GrowingEchelon(field)
+            echelon.extend(matrix)
+            echelons.append(echelon)
+        first, second = echelons
+        assert first.leading == second.leading
+        assert first.rank == second.rank == rref(m).rank
+        assert first.first_missing(rows) == second.first_missing(rows)
+
+
+def _oracle(field):
+    """hypothesis and a converter of ExactMatrix to sympy's DomainMatrix
+    over QQ or QQ_I; skips the test when either package is absent."""
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    if field == FIELD_Q:
+        domain, convert = QQ, lambda e: QQ(e.numerator, e.denominator)
+    else:
+        domain = QQ_I
+
+        def convert(e):
+            return QQ_I(QQ(e.re.numerator, e.re.denominator), QQ(e.im.numerator, e.im.denominator))
+
+    def to_sympy(rows, shape):
+        return DomainMatrix([[convert(e) for e in row] for row in rows], shape, domain)
+
+    return hypothesis, to_sympy
+
+
+def _from_sympy(value, field):
+    if field == FIELD_Q:
+        return Fraction(int(value.numerator), int(value.denominator))
+    return GaussianRational(_from_sympy(value.x, FIELD_Q), _from_sympy(value.y, FIELD_Q))
+
+
+def _matrices(hypothesis, field, max_size=8):
+    """Matrices up to max_size x max_size with small entries, many of them
+    zero, and often a product of two thin factors, so low ranks are common."""
+    st = hypothesis.strategies
+    value = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    if field == FIELD_QI:
+        value = st.builds(GaussianRational, value, value)
+
+    @st.composite
+    def matrices(draw):
+        rows, cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+        inner = draw(st.integers(1, max_size + 1))
+        if inner > max_size:
+            entries = draw(st.lists(value, min_size=rows * cols, max_size=rows * cols))
+            return ExactMatrix(rows, cols, entries, field)
+        left = draw(st.lists(value, min_size=rows * inner, max_size=rows * inner))
+        right = draw(st.lists(value, min_size=inner * cols, max_size=inner * cols))
+        return ExactMatrix(rows, inner, left, field) @ ExactMatrix(inner, cols, right, field)
+
+    return matrices(), value
+
+
+def _run(hypothesis, strategy, check):
+    settings = hypothesis.settings(max_examples=25, deadline=None, database=None)
+    settings(hypothesis.given(strategy)(check))()
+
+
+def _rows_of(matrix):
+    return [matrix.row(i) for i in range(matrix.rows)]
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_rref_agrees_with_sympy(field):
+    hypothesis, to_sympy = _oracle(field)
+    matrices, _ = _matrices(hypothesis, field)
+
+    def check(m):
+        expected, pivots = to_sympy(_rows_of(m), (m.rows, m.cols)).rref()
+        result = rref(m)
+        assert result.rank == len(pivots)
+        assert result.pivot_cols == tuple(pivots)
+        expected_rows = [[_from_sympy(e, field) for e in row] for row in expected.to_list()]
+        assert result.rref == ExactMatrix.from_rows(expected_rows, field)
+
+    _run(hypothesis, matrices, check)
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_solve_agrees_with_sympy(field):
+    hypothesis, to_sympy = _oracle(field)
+    st = hypothesis.strategies
+    matrices, value = _matrices(hypothesis, field)
+
+    @st.composite
+    def systems(draw):
+        m = draw(matrices)
+        if draw(st.booleans()):
+            # consistent: the image of some x0
+            return m, m.mul_vector(draw(st.lists(value, min_size=m.cols, max_size=m.cols)))
+        return m, draw(st.lists(value, min_size=m.rows, max_size=m.rows))
+
+    def check(system):
+        m, rhs = system
+        rhs = [as_scalar(b, field) for b in rhs]
+        augmented = [row + (b,) for row, b in zip(_rows_of(m), rhs)]
+        reduced, pivots = to_sympy(augmented, (m.rows, m.cols + 1)).rref()
+        if m.cols in pivots:
+            with pytest.raises(InconsistentSystemError):
+                solve(m, rhs)
+            return
+        # free variables pinned to zero: x at a pivot is the reduced rhs entry
+        expected = [as_scalar(0, field)] * m.cols
+        rows = reduced.to_list()
+        for r, pc in enumerate(pivots):
+            expected[pc] = _from_sympy(rows[r][m.cols], field)
+        assert solve(m, rhs) == expected
+
+    _run(hypothesis, systems(), check)
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_nullspace_agrees_with_sympy(field):
+    hypothesis, to_sympy = _oracle(field)
+    matrices, _ = _matrices(hypothesis, field)
+
+    def check(m):
+        expected = to_sympy(_rows_of(m), (m.rows, m.cols)).nullspace()
+        basis = nullspace_basis(m)
+        assert len(basis) == expected.shape[0]
+        for v in basis:
+            assert not any(m.mul_vector(v))
+        if basis:
+            # equal spans: equal reduced row echelon forms of the bases
+            ours = to_sympy(basis, (len(basis), m.cols)).rref()
+            assert ours == expected.rref()
+
+    _run(hypothesis, matrices, check)
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_growing_echelon_agrees_with_sympy(field):
+    hypothesis, to_sympy = _oracle(field)
+    st = hypothesis.strategies
+    _, value = _matrices(hypothesis, field)
+
+    @st.composite
+    def ladders(draw):
+        # three matrices of growing width, at most 8 x 8 together
+        widths = sorted(draw(st.lists(st.integers(1, 8), min_size=3, max_size=3)))
+        steps = []
+        for width in widths:
+            count = draw(st.integers(1, 3))
+            steps.append(ExactMatrix(width, count, draw(
+                st.lists(value, min_size=width * count, max_size=width * count)), field))
+        return steps
+
+    def check(steps):
+        echelon = GrowingEchelon(field)
+        columns = []
+        for matrix in steps:
+            echelon.extend(matrix)
+            width = matrix.rows
+            columns = [c + (as_scalar(0, field),) * (width - len(c)) for c in columns]
+            columns += [matrix.column(j) for j in range(matrix.cols)]
+            # with the coordinates reversed, sympy's pivots are the leading
+            # coordinates counted from the top
+            _, pivots = to_sympy([c[::-1] for c in columns], (len(columns), width)).rref()
+            assert echelon.leading == {width - 1 - p for p in pivots}
+            assert echelon.rank == len(pivots)
+
+    _run(hypothesis, ladders(), check)

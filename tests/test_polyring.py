@@ -9,20 +9,26 @@ from fischerlab import (
     FIELD_Q,
     FIELD_QI,
     FloatEvaluationError,
+    HOMOGENEOUS,
+    MAX_SLICE_DIMENSION,
     NEG_INF,
     Poly,
+    SliceTooLargeError,
     apply_operator,
     basis_dimension,
     coordinates,
     filtered_basis,
+    fischer_theorem_check,
     from_coordinates,
     grlex_key,
     homogeneous_basis,
     monomial_basis,
     poly_from_json,
     poly_to_json,
+    rank_profile,
     squared_norm,
 )
+from fischerlab.polyring import check_slice_dimension
 from helpers import random_poly, random_scalar
 
 
@@ -181,6 +187,26 @@ def test_float_evaluation_overflow_is_typed(coefficient, point):
     p = (x * x).scale(coefficient)
     with pytest.raises(FloatEvaluationError):
         p.evaluate(point)
+
+
+def test_slice_dimension_limit():
+    # in one variable the filtered slice of degree n has n + 1 monomials
+    check_slice_dimension(1, MAX_SLICE_DIMENSION - 1)
+    check_slice_dimension(3, -1)
+    with pytest.raises(SliceTooLargeError, match="filtered slice of degree"):
+        check_slice_dimension(1, MAX_SLICE_DIMENSION)
+    x = Poly.variable(1, 0)
+    with pytest.raises(SliceTooLargeError):
+        rank_profile(x * x, MAX_SLICE_DIMENSION)
+    with pytest.raises(SliceTooLargeError):
+        rank_profile(x * x, MAX_SLICE_DIMENSION - 10, slack=10)
+    with pytest.raises(SliceTooLargeError):
+        # psi of degree 1: the source slice is one degree above the target
+        rank_profile(x, MAX_SLICE_DIMENSION - 1)
+    with pytest.raises(SliceTooLargeError):
+        rank_profile(x * x, MAX_SLICE_DIMENSION, mode=HOMOGENEOUS)
+    with pytest.raises(SliceTooLargeError):
+        fischer_theorem_check(x * x, MAX_SLICE_DIMENSION)
 
 
 def test_evaluate_at_origin_is_constant_term():
