@@ -259,24 +259,24 @@ def boundary_samples(domain, count, tol=1e-12, rng=None):
     return points
 
 
-def _term_magnitude(p, point):
-    # sum of |c * x^e| over the terms: the size of what evaluate() cancels
-    total = 0.0
-    for term in p.float_terms(point):
-        total += abs(term)
-    return total
-
-
 def boundary_mismatch(f, h, point):
     """|f - h| at a point, and the scale that tolerances multiply there.
 
     The scale is max(1, sum of |terms of f|, sum of |terms of h|) at the
     point: floating-point evaluation of a polynomial whose terms cancel
-    loses accuracy in proportion to their size, not to the result.
+    loses accuracy in proportion to their size, not to the result.  Each
+    polynomial's value and term sum come from one pass over its terms, in
+    the order of evaluate().
     """
-    error = abs(f.evaluate(point) - h.evaluate(point))
-    scale = max(1.0, _term_magnitude(f, point), _term_magnitude(h, point))
-    return error, scale
+    values, scale = [], 1.0
+    for p in (f, h):
+        value, magnitude = (0j if p.field != FIELD_Q else 0.0), 0.0
+        for term in p.float_terms(point):
+            value += term
+            magnitude += abs(term)
+        values.append(value)
+        scale = max(scale, magnitude)
+    return abs(values[0] - values[1]), scale
 
 
 def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):

@@ -25,6 +25,7 @@ from .polyring import (
     filtered_basis,
     from_coordinates,
     homogeneous_basis,
+    nonzero_coordinates,
     squared_norm,
 )
 from .scalars import FIELD_QI, GAUSSIAN_I, as_scalar
@@ -88,16 +89,17 @@ def operator_matrix(op, source, target):
     """Matrix of the operator from one graded slice to another.
 
     Column j holds the target coordinates of the image of the j-th source
-    monomial.  Raises BasisOverflowError if an image monomial falls outside
-    the target slice.
+    monomial; the rows are filled from the terms of each image.  Raises
+    BasisOverflowError if an image monomial falls outside the target slice.
     """
     if source.arity != op.arity or target.arity != op.arity:
         raise ValueError("basis arity does not match the operator")
-    columns = [
-        coordinates(op.apply(Poly.monomial(op.arity, m, 1, op.field)), target)
-        for m in source.monomials
-    ]
-    return ExactMatrix.from_columns(columns, rows=len(target), field=op.field)
+    rows = [{} for _ in range(len(target))]
+    for j, m in enumerate(source.monomials):
+        image = op.apply(Poly.monomial(op.arity, m, 1, op.field))
+        for i, c in nonzero_coordinates(image, target).items():
+            rows[i][j] = c
+    return ExactMatrix.from_nonzeros(len(source), rows, op.field)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Exact linear algebra over the coefficient fields.
 
-ExactMatrix is a dense, immutable matrix of field scalars.  Every
-elimination is sparse echelon insertion in fischerlab._kernels: rows (or
-columns) go in as dicts of their nonzero entries, as reduced integer
-tuples, and come back out as scalars.  On top of it this module owns
-reduced row echelon form, solving, nullspaces, cokernel witnesses and the
-growing echelon of a filtered ladder.  Apart from GrowingEchelon, all
-operations are pure functions.
+ExactMatrix is an immutable matrix of field scalars that stores only its
+nonzero entries, one dict per row.  Every elimination is sparse echelon
+insertion in fischerlab._kernels: rows (or columns) go in as dicts of their
+nonzero entries, as reduced integer tuples, and come back out as scalars.
+On top of it this module owns reduced row echelon form, solving,
+nullspaces, cokernel witnesses and the growing echelon of a filtered
+ladder.  Apart from GrowingEchelon, all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,28 +16,48 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import InconsistentSystemError
-from .scalars import FIELD_Q, FIELD_QI, GaussianRational, as_scalar, validate_field
+from .scalars import FIELD_Q, GaussianRational, as_scalar, validate_field
 
 
 class ExactMatrix:
-    """Dense matrix of exact field scalars, stored row-major."""
+    """Immutable matrix of exact field scalars, stored as one dict {column:
+    entry} of the nonzero entries per row.  The constructor takes dense
+    row-major entries, ``from_nonzeros`` the row dicts."""
 
-    __slots__ = ("rows", "cols", "field", "_entries")
+    __slots__ = ("rows", "cols", "field", "_nonzeros")
 
     def __init__(self, rows, cols, entries, field=FIELD_Q):
         validate_field(field)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        entries = tuple(as_scalar(e, field) for e in entries)
+        entries = [as_scalar(e, field) for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        nonzeros = tuple(
+            {j: e for j, e in enumerate(entries[i * cols : (i + 1) * cols]) if e}
+            for i in range(rows)
+        )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_nonzeros", nonzeros)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    @classmethod
+    def from_nonzeros(cls, cols, rows_data, field=FIELD_Q):
+        """The matrix with one row per dict {column: entry}; absent entries
+        are zero, and zero entries are dropped."""
+        matrix = cls(0, cols, (), field)  # checks cols and the field; rows are set below
+        nonzeros = []
+        for row in rows_data:
+            if any(not 0 <= j < cols for j in row):
+                raise IndexError(f"a column index is out of range for {cols} columns")
+            nonzeros.append({j: v for j, e in row.items() if (v := as_scalar(e, field))})
+        object.__setattr__(matrix, "rows", len(nonzeros))
+        object.__setattr__(matrix, "_nonzeros", tuple(nonzeros))
+        return matrix
 
     @classmethod
     def from_rows(cls, rows_data, field=FIELD_Q):
@@ -62,19 +82,20 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n, field=FIELD_Q):
-        entries = [1 if i == j else 0 for i in range(n) for j in range(n)]
-        return cls(n, n, entries, field)
+        return cls.from_nonzeros(n, [{i: 1} for i in range(n)], field)
 
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range")
-        return self._entries[i * self.cols + j]
+        return self._nonzeros[i].get(j) or as_scalar(0, self.field)
 
     def row(self, i):
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        zero = as_scalar(0, self.field)
+        return tuple(self._nonzeros[i].get(j, zero) for j in range(self.cols))
 
     def column(self, j):
-        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
+        zero = as_scalar(0, self.field)
+        return tuple(row.get(j, zero) for row in self._nonzeros)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -83,7 +104,7 @@ class ExactMatrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and self._entries == other._entries
+            and self._nonzeros == other._nonzeros
         )
 
     def mul_vector(self, vec):
@@ -92,11 +113,10 @@ class ExactMatrix:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
         zero = as_scalar(0, self.field)
         out = []
-        for i in range(self.rows):
+        for row in self._nonzeros:
             acc = zero
-            base = i * self.cols
-            for j in range(self.cols):
-                acc = acc + self._entries[base + j] * vec[j]
+            for j, e in row.items():
+                acc = acc + e * vec[j]
             out.append(acc)
         return out
 
@@ -107,25 +127,18 @@ class ExactMatrix:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        zero = as_scalar(0, self.field)
-        entries = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                entries.append(acc)
-        return ExactMatrix(self.rows, other.cols, entries, self.field)
+        columns = [self.mul_vector(other.column(j)) for j in range(other.cols)]
+        return ExactMatrix.from_columns(columns, self.rows, self.field)
 
     def hstack(self, other):
         """Concatenate columns: [self | other]."""
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack needs matching row count and field")
-        entries = []
-        for i in range(self.rows):
-            entries.extend(self.row(i))
-            entries.extend(other.row(i))
-        return ExactMatrix(self.rows, self.cols + other.cols, entries, self.field)
+        rows_data = [
+            {**left, **{self.cols + j: e for j, e in right.items()}}
+            for left, right in zip(self._nonzeros, other._nonzeros)
+        ]
+        return ExactMatrix.from_nonzeros(self.cols + other.cols, rows_data, self.field)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, field={self.field!r})"
@@ -155,10 +168,7 @@ def _kernel(field):
 
 def _rows(matrix):
     """The rows of a matrix as kernel vectors keyed by column."""
-    return [
-        {j: _entry(e) for j, e in enumerate(matrix.row(i)) if e}
-        for i in range(matrix.rows)
-    ]
+    return [{j: _entry(e) for j, e in row.items()} for row in matrix._nonzeros]
 
 
 @dataclass(frozen=True)
@@ -181,12 +191,9 @@ def rref(matrix):
     kernel, field = _kernel(matrix.field)
     reduced = _kernels.back_substitute(field, kernel(_rows(matrix), {}))
     pivots = tuple(sorted(reduced))
-    zero = as_scalar(0, matrix.field)
-    entries = [zero] * (matrix.rows * matrix.cols)
-    for r, pc in enumerate(pivots):
-        for j, e in reduced[pc].items():
-            entries[r * matrix.cols + j] = _scalar(e)
-    reduced_matrix = ExactMatrix(matrix.rows, matrix.cols, entries, matrix.field)
+    rows_data = [{j: _scalar(e) for j, e in reduced[pc].items()} for pc in pivots]
+    rows_data += [{}] * (matrix.rows - len(pivots))
+    reduced_matrix = ExactMatrix.from_nonzeros(matrix.cols, rows_data, matrix.field)
     return RrefResult(rref=reduced_matrix, rank=len(pivots), pivot_cols=pivots)
 
 
@@ -219,10 +226,10 @@ class GrowingEchelon:
         if matrix.rows < self.width:
             raise ValueError("a later matrix cannot have fewer rows than an earlier one")
         kernel, _ = _kernel(self.field)
-        columns = [
-            {-i: _entry(e) for i, e in enumerate(matrix.column(j)) if e}
-            for j in range(matrix.cols)
-        ]
+        columns = [{} for _ in range(matrix.cols)]
+        for i, row in enumerate(matrix._nonzeros):
+            for j, e in row.items():
+                columns[j][-i] = _entry(e)
         kernel(columns, self._echelon)
         self.width = matrix.rows
         self.rank = len(self._echelon)
@@ -267,17 +274,10 @@ def solve(matrix, rhs):
 def nullspace_basis(matrix):
     """Linearly independent exact vectors spanning the kernel."""
     result = rref(matrix)
-    pivots = list(result.pivot_cols)
-    pivot_set = set(pivots)
-    zero = as_scalar(0, matrix.field)
-    one = as_scalar(1, matrix.field)
     basis = []
-    for free_col in range(matrix.cols):
-        if free_col in pivot_set:
-            continue
-        v = [zero] * matrix.cols
-        v[free_col] = one
-        for r, pc in enumerate(pivots):
+    for free_col in sorted(set(range(matrix.cols)) - set(result.pivot_cols)):
+        v = [as_scalar(int(j == free_col), matrix.field) for j in range(matrix.cols)]
+        for r, pc in enumerate(result.pivot_cols):
             v[pc] = -result.rref.entry(r, free_col)
         basis.append(v)
     return basis
@@ -294,8 +294,4 @@ def cokernel_witness(matrix):
     j = echelon.first_missing(matrix.rows)
     if j is None:
         return None
-    zero = as_scalar(0, matrix.field)
-    one = as_scalar(1, matrix.field)
-    witness = [zero] * matrix.rows
-    witness[j] = one
-    return witness
+    return [as_scalar(int(i == j), matrix.field) for i in range(matrix.rows)]

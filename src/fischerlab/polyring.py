@@ -418,9 +418,9 @@ def basis_dimension(arity, kind, degree):
 
 
 # The most monomials a request's slices may span.  The largest slice that the
-# tests and the benchmark workloads build has 680; the slice matrices are
-# dense, so a bound much above this one would let a single request fill
-# memory.
+# tests and the benchmark workloads build has 680.  The slice matrices are
+# sparse, but their echelons fill in and their entries grow, so a bound much
+# above this one would let a single request run without practical end.
 MAX_SLICE_DIMENSION = 4096
 
 
@@ -441,23 +441,29 @@ def check_slice_dimension(arity, degree):
             )
 
 
-def coordinates(p, basis):
-    """Coordinate vector of p in the given basis.
+def nonzero_coordinates(p, basis):
+    """{position in the basis: coefficient} for the terms of p.
 
     Raises BasisOverflowError if p carries a monomial outside the basis.
     """
     if p.arity != basis.arity:
         raise ValueError(f"arity mismatch: poly {p.arity} vs basis {basis.arity}")
-    coords = [as_scalar(0, p.field)] * len(basis)
+    positions = {}
     for m, c in p._terms.items():
         try:
-            coords[basis.index(m)] = c
+            positions[basis.index(m)] = c
         except KeyError:
             raise BasisOverflowError(
                 f"monomial {m} of the polynomial falls outside the target basis "
                 f"({basis!r})"
             ) from None
-    return coords
+    return positions
+
+
+def coordinates(p, basis):
+    """Coordinate vector of p in the given basis; see nonzero_coordinates."""
+    positions, zero = nonzero_coordinates(p, basis), as_scalar(0, p.field)
+    return [positions.get(i, zero) for i in range(len(basis))]
 
 
 def from_coordinates(coords, basis, field=FIELD_Q):

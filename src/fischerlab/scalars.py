@@ -161,14 +161,6 @@ def as_scalar(value, field):
     raise ValueError(f"field Qi cannot hold {value!r}")
 
 
-def scalar_zero(field):
-    return as_scalar(0, field)
-
-
-def scalar_one(field):
-    return as_scalar(1, field)
-
-
 def format_fraction(value):
     """Decimal string "n" or "n/d" for a Fraction."""
     if value.denominator == 1:

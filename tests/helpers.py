@@ -75,3 +75,26 @@ def assert_first_unsolvable_unit(matrix, j):
         solve(matrix, unit_vector(matrix.rows, j, matrix.field))
     for i in range(j):
         solve(matrix, unit_vector(matrix.rows, i, matrix.field))
+
+
+def to_sympy(rows, shape, field):
+    """Rows of field scalars as sympy's DomainMatrix over QQ or QQ_I; skips
+    the calling test when sympy is absent."""
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def convert(e):
+        if field == FIELD_Q:
+            return QQ(e.numerator, e.denominator)
+        return QQ_I(QQ(e.re.numerator, e.re.denominator), QQ(e.im.numerator, e.im.denominator))
+
+    domain = QQ if field == FIELD_Q else QQ_I
+    return DomainMatrix([[convert(e) for e in row] for row in rows], shape, domain)
+
+
+def from_sympy(value, field):
+    """The field scalar of a QQ or QQ_I element."""
+    if field == FIELD_Q:
+        return Fraction(int(value.numerator), int(value.denominator))
+    return GaussianRational(from_sympy(value.x, FIELD_Q), from_sympy(value.y, FIELD_Q))

@@ -397,3 +397,51 @@ def test_non_finite_tolerances_are_usage_errors(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+_PINNED_DECOMPOSE = {
+    "Q": (
+        ("decompose", "--psi", "x^2+y^2-1", "--f", "x^4+y^3*x-2*y", "--vars", "x,y"),
+        "7/8*x^2 + 1/2*x*y - 1/8*y^2 + 3/8",
+        "31bb65cf667d41e64122cc355b3abab2110241316e82d96c621f9cef12b2937e",
+    ),
+    "Qi": (
+        ("decompose", "--psi", "x^2+(1+i)*y^2-1", "--f", "x^3*y+i*y^2", "--vars", "x,y",
+         "--field", "Qi"),
+        "(2/5 - 1/5*i)*x*y + (1/5 + 2/5*i)",
+        "056045ff628e69469d86e09464d5e3f1124271486bb01f33ccb0aa54fe2374cb",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_PINNED_DECOMPOSE))
+def test_decompose_reports_are_pinned(capsys, field):
+    argv, q, digest = _PINNED_DECOMPOSE[field]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["q"]["expr"] == q
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_FISCHER_THEOREM = (
+    "fischer-theorem", "--p", "x^2+y^2+z^2", "--vars", "x,y,z", "--max-degree", "4",
+)
+_FISCHER_THEOREM_TEXT = """\
+p = x^2 + y^2 + z^2
+degree 0: rank 1/1 nonsingular
+degree 1: rank 3/3 nonsingular
+degree 2: rank 6/6 nonsingular
+degree 3: rank 10/10 nonsingular
+degree 4: rank 15/15 nonsingular
+all_nonsingular = True
+"""
+_FISCHER_THEOREM_JSON_SHA256 = "121859dd2f869bc3e1c6f279d8438dccf6528aabae9dbd934809af1ffddc71fc"
+
+
+def test_fischer_theorem_outputs_are_pinned(capsys):
+    code, out, _ = run_cli(capsys, *_FISCHER_THEOREM, "--format", "text")
+    assert code == 0
+    assert out == _FISCHER_THEOREM_TEXT
+    code, out, _ = run_cli(capsys, *_FISCHER_THEOREM, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _FISCHER_THEOREM_JSON_SHA256

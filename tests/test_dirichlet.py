@@ -174,6 +174,23 @@ def test_boundary_check_is_relative_to_the_size_of_the_terms():
     assert not verify_solution(solution, count=100, rng=random.Random(1)).passed
 
 
+def test_boundary_mismatch_is_evaluate_and_the_term_sums():
+    rng = random.Random(19)
+    for _ in range(20):
+        f, h = random_poly(rng, 3, 5), random_poly(rng, 3, 5)
+        point = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+        sizes = [1.0]
+        for p in (f, h):
+            total = 0.0
+            for term in p.float_terms(point):
+                total += abs(term)
+            sizes.append(total)
+        # bit for bit: the same floats summed in the same order
+        assert boundary_mismatch(f, h, point) == (
+            abs(f.evaluate(point) - h.evaluate(point)), max(sizes)
+        )
+
+
 def test_verify_solution_exact_zero_error_when_h_equals_f():
     f = X * X - Y * Y
     solution = dirichlet_solve(ELLIPSE, f)

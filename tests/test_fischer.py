@@ -7,6 +7,7 @@ from fischerlab import (
     BasisOverflowError,
     DegreeVerdict,
     ExactMatrix,
+    FIELD_Q,
     FIELD_QI,
     FischerOperator,
     GAUSSIAN_I,
@@ -19,6 +20,7 @@ from fischerlab import (
     RankProfileRow,
     SURJECTIVE,
     UNDETERMINED,
+    as_scalar,
     coordinates,
     fischer_apply,
     fischer_decompose,
@@ -26,13 +28,20 @@ from fischerlab import (
     filtered_basis,
     homogeneous_basis,
     khavinson_psi,
+    nullspace_basis,
     operator_matrix,
     rank_profile,
     rref,
     solve,
     squared_norm,
 )
-from helpers import assert_first_unsolvable_unit, random_poly, random_scalar
+from helpers import (
+    assert_first_unsolvable_unit,
+    from_sympy,
+    random_poly,
+    random_scalar,
+    to_sympy,
+)
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -156,6 +165,93 @@ def test_matrix_is_consistent_with_apply():
         q = random_poly(rng, 2, 3)
         lhs = matrix.mul_vector(coordinates(q, source))
         assert lhs == coordinates(op.apply(q), target)
+
+
+def _dense_operator_matrix(op, source, target):
+    # the dense assembly that operator_matrix replaced: one coordinate list
+    # per source monomial, stacked as columns
+    columns = [
+        coordinates(op.apply(Poly.monomial(op.arity, m, 1, op.field)), target)
+        for m in source.monomials
+    ]
+    return ExactMatrix.from_columns(columns, rows=len(target), field=op.field)
+
+
+def _qi(*terms):
+    # a polynomial over Qi in x, y from (exponents, re, im) triples
+    return Poly(2, FIELD_QI, {e: GaussianRational(re, im) for e, re, im in terms})
+
+
+def _slices():
+    """(operator, source, target) slices over Q and Qi, homogeneous and
+    filtered, and with the differential operator given explicitly; psi = xy
+    and p = x^2 + i*y^2 at degree 4 give singular square slices."""
+    x_cubed = Poly.monomial(2, (3, 0))
+    norm3 = squared_norm(3)
+    p_qi = _qi(((2, 0), 1, 0), ((0, 2), 0, 1))
+    return [
+        (FischerOperator(CIRCLE), filtered_basis(2, 4), filtered_basis(2, 4)),
+        (FischerOperator(CIRCLE), homogeneous_basis(2, 3), filtered_basis(2, 3)),
+        (FischerOperator(x_cubed), filtered_basis(2, 3), filtered_basis(2, 4)),
+        (FischerOperator(x_cubed), homogeneous_basis(2, 2), homogeneous_basis(2, 3)),
+        (FischerOperator(Poly.monomial(2, (1, 1))), filtered_basis(2, 3), filtered_basis(2, 3)),
+        (FischerOperator(norm3, operator=norm3), homogeneous_basis(3, 3), homogeneous_basis(3, 3)),
+        (FischerOperator(khavinson_psi([0, 1])), homogeneous_basis(3, 2), filtered_basis(3, 2)),
+        (FischerOperator(khavinson_psi([0, 0, 1])), filtered_basis(3, 1), filtered_basis(3, 3)),
+        (FischerOperator(_qi(((2, 0), 1, 1), ((0, 2), 2, 0), ((0, 0), -1, 0))),
+         filtered_basis(2, 3), filtered_basis(2, 3)),
+        (FischerOperator(p_qi, operator=p_qi), homogeneous_basis(2, 4), homogeneous_basis(2, 4)),
+    ]
+
+
+def test_operator_matrix_agrees_with_dense_assembly():
+    fields = set()
+    for op, source, target in _slices():
+        matrix = operator_matrix(op, source, target)
+        assert matrix == _dense_operator_matrix(op, source, target)
+        assert (matrix.rows, matrix.cols, matrix.field) == (len(target), len(source), op.field)
+        fields.add(op.field)
+    assert fields == {FIELD_Q, FIELD_QI}
+    # a target slice that misses an image monomial
+    for op, source, target in (
+        (FischerOperator(CIRCLE), filtered_basis(2, 2), homogeneous_basis(2, 2)),
+        (FischerOperator(khavinson_psi([0, 1])), filtered_basis(3, 2), filtered_basis(3, 1)),
+    ):
+        with pytest.raises(BasisOverflowError):
+            _dense_operator_matrix(op, source, target)
+        with pytest.raises(BasisOverflowError):
+            operator_matrix(op, source, target)
+
+
+def test_operator_slices_agree_with_sympy():
+    rng = random.Random(23)
+    for op, source, target in _slices():
+        matrix = operator_matrix(op, source, target)
+        rows = [list(matrix.row(i)) for i in range(matrix.rows)]
+        reference = to_sympy(rows, (matrix.rows, matrix.cols), op.field)
+        assert rref(matrix).rank == reference.rank()
+        kernel, expected_kernel = nullspace_basis(matrix), reference.nullspace()
+        assert len(kernel) == expected_kernel.shape[0]
+        assert all(not any(matrix.mul_vector(v)) for v in kernel)
+        if kernel:
+            # equal spans: equal reduced row echelon forms of the bases
+            ours = to_sympy(kernel, (len(kernel), matrix.cols), op.field)
+            assert ours.rref() == expected_kernel.rref()
+        x0 = [random_scalar(rng, op.field) for _ in range(matrix.cols)]
+        other = [random_scalar(rng, op.field) for _ in range(matrix.rows)]
+        for rhs in (matrix.mul_vector(x0), other):
+            augmented = [row + [b] for row, b in zip(rows, rhs)]
+            reduced, pivots = to_sympy(augmented, (matrix.rows, matrix.cols + 1), op.field).rref()
+            if matrix.cols in pivots:
+                with pytest.raises(InconsistentSystemError):
+                    solve(matrix, rhs)
+                continue
+            # free variables pinned to zero: x at a pivot is the reduced rhs
+            expected = [as_scalar(0, op.field)] * matrix.cols
+            reduced_rows = reduced.to_list()
+            for r, pc in enumerate(pivots):
+                expected[pc] = from_sympy(reduced_rows[r][matrix.cols], op.field)
+            assert solve(matrix, rhs) == expected
 
 
 def test_decompose_circle_x_squared():

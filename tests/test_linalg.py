@@ -18,7 +18,14 @@ from fischerlab import (
     rref,
     solve,
 )
-from helpers import assert_first_unsolvable_unit, random_matrix, random_scalar, unit_vector
+from helpers import (
+    assert_first_unsolvable_unit,
+    from_sympy,
+    random_matrix,
+    random_scalar,
+    to_sympy,
+    unit_vector,
+)
 
 
 def test_rref_identity():
@@ -82,6 +89,26 @@ def test_solve_construct_then_solve():
             b = m.mul_vector(x0)
             x = solve(m, b)
             assert m.mul_vector(x) == b
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_solve_recheck_rejects_a_wrong_solution(monkeypatch, field):
+    exact = _kernels.solution
+
+    def perturbed(table, echelon, column):
+        # add one to the first value: n/d -> (n + d)/d in the real part
+        values = exact(table, echelon, column)
+        lead = min(values)
+        n, d, *imaginary = values[lead]
+        values[lead] = (n + d, d, *imaginary)
+        return values
+
+    m = ExactMatrix.from_rows([[2, 1, 0], [1, 1, 1], [0, 3, 1]], field)
+    rhs = [as_scalar(v, field) for v in (1, 2, 3)]
+    assert m.mul_vector(solve(m, rhs)) == rhs
+    monkeypatch.setattr(_kernels, "solution", perturbed)
+    with pytest.raises(AssertionError, match="exact recheck"):
+        solve(m, rhs)
 
 
 def test_solve_inconsistent():
@@ -174,6 +201,57 @@ def test_matrix_validation():
     m = ExactMatrix.identity(2)
     with pytest.raises(IndexError):
         m.entry(2, 0)
+    # from_nonzeros drops zero entries and checks columns and the field
+    assert ExactMatrix.from_nonzeros(2, [{0: 0, 1: 3}, {}]) == ExactMatrix.from_rows(
+        [[0, 3], [0, 0]]
+    )
+    with pytest.raises(IndexError):
+        ExactMatrix.from_nonzeros(2, [{2: 1}])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_nonzeros(1, [{0: GaussianRational(1)}])
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_sparse_storage_agrees_with_a_dense_reading(field):
+    rng = random.Random(41)
+    zero = as_scalar(0, field)
+
+    def dense(rows, cols):
+        # about half of the entries are zero
+        return [
+            [random_scalar(rng, field) if rng.random() < 0.5 else zero for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    for _ in range(20):
+        rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b, c = dense(rows, inner), dense(inner, cols), dense(rows, cols)
+        m = ExactMatrix(rows, inner, [e for row in a for e in row], field)
+        for i in range(rows):
+            assert m.row(i) == tuple(a[i])
+            for j in range(inner):
+                assert m.entry(i, j) == a[i][j]
+        for j in range(inner):
+            assert m.column(j) == tuple(row[j] for row in a)
+        assert m == ExactMatrix.from_rows(a, field)
+        assert m == ExactMatrix.from_columns(zip(*a), rows, field)
+        changed = [list(row) for row in a]
+        changed[rng.randrange(rows)][rng.randrange(inner)] += 1
+        assert m != ExactMatrix.from_rows(changed, field)
+        vec = [random_scalar(rng, field) if rng.random() < 0.7 else zero for _ in range(inner)]
+        assert m.mul_vector(vec) == [
+            sum((a[i][k] * vec[k] for k in range(inner)), zero) for i in range(rows)
+        ]
+        product = m @ ExactMatrix(inner, cols, [e for row in b for e in row], field)
+        assert [product.row(i) for i in range(rows)] == [
+            tuple(sum((a[i][k] * b[k][j] for k in range(inner)), zero) for j in range(cols))
+            for i in range(rows)
+        ]
+        stacked = m.hstack(ExactMatrix(rows, cols, [e for row in c for e in row], field))
+        assert (stacked.rows, stacked.cols) == (rows, inner + cols)
+        assert [stacked.row(i) for i in range(rows)] == [
+            tuple(a[i]) + tuple(c[i]) for i in range(rows)
+        ]
 
 
 def test_qi_rref_rank_of_conjugate_pair():
@@ -281,31 +359,11 @@ def test_echelon_does_not_depend_on_the_order_of_the_vectors(field):
 
 
 def _oracle(field):
-    """hypothesis and a converter of ExactMatrix to sympy's DomainMatrix
-    over QQ or QQ_I; skips the test when either package is absent."""
+    """hypothesis and a converter of rows to sympy's DomainMatrix over QQ or
+    QQ_I; skips the test when either package is absent."""
     hypothesis = pytest.importorskip("hypothesis")
     pytest.importorskip("sympy")
-    from sympy import QQ, QQ_I
-    from sympy.polys.matrices import DomainMatrix
-
-    if field == FIELD_Q:
-        domain, convert = QQ, lambda e: QQ(e.numerator, e.denominator)
-    else:
-        domain = QQ_I
-
-        def convert(e):
-            return QQ_I(QQ(e.re.numerator, e.re.denominator), QQ(e.im.numerator, e.im.denominator))
-
-    def to_sympy(rows, shape):
-        return DomainMatrix([[convert(e) for e in row] for row in rows], shape, domain)
-
-    return hypothesis, to_sympy
-
-
-def _from_sympy(value, field):
-    if field == FIELD_Q:
-        return Fraction(int(value.numerator), int(value.denominator))
-    return GaussianRational(_from_sympy(value.x, FIELD_Q), _from_sympy(value.y, FIELD_Q))
+    return hypothesis, lambda rows, shape: to_sympy(rows, shape, field)
 
 
 def _matrices(hypothesis, field, max_size=8):
@@ -349,7 +407,7 @@ def test_rref_agrees_with_sympy(field):
         result = rref(m)
         assert result.rank == len(pivots)
         assert result.pivot_cols == tuple(pivots)
-        expected_rows = [[_from_sympy(e, field) for e in row] for row in expected.to_list()]
+        expected_rows = [[from_sympy(e, field) for e in row] for row in expected.to_list()]
         assert result.rref == ExactMatrix.from_rows(expected_rows, field)
 
     _run(hypothesis, matrices, check)
@@ -382,7 +440,7 @@ def test_solve_agrees_with_sympy(field):
         expected = [as_scalar(0, field)] * m.cols
         rows = reduced.to_list()
         for r, pc in enumerate(pivots):
-            expected[pc] = _from_sympy(rows[r][m.cols], field)
+            expected[pc] = from_sympy(rows[r][m.cols], field)
         assert solve(m, rhs) == expected
 
     _run(hypothesis, systems(), check)
