@@ -11,6 +11,7 @@ argv plus seed yield byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -381,7 +382,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args leaves the parser as it was
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--vars", help="comma-separated variable names (fixes arity and order)")
     common.add_argument("--field", choices=[FIELD_Q, FIELD_QI], default=None)

@@ -9,6 +9,9 @@ Grammar (whitespace insensitive, no implicit multiplication):
     rational := int ('/' uint)?
 
 Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
+A power or product of sums is expanded only when a polynomial of its degree
+D would pass the slice bound at degree D - 2 (see _check_expansion); a
+larger one is a SliceTooLargeError before any expansion.
 'i' is only available over field Qi.  The printer emits terms in degree-
 descending graded lex order and round-trips: parse(format(p)) == p exactly.
 """
@@ -20,8 +23,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, UnknownVariableError
-from .polyring import Poly
+from .errors import ParseError, SliceTooLargeError, UnknownVariableError
+from .polyring import Poly, check_slice_dimension
 from .scalars import (
     FIELD_Q,
     FIELD_QI,
@@ -221,6 +224,16 @@ class _Parser:
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
+def _check_expansion(arity, degree):
+    # the smallest slice any command builds for a polynomial of degree D is
+    # filtered(D - 2) (dirichlet's q), so an expansion past that bound is
+    # refused before it runs: (x+y)^2000 would take minutes to expand
+    try:
+        check_slice_dimension(arity, degree - 2)
+    except SliceTooLargeError as exc:
+        raise SliceTooLargeError(f"a product of sums expands to degree {degree}: {exc}") from None
+
+
 def _lower(root, arity, field):
     # post-order walk on an explicit stack: a sum or product of k terms
     # nests k deep, more than recursion allows for long inputs
@@ -246,10 +259,16 @@ def _lower(root, arity, field):
         elif isinstance(node, Neg):
             values.append(-values.pop())
         elif isinstance(node, Pow):
-            values.append(values.pop() ** node.exponent)
+            base = values.pop()
+            if len(base.terms) > 1:
+                _check_expansion(arity, base.degree * node.exponent)
+            values.append(base ** node.exponent)
         else:
             right = values.pop()
-            values.append(_BINARY[type(node)](values.pop(), right))
+            left = values.pop()
+            if isinstance(node, Mul) and len(left.terms) > 1 and len(right.terms) > 1:
+                _check_expansion(arity, left.degree + right.degree)
+            values.append(_BINARY[type(node)](left, right))
     return values.pop()
 
 

@@ -10,7 +10,10 @@ self-paired homogeneous case q -> P(D)(P*q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, sub
 
 from .errors import NoDecompositionFoundError, InconsistentSystemError
 from .linalg import ExactMatrix, GrowingEchelon, rref, solve
@@ -25,10 +28,10 @@ from .polyring import (
     filtered_basis,
     from_coordinates,
     homogeneous_basis,
-    nonzero_coordinates,
+    overflow_error,
     squared_norm,
 )
-from .scalars import FIELD_QI, GAUSSIAN_I, as_scalar
+from .scalars import FIELD_QI, GAUSSIAN_I, GaussianRational, as_scalar
 
 SURJECTIVE = "surjective"
 UNDETERMINED = "undetermined"
@@ -85,20 +88,88 @@ def fischer_apply(op, q):
     return op.apply(q)
 
 
+def _stencil(op):
+    """The stencil of the operator and its common denominator L.
+
+    Each operator term d*D^g gives one entry (g, its axes with g_i > 0 as
+    (i, g_i) pairs, [C for each psi term c*x^b]), where C = c*d*L is an int
+    over Q and an (re, im) pair of ints over Qi; L is the least common
+    denominator of every product c*d.
+    """
+    qi = op.field == FIELD_QI
+    psi = op.psi.terms.values()
+    products = [(g, [c * d for c in psi]) for g, d in op.operator.terms.items()]
+    parts = [x for _, row in products for v in row for x in ((v.re, v.im) if qi else (v,))]
+    denominator = math.lcm(*(x.denominator for x in parts))
+
+    def integer(x):
+        return x.numerator * (denominator // x.denominator)
+
+    stencil = [
+        (
+            g,
+            [(i, k) for i, k in enumerate(g) if k],
+            [(integer(v.re), integer(v.im)) if qi else integer(v) for v in row],
+        )
+        for g, row in products
+    ]
+    return stencil, denominator
+
+
 def operator_matrix(op, source, target):
     """Matrix of the operator from one graded slice to another.
 
-    Column j holds the target coordinates of the image of the j-th source
-    monomial; the rows are filled from the terms of each image.  Raises
-    BasisOverflowError if an image monomial falls outside the target slice.
+    Column j holds the target coordinates of P(D)(psi * x^a), x^a the j-th
+    source monomial.  It is assembled from a stencil built once per call:
+    each pair of an operator term d*D^g and a psi term c*x^b with
+    a + b >= g adds c*d * prod_i (a_i + b_i)! / (a_i + b_i - g_i)! at the
+    monomial a + b - g.  The products c*d are kept as integers over one
+    common denominator, so a column is summed in int arithmetic and each
+    of its nonzeros becomes one field scalar.  Raises BasisOverflowError
+    if an image monomial falls outside the target slice.
     """
     if source.arity != op.arity or target.arity != op.arity:
         raise ValueError("basis arity does not match the operator")
+    stencil, denominator = _stencil(op)
+    qi = op.field == FIELD_QI
+    psi = tuple(op.psi.terms)
     rows = [{} for _ in range(len(target))]
-    for j, m in enumerate(source.monomials):
-        image = op.apply(Poly.monomial(op.arity, m, 1, op.field))
-        for i, c in nonzero_coordinates(image, target).items():
-            rows[i][j] = c
+    for j, a in enumerate(source.monomials):
+        shifted = [tuple(map(add, a, b)) for b in psi]
+        # the terms in the order, and with the cancellations, of
+        # apply_operator(operator, psi * x^a), so an overflow names the
+        # same monomial
+        image = {}
+        for g, axes, coefficients in stencil:
+            for e, c in zip(shifted, coefficients):
+                factor = 1
+                for i, k in axes:
+                    factor *= math.perm(e[i], k)
+                if not factor:
+                    continue
+                m = tuple(map(sub, e, g))
+                if qi:
+                    re, im = image.get(m, (0, 0))
+                    value = (re + c[0] * factor, im + c[1] * factor)
+                    nonzero = value[0] or value[1]
+                else:
+                    value = image.get(m, 0) + c * factor
+                    nonzero = value
+                if nonzero:
+                    image[m] = value
+                elif m in image:
+                    del image[m]
+        for m, value in image.items():
+            try:
+                i = target.index(m)
+            except KeyError:
+                raise overflow_error(m, target) from None
+            if qi:
+                rows[i][j] = GaussianRational(
+                    Fraction(value[0], denominator), Fraction(value[1], denominator)
+                )
+            else:
+                rows[i][j] = Fraction(value, denominator)
     return ExactMatrix.from_nonzeros(len(source), rows, op.field)
 
 

@@ -453,11 +453,16 @@ def nonzero_coordinates(p, basis):
         try:
             positions[basis.index(m)] = c
         except KeyError:
-            raise BasisOverflowError(
-                f"monomial {m} of the polynomial falls outside the target basis "
-                f"({basis!r})"
-            ) from None
+            raise overflow_error(m, basis) from None
     return positions
+
+
+def overflow_error(exponents, basis):
+    """The BasisOverflowError for a monomial that falls outside the basis."""
+    return BasisOverflowError(
+        f"monomial {exponents} of the polynomial falls outside the target basis "
+        f"({basis!r})"
+    )
 
 
 def coordinates(p, basis):

@@ -238,6 +238,34 @@ def test_oversized_slice_is_a_usage_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_expanding_a_large_power_of_a_sum_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "decompose", "--psi", "x^2+y^2-1", "--f", "(x+y)^2000", "--vars", "x,y"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a product of sums expands to degree 2000")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_one_parser_serves_every_run(capsys):
+    # the cached parser gives each run the output of a freshly built one
+    sequence = [
+        ["decompose", "--psi", "x^2+y^2-1", "--f", "x^3*y", "--vars", "x,y"],
+        ["rank-profile", "--psi", "x^2+y^2-1", "--vars", "x,y"],  # no --max-degree
+        ["--version"],
+        ["decompose", "--psi", "x^2+y^2-1", "--f", "x^3*y", "--vars", "x,y"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert [run_cli(capsys, *argv) for argv in sequence] == fresh
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["solve-everything"]) == 2
     capsys.readouterr()

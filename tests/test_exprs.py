@@ -9,6 +9,7 @@ from fischerlab import (
     GaussianRational,
     ParseError,
     Poly,
+    SliceTooLargeError,
     UnknownVariableError,
     default_var_names,
     format_polynomial,
@@ -117,6 +118,19 @@ def test_long_sums_and_products_parse():
     assert parse_polynomial("+".join(["x"] * 5000), XY) == X.scale(5000)
     assert parse_polynomial("-".join(["y"] * 5000), XY) == Y.scale(-4998)
     assert parse_polynomial("*".join(["x"] * 3000), XY) == X**3000
+
+
+def test_expanding_products_of_sums_is_bounded():
+    # (x+y)^D expands only while filtered(D - 2) in two variables stays
+    # within MAX_SLICE_DIMENSION: C(91, 2) = 4095 monomials, C(92, 2) = 4186
+    assert len(parse_polynomial("(x+y)^91", XY).terms) == 92
+    assert parse_polynomial("(x+y)^50*(x-y)^41", XY).degree == 91
+    for text in ("(x+y)^92", "(x+y)^50*(x-y)^42", "(x+y)^2000", "(x+y)*(x+y)^91"):
+        with pytest.raises(SliceTooLargeError, match="expands to degree"):
+            parse_polynomial(text, XY)
+    # sums of monomials, or powers of a single term, are not expanded
+    assert parse_polynomial("x^3000*y^3000 + (2*x*y)^9999", XY).degree == 19998
+    assert parse_polynomial("(x+1)^3*x^5000", XY).degree == 5003
 
 
 def test_format_circle():

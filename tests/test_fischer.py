@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fischerlab import fischer
 from fischerlab import (
     BasisOverflowError,
     DegreeVerdict,
@@ -17,11 +18,13 @@ from fischerlab import (
     NoDecompositionFoundError,
     NOT_SURJECTIVE,
     Poly,
+    QuadricDomain,
     RankProfileRow,
     SURJECTIVE,
     UNDETERMINED,
     as_scalar,
     coordinates,
+    dirichlet_solve,
     fischer_apply,
     fischer_decompose,
     fischer_theorem_check,
@@ -182,13 +185,43 @@ def _qi(*terms):
     return Poly(2, FIELD_QI, {e: GaussianRational(re, im) for e, re, im in terms})
 
 
+def _q(*terms):
+    # a polynomial over Q in x, y from (exponents, numerator, denominator)
+    return Poly(2, FIELD_Q, {e: Fraction(n, d) for e, n, d in terms})
+
+
 def _slices():
     """(operator, source, target) slices over Q and Qi, homogeneous and
     filtered, and with the differential operator given explicitly; psi = xy
-    and p = x^2 + i*y^2 at degree 4 give singular square slices."""
+    and p = x^2 + i*y^2 at degree 4 give singular square slices.  The last
+    four have operator and psi coefficients over unequal denominators, a Qi
+    psi whose real and imaginary parts have different denominators (under a
+    real operator, so the products keep them apart), an
+    operator with a constant and a first-order term, and a degree-13 source
+    under a fifth-order operator, whose falling factorials reach 13!/8!."""
     x_cubed = Poly.monomial(2, (3, 0))
     norm3 = squared_norm(3)
     p_qi = _qi(((2, 0), 1, 0), ((0, 2), 0, 1))
+    rational = FischerOperator(
+        _q(((2, 0), 1, 2), ((0, 1), -2, 3), ((0, 0), 1, 5)),
+        operator=_q(((2, 0), 1, 3), ((1, 1), 2, 7), ((0, 2), 5, 4)),
+    )
+    gaussian = FischerOperator(
+        Poly(2, FIELD_QI, {
+            (2, 0): GaussianRational(Fraction(1, 3), Fraction(2, 5)),
+            (1, 1): GaussianRational(0, Fraction(-5, 7)),
+            (0, 0): GaussianRational(Fraction(-1, 2), Fraction(1, 9)),
+        }),
+        operator=_qi(((0, 2), 1, 0), ((1, 0), 2, 0)),
+    )
+    affine = FischerOperator(
+        Poly.monomial(2, (1, 1)) + Poly.constant(2, 1),
+        operator=_q(((2, 0), 1, 1), ((0, 1), 1, 2), ((0, 0), -3, 1)),
+    )
+    fifth_order = FischerOperator(
+        _q(((2, 0), 1, 1), ((0, 2), -3, 4)),
+        operator=_q(((5, 0), 2, 3), ((1, 4), 1, 1)),
+    )
     return [
         (FischerOperator(CIRCLE), filtered_basis(2, 4), filtered_basis(2, 4)),
         (FischerOperator(CIRCLE), homogeneous_basis(2, 3), filtered_basis(2, 3)),
@@ -200,7 +233,11 @@ def _slices():
         (FischerOperator(khavinson_psi([0, 0, 1])), filtered_basis(3, 1), filtered_basis(3, 3)),
         (FischerOperator(_qi(((2, 0), 1, 1), ((0, 2), 2, 0), ((0, 0), -1, 0))),
          filtered_basis(2, 3), filtered_basis(2, 3)),
-        (FischerOperator(p_qi, operator=p_qi), homogeneous_basis(2, 4), homogeneous_basis(2, 4)),
+    (FischerOperator(p_qi, operator=p_qi), homogeneous_basis(2, 4), homogeneous_basis(2, 4)),
+        (rational, filtered_basis(2, 3), filtered_basis(2, 3)),
+        (gaussian, filtered_basis(2, 3), filtered_basis(2, 4)),
+        (affine, filtered_basis(2, 3), filtered_basis(2, 5)),
+        (fifth_order, homogeneous_basis(2, 13), homogeneous_basis(2, 10)),
     ]
 
 
@@ -212,15 +249,44 @@ def test_operator_matrix_agrees_with_dense_assembly():
         assert (matrix.rows, matrix.cols, matrix.field) == (len(target), len(source), op.field)
         fields.add(op.field)
     assert fields == {FIELD_Q, FIELD_QI}
-    # a target slice that misses an image monomial
+    # a target slice that misses an image monomial: both name the same one
     for op, source, target in (
         (FischerOperator(CIRCLE), filtered_basis(2, 2), homogeneous_basis(2, 2)),
         (FischerOperator(khavinson_psi([0, 1])), filtered_basis(3, 2), filtered_basis(3, 1)),
+        (FischerOperator(X * X - Y * Y), homogeneous_basis(2, 3), homogeneous_basis(2, 2)),
     ):
-        with pytest.raises(BasisOverflowError):
+        with pytest.raises(BasisOverflowError) as expected:
             _dense_operator_matrix(op, source, target)
-        with pytest.raises(BasisOverflowError):
+        with pytest.raises(BasisOverflowError) as raised:
             operator_matrix(op, source, target)
+        assert str(raised.value) == str(expected.value)
+
+
+def _assemble_every_command():
+    domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    return [
+        rank_profile(khavinson_psi([0, 0, 1]), 2, slack=6),
+        rank_profile(X * Y, 4, mode=HOMOGENEOUS),
+        fischer_decompose(CIRCLE, X**3 * Y + Y**2),
+        fischer_theorem_check(X * X + X * Y, 4),
+        dirichlet_solve(domain, (x + y * z + Poly.constant(3, 1)) ** 4).q,
+    ]
+
+
+def test_assembly_does_not_apply_the_operator(monkeypatch):
+    # every command assembles its slices from the stencil: with the Poly
+    # path of FischerOperator.apply disabled, each gives the same result
+    expected = _assemble_every_command()
+
+    def refuse(*args):
+        raise AssertionError("operator_matrix applied the operator to a Poly")
+
+    monkeypatch.setattr(FischerOperator, "apply", refuse)
+    monkeypatch.setattr(fischer, "apply_operator", refuse)
+    assert _assemble_every_command() == expected
+    assert [v.slack for v in expected[0].verdicts] == [2, 4, 6]
+    assert not expected[1].all_surjective() and expected[2].verify()
 
 
 def test_operator_slices_agree_with_sympy():
