@@ -221,10 +221,7 @@ def _cmd_decompose(config, args):
         "q": _poly_payload(cert.q, names),
         "h": _poly_payload(cert.h, names),
     }
-    checks = {
-        "identity_exact": cert.identity_exact,
-        "h_harmonic_exact": cert.h_harmonic_exact,
-    }
+    checks = {"identity_exact": cert.identity_exact, "h_harmonic_exact": cert.h_harmonic_exact}
     code = 0 if cert.identity_exact and cert.h_harmonic_exact else 1
     text = [
         f"psi = {format_polynomial(cert.psi, names)}",
@@ -463,10 +460,7 @@ def run(argv=None):
     try:
         config = _build_config(args)
         report, code, text_lines, csv_text = _HANDLERS[args.command](config, args)
-    except (ParseError, FloatEvaluationError, SliceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, FloatEvaluationError, SliceTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnsolvableSliceError, NoBoundaryHitError) as exc:

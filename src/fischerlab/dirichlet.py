@@ -3,16 +3,16 @@
 A domain is described by a degree-2 defining polynomial psi with the
 convention psi < 0 inside (fixed by a user-supplied interior point).  For
 data f the solver finds q with laplacian(psi*q) == laplacian(f) on the
-square filtered slice, sets h = f - psi*q, and verifies: h is exactly
-harmonic, the identity f - h == psi*q holds exactly, and |f - h| is small
-at sampled boundary points, relative to the size of the terms of f and h.
+square filtered slice and checks the certificate f = psi*q + h of decompose
+(h exactly harmonic, the identity exact) and that |f - h| is small at
+sampled boundary points, relative to the size of the terms of f and h.
 
 For ellipsoidal psi = P2 + c0 (P2 a positive diagonal form, c0 < 0) the
 slice matrix is block-triangular by degree with nonsingular homogeneous
 blocks q_k -> laplacian(P2*q_k) (Fischer), so q is unique, deg h <= deg f,
-and q is found one homogeneous degree at a time from the top down.  Other
-quadrics, whose blocks can be singular, take one solve on the whole
-filtered slice.
+and fischer.solve_by_degree, which decompose uses too, finds q one
+homogeneous degree at a time from the top down.  Other quadrics, whose
+blocks can be singular, take one solve on the whole filtered slice.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentSystemError, NoBoundaryHitError, UnsolvableSliceError
-from .fischer import FischerOperator, operator_matrix
+from .fischer import DecompositionCertificate, FischerOperator, operator_matrix
+from .fischer import ellipsoidal_form, solve_by_degree
 from .linalg import solve
 from .polyring import (
     Poly,
@@ -31,30 +32,9 @@ from .polyring import (
     coordinates,
     filtered_basis,
     from_coordinates,
-    homogeneous_basis,
     squared_norm,
 )
 from .scalars import FIELD_Q
-
-
-def _ellipsoidal_form(psi):
-    """Return the squared semi-axes when psi is a positive multiple of
-    sum(x_i^2 / a_i^2) - 1, else None."""
-    diag = {}
-    const = None
-    for m, c in psi.terms.items():
-        total = sum(m)
-        if total == 0:
-            const = c
-        elif total == 2 and max(m) == 2:
-            diag[m.index(2)] = c
-        else:
-            return None
-    if const is None or const >= 0 or len(diag) != psi.arity:
-        return None
-    if any(c <= 0 for c in diag.values()):
-        return None
-    return tuple(-const / diag[i] for i in range(psi.arity))
 
 
 @dataclass(frozen=True)
@@ -83,7 +63,7 @@ class QuadricDomain:
             )
         if not self.psi.evaluate(point) < 0:
             raise ValueError("interior point must satisfy psi < 0")
-        axes = _ellipsoidal_form(self.psi)
+        axes = ellipsoidal_form(self.psi)
         object.__setattr__(self, "interior_point", point)
         object.__setattr__(self, "ellipsoidal", axes is not None)
         object.__setattr__(self, "semi_axes_squared", axes)
@@ -128,47 +108,31 @@ class DirichletSolution:
     verification: VerificationRecord
 
 
-def _solve_by_degree(psi, lap_f, top):
-    # psi = P2 + c0, so the degree-k part of laplacian(psi*q) is
-    # laplacian(P2*q_k) + c0*laplacian(q_{k+2}): solve for q_top, ..., q_0
-    arity = psi.arity
-    c0 = psi.coefficient((0,) * arity)
-    block = FischerOperator(psi.homogeneous_component(2))
-    zero = Poly.zero(arity, FIELD_Q)
-    parts = [zero] * (top + 3)
-    for k in range(top, -1, -1):
-        basis = homogeneous_basis(arity, k)
-        rhs = lap_f.homogeneous_component(k) - parts[k + 2].laplacian().scale(c0)
-        x = solve(operator_matrix(block, basis, basis), coordinates(rhs, basis))
-        parts[k] = from_coordinates(x, basis, FIELD_Q)
-    return sum(parts, zero)
-
-
 def dirichlet_solve(domain, f):
     """Construct the polynomial Dirichlet solution for data f.
 
     Solves laplacian(psi*q) == laplacian(f) with q in the filtered slice of
     degree deg f - 2; since deg psi = 2 this slice maps to itself.  For
-    ellipsoidal psi the square matrix is nonsingular and the solve runs by
-    back-substitution over homogeneous degrees, one block of the top slice's
-    size at most; other quadrics solve the whole filtered slice at once,
-    with free variables pinned to zero.  Raises UnsolvableSliceError when
-    the system is inconsistent (possible only for non-ellipsoidal quadrics).
+    ellipsoidal psi the matrix is nonsingular and fischer.solve_by_degree, as
+    in decompose, back-substitutes over homogeneous degrees; other quadrics
+    solve the whole filtered slice at once, with free variables pinned to
+    zero.  h and the exact flags come from DecompositionCertificate.build.
+    Raises UnsolvableSliceError when the system is inconsistent (possible
+    only for non-ellipsoidal quadrics).
     """
     psi = domain.psi
     if f.field != FIELD_Q:
         raise ValueError("boundary data must use field Q")
     if f.arity != psi.arity:
         raise ValueError(f"arity mismatch: domain {psi.arity} vs f {f.arity}")
+    q = Poly.zero(f.arity, f.field)
     lap_f = f.laplacian()
-    if not lap_f:
-        q = Poly.zero(f.arity, f.field)
-    else:
+    if lap_f:
         # the filtered slice of q, whole or as its homogeneous blocks
         check_slice_dimension(f.arity, f.degree - 2)
         try:
             if domain.ellipsoidal:
-                q = _solve_by_degree(psi, lap_f, f.degree - 2)
+                q = solve_by_degree(psi, lap_f)
             else:
                 source = filtered_basis(f.arity, f.degree - 2)
                 matrix = operator_matrix(FischerOperator(psi), source, source)
@@ -178,17 +142,11 @@ def dirichlet_solve(domain, f):
             raise UnsolvableSliceError(
                 "the square slice system is inconsistent for this quadric"
             ) from None
-    h = f - psi * q
-    harmonic_exact = not h.laplacian()
-    identity_exact = not (f - h - psi * q)
-    record = VerificationRecord(
-        harmonic_exact=harmonic_exact,
-        identity_exact=identity_exact,
-        boundary_max_error=None,
-        samples=0,
-        passed=harmonic_exact and identity_exact,
-    )
-    return DirichletSolution(domain=domain, f=f, h=h, q=q, verification=record)
+    cert = DecompositionCertificate.build(psi, f, q)
+    harmonic, identity = cert.h_harmonic_exact, cert.identity_exact
+    record = VerificationRecord(harmonic_exact=harmonic, identity_exact=identity,
+                                boundary_max_error=None, samples=0, passed=harmonic and identity)
+    return DirichletSolution(domain=domain, f=f, h=cert.h, q=q, verification=record)
 
 
 def _ray_boundary_parameter(a, b, c):

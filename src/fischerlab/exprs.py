@@ -8,16 +8,18 @@ Grammar (whitespace insensitive, no implicit multiplication):
     atom   := rational | 'i' | varname | '(' expr ')'
     rational := int ('/' uint)?
 
-Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
+Parentheses nest at most MAX_NESTING deep, and a power of one term may give
+its coefficient at most MAX_POWER_BITS bits; other input is a ParseError.
 A power or product of sums is expanded only when a polynomial of its degree
 D would pass the slice bound at degree D - 2 (see _check_expansion); a
-larger one is a SliceTooLargeError before any expansion.
-'i' is only available over field Qi.  The printer emits terms in degree-
-descending graded lex order and round-trips: parse(format(p)) == p exactly.
+larger one is a SliceTooLargeError before any expansion.  'i' is only
+available over field Qi.  The printer emits terms in degree-descending
+graded lex order and round-trips: parse(format(p)) == p exactly.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -40,6 +42,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # deepest parenthesis nesting the parser accepts; each level costs a few
 # stack frames, so deeper input is refused instead of exhausting the stack
 MAX_NESTING = 100
+
+# (2*x*y)^9999 has a 9999-bit coefficient; 3^40000000 would take seconds
+MAX_POWER_BITS = 65536
 
 
 def validate_var_names(names):
@@ -234,6 +239,15 @@ def _check_expansion(arity, degree):
         raise SliceTooLargeError(f"a product of sums expands to degree {degree}: {exc}") from None
 
 
+def _check_power(c, exponent):
+    # exponent * log2(height of c) bounds the bits of the parts of c^exponent
+    parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+    height = sum(abs(p.numerator) for p in parts) * math.prod(p.denominator for p in parts)
+    if exponent * math.log2(height) > MAX_POWER_BITS:
+        raise ParseError(
+            f"a power of one term could give a coefficient of over {MAX_POWER_BITS} bits")
+
+
 def _lower(root, arity, field):
     # post-order walk on an explicit stack: a sum or product of k terms
     # nests k deep, more than recursion allows for long inputs
@@ -262,6 +276,8 @@ def _lower(root, arity, field):
             base = values.pop()
             if len(base.terms) > 1:
                 _check_expansion(arity, base.degree * node.exponent)
+            elif base:
+                _check_power(next(iter(base.terms.values())), node.exponent)
             values.append(base ** node.exponent)
         else:
             right = values.pop()

@@ -5,7 +5,8 @@ to the squared norm so that P(D) is the Laplacian.  This module realizes the
 map as an exact matrix between graded slices, computes quotient/harmonic
 decompositions f = psi*q + h, profiles degree-wise surjectivity with
 machine-checkable verdicts, and checks slice-wise bijectivity for the
-self-paired homogeneous case q -> P(D)(P*q).
+self-paired homogeneous case q -> P(D)(P*q).  On an ellipsoid the
+quotient is unique; solve_by_degree finds it for decompose and dirichlet.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .polyring import (
     overflow_error,
     squared_norm,
 )
-from .scalars import FIELD_QI, GAUSSIAN_I, GaussianRational, as_scalar
+from .scalars import FIELD_Q, FIELD_QI, GAUSSIAN_I, GaussianRational, as_scalar
 
 SURJECTIVE = "surjective"
 UNDETERMINED = "undetermined"
@@ -187,19 +188,46 @@ class DecompositionCertificate:
     @classmethod
     def build(cls, psi, f, q):
         h = f - psi * q
-        cert = cls(
-            psi=psi,
-            f=f,
-            q=q,
-            h=h,
-            identity_exact=not (f - psi * q - h),
-            h_harmonic_exact=not h.laplacian(),
-        )
-        return cert
+        return cls(psi=psi, f=f, q=q, h=h, identity_exact=not (f - psi * q - h),
+                   h_harmonic_exact=not h.laplacian())
 
     def verify(self):
         """Re-run both exact checks from scratch, ignoring the stored flags."""
         return (not (self.f - self.psi * self.q - self.h)) and (not self.h.laplacian())
+
+
+def ellipsoidal_form(psi):
+    """Return the squared semi-axes when psi is over Q and a positive
+    multiple of sum(x_i^2 / a_i^2) - 1, else None."""
+    if psi.field != FIELD_Q:
+        return None
+    d = psi.arity
+    const = psi.coefficient((0,) * d)
+    diag = [psi.coefficient([2 * (j == i) for j in range(d)]) for i in range(d)]
+    # psi has these d + 1 terms only, with the signs of an ellipsoid
+    if len(psi.terms) != d + 1 or const >= 0 or min(diag) <= 0:
+        return None
+    return tuple(-const / c for c in diag)
+
+
+def solve_by_degree(psi, lap_f):
+    """The unique q with laplacian(psi*q) == lap_f for ellipsoidal psi = P2 + c0.
+
+    The degree-k part of laplacian(psi*q) is laplacian(P2*q_k) + c0*laplacian(q_{k+2}),
+    and each block q_k -> laplacian(P2*q_k) is nonsingular (Fischer): q_k is solved
+    for k = deg lap_f down to 0, and any higher q_k is 0.
+    """
+    arity = psi.arity
+    c0 = psi.coefficient((0,) * arity)
+    block = FischerOperator(psi.homogeneous_component(2))
+    zero = Poly.zero(arity, FIELD_Q)
+    parts = [zero] * (lap_f.degree + 3)
+    for k in range(lap_f.degree, -1, -1):
+        basis = homogeneous_basis(arity, k)
+        rhs = lap_f.homogeneous_component(k) - parts[k + 2].laplacian().scale(c0)
+        x = solve(operator_matrix(block, basis, basis), coordinates(rhs, basis))
+        parts[k] = from_coordinates(x, basis, FIELD_Q)
+    return sum(parts, zero)
 
 
 def fischer_decompose(psi, f, slack=0):
@@ -208,7 +236,8 @@ def fischer_decompose(psi, f, slack=0):
     The quotient is searched in filtered slices of degree
     deg f - deg psi + 2 + s for s = 0..slack, smallest s first, with free
     variables pinned to zero.  Failure raises NoDecompositionFoundError and
-    is inconclusive: higher source degrees might still work.
+    is inconclusive: higher source degrees might still work.  On an
+    ellipsoid the s = 0 slice is bijective; solve_by_degree gives its q.
     """
     if psi.arity != f.arity:
         raise ValueError(f"arity mismatch: psi {psi.arity} vs f {f.arity}")
@@ -221,11 +250,13 @@ def fischer_decompose(psi, f, slack=0):
     lap_f = f.laplacian()
     if not lap_f:
         return DecompositionCertificate.build(psi, f, Poly.zero(f.arity, f.field))
-    op = FischerOperator(psi)
     deg_psi = psi.degree
     # every slice built lies in filtered(top) or filtered(top + deg_psi - 2)
     top = f.degree - deg_psi + 2 + slack
     check_slice_dimension(f.arity, max(top, top + deg_psi - 2))
+    if ellipsoidal_form(psi) is not None:
+        return DecompositionCertificate.build(psi, f, solve_by_degree(psi, lap_f))
+    op = FischerOperator(psi)
     for s in range(slack + 1):
         m = f.degree - deg_psi + 2 + s
         if m < 0:

@@ -249,6 +249,23 @@ def test_expanding_a_large_power_of_a_sum_is_a_usage_error(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--psi", "x^2+y^2-1", "--f", "3^40000000*x^2", "--vars", "x,y"],
+        ["khavinson", "--phi", "0,3^40000000", "--max-degree", "2"],
+    ],
+    ids=["decompose", "khavinson"],
+)
+def test_large_constant_power_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a power of one term could give a coefficient of over")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_one_parser_serves_every_run(capsys):
     # the cached parser gives each run the output of a freshly built one
     sequence = [

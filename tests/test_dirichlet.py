@@ -16,6 +16,7 @@ from fischerlab import (
     coordinates,
     dirichlet,
     dirichlet_solve,
+    fischer,
     filtered_basis,
     from_coordinates,
     homogeneous_basis,
@@ -296,19 +297,20 @@ def test_degree_wise_solve_matches_filtered_solve_at_degree_10():
     _assert_matches_filtered_solve(domain, f)
 
 
-def _recording_solve(monkeypatch):
+def _recording_solve(monkeypatch, module):
     sizes = []
 
     def recording(matrix, rhs):
         sizes.append(matrix.rows)
         return solve(matrix, rhs)
 
-    monkeypatch.setattr(dirichlet, "solve", recording)
+    monkeypatch.setattr(module, "solve", recording)
     return sizes
 
 
 def test_ellipsoids_solve_no_system_larger_than_the_top_slice(monkeypatch):
-    sizes = _recording_solve(monkeypatch)
+    # the ellipsoid blocks are solved by fischer.solve_by_degree
+    sizes = _recording_solve(monkeypatch, fischer)
     domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
     f = parse_polynomial("(3*x+y*z+2)^4", ("x", "y", "z"))
     dirichlet_solve(domain, f)
@@ -316,7 +318,7 @@ def test_ellipsoids_solve_no_system_larger_than_the_top_slice(monkeypatch):
 
 
 def test_other_quadrics_keep_the_filtered_solve(monkeypatch):
-    sizes = _recording_solve(monkeypatch)
+    sizes = _recording_solve(monkeypatch, dirichlet)
     # laplacian(x^2 - y^2) = 0: the degree-0 block is singular here
     hyperbola = QuadricDomain(X * X - Y * Y - Poly.constant(2, 1), (0.0, 0.0))
     f = hyperbola.psi * (X * Y + X * X) + X * X * X - (X * Y * Y).scale(3)
@@ -331,6 +333,6 @@ def test_inconsistent_block_fails_closed(monkeypatch):
     def inconsistent(matrix, rhs):
         raise InconsistentSystemError("right-hand side is outside the column space")
 
-    monkeypatch.setattr(dirichlet, "solve", inconsistent)
+    monkeypatch.setattr(fischer, "solve", inconsistent)
     with pytest.raises(UnsolvableSliceError):
         dirichlet_solve(ELLIPSE, X * X)

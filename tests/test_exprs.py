@@ -17,7 +17,7 @@ from fischerlab import (
     parse_scalar,
     validate_var_names,
 )
-from fischerlab.exprs import MAX_NESTING
+from fischerlab.exprs import MAX_NESTING, MAX_POWER_BITS
 from helpers import random_poly
 
 XY = ("x", "y")
@@ -131,6 +131,24 @@ def test_expanding_products_of_sums_is_bounded():
     # sums of monomials, or powers of a single term, are not expanded
     assert parse_polynomial("x^3000*y^3000 + (2*x*y)^9999", XY).degree == 19998
     assert parse_polynomial("(x+1)^3*x^5000", XY).degree == 5003
+
+
+def test_powers_of_a_single_term_are_bounded():
+    # 2^MAX_POWER_BITS is the largest power of 2 admitted
+    assert parse_scalar(f"2^{MAX_POWER_BITS}") == 2**MAX_POWER_BITS
+    assert parse_scalar(f"(-1/2)^{MAX_POWER_BITS}") == Fraction(1, 2**MAX_POWER_BITS)
+    assert parse_scalar("10^400") == 10**400
+    assert parse_polynomial("(-x)^99999999", XY) == -(X**99999999)
+    assert parse_scalar("i^99999999", FIELD_QI) == GaussianRational(0, -1)
+    for text, field in (
+        (f"2^{MAX_POWER_BITS + 1}", FIELD_Q),
+        ("3^40000000", FIELD_Q),
+        (f"(1/2*x*y)^{MAX_POWER_BITS + 1}", FIELD_Q),
+        ("(2^60000)^2", FIELD_Q),
+        (f"(1+i)^{MAX_POWER_BITS + 1}", FIELD_QI),
+    ):
+        with pytest.raises(ParseError, match=f"over {MAX_POWER_BITS} bits"):
+            parse_polynomial(text, XY, field)
 
 
 def test_format_circle():

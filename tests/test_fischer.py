@@ -6,6 +6,7 @@ import pytest
 from fischerlab import fischer
 from fischerlab import (
     BasisOverflowError,
+    DecompositionCertificate,
     DegreeVerdict,
     ExactMatrix,
     FIELD_Q,
@@ -21,6 +22,7 @@ from fischerlab import (
     QuadricDomain,
     RankProfileRow,
     SURJECTIVE,
+    SliceTooLargeError,
     UNDETERMINED,
     as_scalar,
     coordinates,
@@ -29,10 +31,12 @@ from fischerlab import (
     fischer_decompose,
     fischer_theorem_check,
     filtered_basis,
+    from_coordinates,
     homogeneous_basis,
     khavinson_psi,
     nullspace_basis,
     operator_matrix,
+    parse_polynomial,
     rank_profile,
     rref,
     solve,
@@ -41,6 +45,7 @@ from fischerlab import (
 from helpers import (
     assert_first_unsolvable_unit,
     from_sympy,
+    random_ellipsoid,
     random_poly,
     random_scalar,
     to_sympy,
@@ -265,12 +270,15 @@ def test_operator_matrix_agrees_with_dense_assembly():
 def _assemble_every_command():
     domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
     x, y, z = (Poly.variable(3, i) for i in range(3))
+    hyperbola = X * X - Y * Y - Poly.constant(2, 1)
     return [
         rank_profile(khavinson_psi([0, 0, 1]), 2, slack=6),
         rank_profile(X * Y, 4, mode=HOMOGENEOUS),
         fischer_decompose(CIRCLE, X**3 * Y + Y**2),
         fischer_theorem_check(X * X + X * Y, 4),
         dirichlet_solve(domain, (x + y * z + Poly.constant(3, 1)) ** 4).q,
+        # not an ellipsoid: the filtered slack loop
+        fischer_decompose(hyperbola, hyperbola * (X * Y + X * X) + X**3 - (X * Y * Y).scale(3)),
     ]
 
 
@@ -287,6 +295,7 @@ def test_assembly_does_not_apply_the_operator(monkeypatch):
     assert _assemble_every_command() == expected
     assert [v.slack for v in expected[0].verdicts] == [2, 4, 6]
     assert not expected[1].all_surjective() and expected[2].verify()
+    assert expected[5].verify()
 
 
 def test_operator_slices_agree_with_sympy():
@@ -372,6 +381,116 @@ def test_decompose_validation():
         fischer_decompose(CIRCLE, X, slack=-1)
     with pytest.raises(ValueError):
         fischer_decompose(CIRCLE, Poly.variable(3, 0))
+
+
+def _filtered_slice_decompose(psi, f, slack):
+    # the filtered slack loop that fischer_decompose ran for every psi
+    # before ellipsoids took the block solver: the oracle of the tests below
+    lap_f = f.laplacian()
+    if not lap_f:
+        return DecompositionCertificate.build(psi, f, Poly.zero(f.arity, f.field))
+    op = FischerOperator(psi)
+    for s in range(slack + 1):
+        m = f.degree - psi.degree + 2 + s
+        if m < 0:
+            continue
+        source = filtered_basis(f.arity, m)
+        target = filtered_basis(f.arity, max(m + psi.degree - 2, lap_f.degree))
+        try:
+            x = solve(operator_matrix(op, source, target), coordinates(lap_f, target))
+        except InconsistentSystemError:
+            continue
+        return DecompositionCertificate.build(psi, f, from_coordinates(x, source, f.field))
+    raise NoDecompositionFoundError(slack)
+
+
+def _assert_decompose_matches_filtered_slices(psi, f, slack=0):
+    cert = fischer_decompose(psi, f, slack)
+    expected = _filtered_slice_decompose(psi, f, slack)
+    assert (cert.q, cert.h) == (expected.q, expected.h)
+    assert (cert.identity_exact, cert.h_harmonic_exact) == (True, True)
+    assert (expected.identity_exact, expected.h_harmonic_exact) == (True, True)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_decompose_on_ellipsoids_matches_the_filtered_slices(arity):
+    rng = random.Random(90 + arity)
+    for _ in range(8):
+        psi = random_ellipsoid(rng, arity).psi
+        f = random_poly(rng, arity, rng.randint(2, 5), nonzero=True)
+        _assert_decompose_matches_filtered_slices(psi, f, slack=rng.randint(0, 2))
+
+
+def test_decompose_on_a_scaled_ellipsoid_matches_the_filtered_slices():
+    psi = parse_polynomial("2*x^2+3*y^2+z^2-5", ("x", "y", "z"))
+    assert fischer.ellipsoidal_form(psi) == (Fraction(5, 2), Fraction(5, 3), Fraction(5))
+    for text in ("(x+y*z+1)^3", "x^2*y - 1/3*z^3 + 4*x", "x^2 - y^2 + 3*x*y*z"):
+        f = parse_polynomial(text, ("x", "y", "z"))
+        for slack in (0, 2):
+            _assert_decompose_matches_filtered_slices(psi, f, slack)
+    harmonic = parse_polynomial("x^2 - y^2 + 3*x*y*z", ("x", "y", "z"))
+    assert fischer_decompose(psi, harmonic, 2).q == Poly.zero(3)
+
+
+def _recording_slices(monkeypatch):
+    shapes = []
+
+    def recording(op, source, target):
+        shapes.append((len(target), len(source)))
+        return operator_matrix(op, source, target)
+
+    monkeypatch.setattr(fischer, "operator_matrix", recording)
+    return shapes
+
+
+def test_decompose_on_an_ellipsoid_builds_no_slice_above_the_top_block(monkeypatch):
+    shapes = _recording_slices(monkeypatch)
+    psi = parse_polynomial("2*x^2+3*y^2+z^2-5", ("x", "y", "z"))
+    f = parse_polynomial("(x+y*z+1)^4", ("x", "y", "z"))
+    fischer_decompose(psi, f, slack=2)
+    # one square block per degree of laplacian(f), the top one the largest
+    assert shapes == [(len(homogeneous_basis(3, k)),) * 2 for k in range(6, -1, -1)]
+
+
+@pytest.mark.parametrize(
+    "psi, f, slack",
+    [
+        # a negative multiple of an ellipsoid is not ellipsoidal
+        (Poly.constant(2, 1) - X * X - Y * Y, X**3 * Y + Y**2, 0),
+        (
+            parse_polynomial("x^2+y^2-1", ("x", "y", "z")),
+            parse_polynomial("x*z^3 + y^2*z", ("x", "y", "z")),
+            1,
+        ),
+        (
+            khavinson_psi([0, 1]),
+            parse_polynomial("x1^2*x3 + i*x2^3", ("x1", "x2", "x3"), FIELD_QI),
+            0,
+        ),
+        (
+            parse_polynomial("x^2+y^2-1", ("x", "y"), FIELD_QI),
+            parse_polynomial("x^3*y + i*y^2", ("x", "y"), FIELD_QI),
+            1,
+        ),
+    ],
+    ids=["1-x^2-y^2", "cylinder", "khavinson-z", "circle-over-Qi"],
+)
+def test_other_psi_keep_the_filtered_slices(monkeypatch, psi, f, slack):
+    assert fischer.ellipsoidal_form(psi) is None
+    shapes = _recording_slices(monkeypatch)
+    cert = fischer_decompose(psi, f, slack)
+    tried = len(shapes)
+    expected = [
+        (len(filtered_basis(f.arity, m + psi.degree - 2)), len(filtered_basis(f.arity, m)))
+        for m in range(f.degree - psi.degree + 2, f.degree - psi.degree + 3 + slack)
+    ]
+    assert 1 <= tried and shapes == expected[:tried]
+    assert cert.verify() and cert.q == _filtered_slice_decompose(psi, f, slack).q
+
+
+def test_oversized_slack_on_an_ellipsoid_is_refused():
+    with pytest.raises(SliceTooLargeError):
+        fischer_decompose(CIRCLE, X**3 * Y, slack=100)
 
 
 def test_rank_profile_circle_all_surjective_at_slack_zero():
