@@ -1,23 +1,22 @@
-"""Row reduction kernel: sparse echelon insertion over Q and Qi.
+"""Row reduction kernel: sparse echelon insertion in primitive integer rows.
 
-A vector is a dict {key: entry} holding only nonzero entries.  An entry is
-a tuple of reduced integers: (n, d) over the rationals, (rn, rd, in, id)
-over the Gaussian rationals, every denominator positive.  A small table per
-field (``Q``, ``QI``) supplies ``mul``, ``sub`` and ``inv``.
-
-An echelon is a dict {lead: row}: each row is scaled to 1 at its lead, its
-lowest key, and no two rows share a lead.  ``insert`` reduces the vectors
-into it one at a time, at their lowest key, until each leads a new key or
-vanishes.  The set of leads of an echelon form under a fixed key order is
-unique, so it does not depend on the order of insertion, and neither does
-the reduced form that ``back_substitute`` derives.  The kernel is pure
-Python.  Callers look ``rref_q`` and ``rref_qi`` up on this module at call
-time, so a wrapper installed here (a tracer) sees every elimination.
+A vector is a dict {key: entry} of its nonzero entries, denominators
+cleared: an int over Q, an (re, im) pair of ints over Qi.  An echelon is a
+dict {lead: row}, a row's lead being its lowest key; each row is primitive
+(its ints have gcd 1) with a positive int at its lead.  ``insert`` takes a
+vector v, at its lowest key, to b*v - a*row (a = v[lead] and b = row[lead]
+over their gcd), then divides it by the gcd of its parts: no gcd runs per
+entry, and Bareiss (1968, Math. Comp. 22) bounds the growth.  Leads, the
+reduced form and the solution values are unique.  Callers look ``rref_q``
+and ``rref_qi`` up here at call time, so a wrapper installed on them (a
+tracer) sees every elimination.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
+from operator import itemgetter
 from types import SimpleNamespace
 
 
@@ -27,81 +26,80 @@ def backend_name():
     return "pure"
 
 
-def _red(n, d):
-    # d > 0; zero becomes 0/1
-    g = gcd(n, d)
-    return n // g, d // g
+def _q_primitive(vector, sign=1):
+    g = sign * gcd(*vector.values())
+    return {key: x // g for key, x in vector.items()} if g != 1 else vector
 
 
-def _q_mul(x, y):
-    return _red(x[0] * y[0], x[1] * y[1])
-
-
-def _q_sub(x, y):
-    return _red(x[0] * y[1] - y[0] * x[1], x[1] * y[1])
-
-
-def _q_inv(x):
-    n, d = x
-    return (d, n) if n > 0 else (-d, -n)
-
-
-def _qi_mul(x, y):
-    # (a/b + i c/d)(e/f + i g/h) over the common denominator b d f h
-    a, b, c, d = x
-    e, f, g, h = y
-    den = b * d * f * h
-    return (
-        *_red(a * e * d * h - c * g * b * f, den),
-        *_red(a * g * d * f + c * e * b * h, den),
-    )
-
-
-def _qi_sub(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    return (*_red(a * f - e * b, b * f), *_red(c * h - g * d, d * h))
-
-
-def _qi_inv(x):
-    # 1/(a/b + i c/d) = (a b d^2 - i c d b^2) / (a^2 d^2 + c^2 b^2)
-    a, b, c, d = x
-    norm = a * a * d * d + c * c * b * b
-    return (*_red(a * b * d * d, norm), *_red(-c * d * b * b, norm))
-
-
-Q = SimpleNamespace(zero=(0, 1), one=(1, 1), mul=_q_mul, sub=_q_sub, inv=_q_inv)
-QI = SimpleNamespace(
-    zero=(0, 1, 0, 1), one=(1, 1, 0, 1), mul=_qi_mul, sub=_qi_sub, inv=_qi_inv
-)
-
-
-def _submul(field, vector, factor, row):
-    # vector -= factor * row, in place, dropping the entries that cancel
-    mul, sub, zero = field.mul, field.sub, field.zero
-    for key, entry in row.items():
-        value = sub(vector.get(key, zero), mul(factor, entry))
-        if value == zero:
-            del vector[key]
-        else:
+def _q_reduce(vector, row, lead):
+    a, b = vector[lead], row[lead]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        vector = {key: b * x for key, x in vector.items()}
+    for key, x in row.items():
+        value = vector.get(key, 0) - a * x
+        if value:
             vector[key] = value
+        else:
+            del vector[key]
+    return _q_primitive(vector)
+
+
+def _qi_primitive(vector):
+    g = gcd(*chain.from_iterable(vector.values()))
+    return {key: (re // g, im // g) for key, (re, im) in vector.items()} if g > 1 else vector
+
+
+def _qi_reduce(vector, row, lead):
+    (ar, ai), b = vector[lead], row[lead][0]
+    g = gcd(ar, ai, b)
+    ar, ai, b = ar // g, ai // g, b // g
+    if b != 1:
+        vector = {key: (b * re, b * im) for key, (re, im) in vector.items()}
+    for key, (re, im) in row.items():
+        vr, vi = vector.get(key, (0, 0))
+        vr, vi = vr - ar * re + ai * im, vi - ar * im - ai * re
+        if vr or vi:
+            vector[key] = vr, vi
+        else:
+            del vector[key]
+    return _qi_primitive(vector)
+
+
+def _qi_store(vector, lead):
+    cr, ci = vector[lead]  # times its conjugate, the lead becomes cr^2 + ci^2
+    return _qi_primitive({k: (r * cr + i * ci, i * cr - r * ci) for k, (r, i) in vector.items()})
+
+
+def _qi_dot(row, values):
+    pairs = [(x, values[key]) for key, x in row.items() if key in values]
+    return (sum(a * c - b * d for (a, b), (c, d) in pairs),
+            sum(a * d + b * c for (a, b), (c, d) in pairs))
+
+
+# den: the positive int at a stored row's lead; scale(x, k, g) = x // g * k
+Q = SimpleNamespace(
+    reduce=_q_reduce, store=lambda v, lead: _q_primitive(v, -1 if v[lead] < 0 else 1),
+    dot=lambda row, values: sum(x * values[k] for k, x in row.items() if k in values),
+    den=int, minus_one=-1, parts=lambda x: (x,), scale=lambda x, k, g=1: x // g * k)
+QI = SimpleNamespace(
+    reduce=_qi_reduce, store=_qi_store, dot=_qi_dot, den=itemgetter(0), minus_one=(-1, 0),
+    parts=lambda x: x, scale=lambda x, k, g=1: (x[0] // g * k, x[1] // g * k))
 
 
 def insert(field, vectors, echelon):
-    """Insert each vector into the echelon, in place, and return the echelon.
-
-    The vectors themselves are left as they are.
-    """
+    """Insert each vector into the echelon, in place, and return the echelon;
+    the vectors themselves are left as they are."""
     for vector in vectors:
         vector = dict(vector)
         while vector:
             lead = min(vector)
             row = echelon.get(lead)
             if row is None:
-                scale = field.inv(vector[lead])
-                echelon[lead] = {key: field.mul(scale, e) for key, e in vector.items()}
+                echelon[lead] = field.store(vector, lead)
                 break
-            _submul(field, vector, vector[lead], row)
+            vector = field.reduce(vector, row, lead)
     return echelon
 
 
@@ -116,26 +114,31 @@ def rref_qi(vectors, echelon):
 
 
 def back_substitute(field, echelon):
-    """The reduced form of an echelon: each row cleared at every other lead."""
+    """The reduced form of an echelon as {lead: (row, den)}: the row cleared
+    at every other lead, in integers, and den the positive int at its lead."""
     reduced = {}
     for lead in sorted(echelon, reverse=True):
         row = dict(echelon[lead])
         for key in [key for key in row if key in reduced]:
-            _submul(field, row, row[key], reduced[key])
+            row = field.reduce(row, reduced[key], key)
         reduced[lead] = row
-    return reduced
+    return {lead: (row, field.den(row[lead])) for lead, row in reduced.items()}
 
 
 def solution(field, echelon, column):
-    """{lead: value} solving the echelon rows for the entries at ``column``,
-    with every key that leads no row set to zero."""
-    mul, sub = field.mul, field.sub
-    values = {}
+    """({lead: numerator}, den) solving the rows for the entries at ``column``
+    (which leads no row), keys that lead no row set to zero; den is the least
+    common denominator, so a row costs two gcds, not one per entry."""
+    values, den = {column: field.minus_one}, 1  # so a dot product is -value * den * lead
     for lead in sorted(echelon, reverse=True):
-        row = echelon[lead]
-        value = row.get(column, field.zero)
-        for key, entry in row.items():
-            if key in values:
-                value = sub(value, mul(entry, values[key]))
-        values[lead] = value
-    return values
+        dot = field.dot(echelon[lead], values)
+        whole = den * field.den(echelon[lead][lead])
+        g = gcd(*field.parts(dot), whole)
+        common = lcm(den, whole // g)
+        if common != den:
+            for key in values:
+                values[key] = field.scale(values[key], common // den)
+        values[lead] = field.scale(dot, -(common * g // whole), g)
+        den = common
+    del values[column]
+    return values, den

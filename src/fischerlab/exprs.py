@@ -8,8 +8,9 @@ Grammar (whitespace insensitive, no implicit multiplication):
     atom   := rational | 'i' | varname | '(' expr ')'
     rational := int ('/' uint)?
 
-Parentheses nest at most MAX_NESTING deep, and a power of one term may give
-its coefficient at most MAX_POWER_BITS bits; other input is a ParseError.
+Parentheses nest at most MAX_NESTING deep, and no product or power may give
+a coefficient of over MAX_POWER_BITS bits, as bounded by the sizes of its
+factors' coefficients; other input is a ParseError.
 A power or product of sums is expanded only when a polynomial of its degree
 D would pass the slice bound at degree D - 2 (see _check_expansion); a
 larger one is a SliceTooLargeError before any expansion.  'i' is only
@@ -43,7 +44,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # stack frames, so deeper input is refused instead of exhausting the stack
 MAX_NESTING = 100
 
-# (2*x*y)^9999 has a 9999-bit coefficient; 3^40000000 would take seconds
+# (2*x*y)^9999 has a 9999-bit coefficient; 3^40000000, or a product of a
+# hundred factors 3^41000, would take seconds
 MAX_POWER_BITS = 65536
 
 
@@ -239,13 +241,19 @@ def _check_expansion(arity, degree):
         raise SliceTooLargeError(f"a product of sums expands to degree {degree}: {exc}") from None
 
 
-def _check_power(c, exponent):
-    # exponent * log2(height of c) bounds the bits of the parts of c^exponent
-    parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
-    height = sum(abs(p.numerator) for p in parts) * math.prod(p.denominator for p in parts)
-    if exponent * math.log2(height) > MAX_POWER_BITS:
-        raise ParseError(
-            f"a power of one term could give a coefficient of over {MAX_POWER_BITS} bits")
+def _check_bits(what, factors, exponent=1):
+    # log2 of a coefficient's height bounds its bits: a product's (or power's)
+    # have about the sum over the factors' largest, plus log2 of the terms summed
+    bits = 0.0
+    for poly in factors:
+        heights = [1]
+        for c in poly.terms.values():
+            parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+            heights.append(sum(abs(p.numerator) for p in parts)
+                           * math.prod(p.denominator for p in parts))
+        bits += exponent * math.log2(max(heights))
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} could give a coefficient of over {MAX_POWER_BITS} bits")
 
 
 def _lower(root, arity, field):
@@ -274,16 +282,19 @@ def _lower(root, arity, field):
             values.append(-values.pop())
         elif isinstance(node, Pow):
             base = values.pop()
+            what = "a power of one term"
             if len(base.terms) > 1:
                 _check_expansion(arity, base.degree * node.exponent)
-            elif base:
-                _check_power(next(iter(base.terms.values())), node.exponent)
+                what = "a power of a sum"
+            _check_bits(what, [base], node.exponent)
             values.append(base ** node.exponent)
         else:
             right = values.pop()
             left = values.pop()
-            if isinstance(node, Mul) and len(left.terms) > 1 and len(right.terms) > 1:
-                _check_expansion(arity, left.degree + right.degree)
+            if isinstance(node, Mul):
+                if len(left.terms) > 1 and len(right.terms) > 1:
+                    _check_expansion(arity, left.degree + right.degree)
+                _check_bits("a product", [left, right])
             values.append(_BINARY[type(node)](left, right))
     return values.pop()
 

@@ -2,8 +2,8 @@
 
 ExactMatrix is an immutable matrix of field scalars that stores only its
 nonzero entries, one dict per row.  Every elimination is sparse echelon
-insertion in fischerlab._kernels: rows (or columns) go in as dicts of their
-nonzero entries, as reduced integer tuples, and come back out as scalars.
+insertion in fischerlab._kernels on integer rows: a row (or column) goes in
+with its denominators cleared, and each result entry comes out by one division.
 On top of it this module owns reduced row echelon form, solving,
 nullspaces, cokernel witnesses and the growing echelon of a filtered
 ladder.  Apart from GrowingEchelon, all operations are pure functions.
@@ -12,11 +12,10 @@ ladder.  Apart from GrowingEchelon, all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _kernels
 from .errors import InconsistentSystemError
-from .scalars import FIELD_Q, GaussianRational, as_scalar, validate_field
+from .scalars import FIELD_Q, as_scalar, from_integer, integer_form, validate_field
 
 
 class ExactMatrix:
@@ -144,19 +143,9 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, field={self.field!r})"
 
 
-def _entry(value):
-    """The kernel entry of a field scalar."""
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    re, im = value.re, value.im
-    return re.numerator, re.denominator, im.numerator, im.denominator
-
-
-def _scalar(entry):
-    """The field scalar of a kernel entry."""
-    if len(entry) == 2:
-        return Fraction(*entry)
-    return GaussianRational(Fraction(*entry[:2]), Fraction(*entry[2:]))
+def _vector(scalars, field):
+    """The kernel vector of {key: scalar}, its denominators cleared."""
+    return dict(zip(scalars, integer_form(scalars.values(), field)[0]))
 
 
 def _kernel(field):
@@ -168,7 +157,7 @@ def _kernel(field):
 
 def _rows(matrix):
     """The rows of a matrix as kernel vectors keyed by column."""
-    return [{j: _entry(e) for j, e in row.items()} for row in matrix._nonzeros]
+    return [_vector(row, matrix.field) for row in matrix._nonzeros]
 
 
 @dataclass(frozen=True)
@@ -191,7 +180,8 @@ def rref(matrix):
     kernel, field = _kernel(matrix.field)
     reduced = _kernels.back_substitute(field, kernel(_rows(matrix), {}))
     pivots = tuple(sorted(reduced))
-    rows_data = [{j: _scalar(e) for j, e in reduced[pc].items()} for pc in pivots]
+    rows_data = [{j: from_integer(e, den) for j, e in row.items()}
+                 for row, den in (reduced[pc] for pc in pivots)]
     rows_data += [{}] * (matrix.rows - len(pivots))
     reduced_matrix = ExactMatrix.from_nonzeros(matrix.cols, rows_data, matrix.field)
     return RrefResult(rref=reduced_matrix, rank=len(pivots), pivot_cols=pivots)
@@ -229,8 +219,8 @@ class GrowingEchelon:
         columns = [{} for _ in range(matrix.cols)]
         for i, row in enumerate(matrix._nonzeros):
             for j, e in row.items():
-                columns[j][-i] = _entry(e)
-        kernel(columns, self._echelon)
+                columns[j][-i] = e
+        kernel([_vector(column, self.field) for column in columns], self._echelon)
         self.width = matrix.rows
         self.rank = len(self._echelon)
         self.leading = frozenset(-lead for lead in self._echelon)
@@ -255,17 +245,16 @@ def solve(matrix, rhs):
     rhs = [as_scalar(v, matrix.field) for v in rhs]
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
-    rows = _rows(matrix)
-    for row, value in zip(rows, rhs):
-        if value:
-            row[matrix.cols] = _entry(value)
+    rows = [_vector({**row, matrix.cols: value} if value else row, matrix.field)
+            for row, value in zip(matrix._nonzeros, rhs)]
     kernel, field = _kernel(matrix.field)
     echelon = kernel(rows, {})
     if matrix.cols in echelon:
         raise InconsistentSystemError("right-hand side is outside the column space")
     x = [as_scalar(0, matrix.field)] * matrix.cols
-    for pc, value in _kernels.solution(field, echelon, matrix.cols).items():
-        x[pc] = _scalar(value)
+    values, den = _kernels.solution(field, echelon, matrix.cols)
+    for pc, value in values.items():
+        x[pc] = from_integer(value, den)
     if matrix.mul_vector(x) != rhs:
         raise AssertionError("internal error: solution failed the exact recheck")
     return x

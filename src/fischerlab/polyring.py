@@ -38,7 +38,7 @@ class Poly:
     term maps.
     """
 
-    __slots__ = ("arity", "field", "_terms")
+    __slots__ = ("arity", "field", "_terms", "_floats")
 
     def __init__(self, arity, field=FIELD_Q, terms=None):
         validate_field(field)
@@ -250,8 +250,12 @@ class Poly:
         terms = []
         try:
             values = [float(v) for v in point]
-            for m, c in self._terms.items():
-                term = complex(c) if isinstance(c, GaussianRational) else float(c)
+            floats = getattr(self, "_floats", None)
+            if floats is None:  # filled once: the polynomial is immutable
+                floats = [complex(c) if isinstance(c, GaussianRational) else float(c)
+                          for c in self._terms.values()]
+                object.__setattr__(self, "_floats", floats)
+            for m, term in zip(self._terms, floats):
                 for v, e in zip(values, m):
                     if e:
                         term *= v**e

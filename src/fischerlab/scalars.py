@@ -9,6 +9,7 @@ points.  All values are immutable and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 FIELD_Q = "Q"
 FIELD_QI = "Qi"
@@ -159,6 +160,22 @@ def as_scalar(value, field):
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
     raise ValueError(f"field Qi cannot hold {value!r}")
+
+
+def integer_form(values, field):
+    """(entries, L): the scalars times the lcm L of their denominators, each
+    an int over Q and an (re, im) pair of ints over Qi."""
+    parts = values if field == FIELD_Q else [p for v in values for p in (v.re, v.im)]
+    den = lcm(*(p.denominator for p in parts))
+    ints = [p.numerator * (den // p.denominator) for p in parts]
+    return (ints if field == FIELD_Q else list(zip(ints[::2], ints[1::2]))), den
+
+
+def from_integer(entry, den):
+    """The scalar entry / den of an integer entry and a positive int den."""
+    if isinstance(entry, int):
+        return Fraction(entry, den)
+    return GaussianRational(Fraction(entry[0], den), Fraction(entry[1], den))
 
 
 def format_fraction(value):

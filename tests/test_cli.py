@@ -6,6 +6,7 @@ import pytest
 
 from fischerlab import MAX_SLICE_DIMENSION, cli
 from fischerlab.cli import run
+from fischerlab.exprs import parse_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -250,20 +251,32 @@ def test_expanding_a_large_power_of_a_sum_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, what",
     [
-        ["decompose", "--psi", "x^2+y^2-1", "--f", "3^40000000*x^2", "--vars", "x,y"],
-        ["khavinson", "--phi", "0,3^40000000", "--max-degree", "2"],
+        (["decompose", "--psi", "x^2+y^2-1", "--f", "3^40000000*x^2", "--vars", "x,y"],
+         "a power of one term"),
+        (["khavinson", "--phi", "0,3^40000000", "--max-degree", "2"], "a power of one term"),
+        # a hundred admitted factors: each 3^41000 has about 65000 bits
+        (["decompose", "--psi", "x^2+y^2-1", "--f", "3^41000*" * 100 + "x", "--vars", "x,y"],
+         "a product"),
     ],
-    ids=["decompose", "khavinson"],
+    ids=["decompose", "khavinson", "product"],
 )
-def test_large_constant_power_is_a_usage_error(capsys, argv):
+def test_large_constant_power_is_a_usage_error(capsys, argv, what):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err.startswith("error: a power of one term could give a coefficient of over")
+    assert err.startswith(f"error: {what} could give a coefficient of over")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_large_admitted_constants_still_parse(capsys):
+    assert parse_polynomial("(2*x*y)^9999", ["x", "y"]).degree == 19998
+    code, out, _ = run_cli(capsys, "decompose", "--psi", "x^2+y^2-1", "--f",
+                           "10^400*x^2", "--vars", "x,y")
+    assert code == 0
+    assert json.loads(out)["result"]["f"]["expr"] == f"{10**400}*x^2"
 
 
 def test_one_parser_serves_every_run(capsys):

@@ -138,6 +138,7 @@ def test_powers_of_a_single_term_are_bounded():
     assert parse_scalar(f"2^{MAX_POWER_BITS}") == 2**MAX_POWER_BITS
     assert parse_scalar(f"(-1/2)^{MAX_POWER_BITS}") == Fraction(1, 2**MAX_POWER_BITS)
     assert parse_scalar("10^400") == 10**400
+    assert parse_scalar("2^30000*2^30000") == 2**60000
     assert parse_polynomial("(-x)^99999999", XY) == -(X**99999999)
     assert parse_scalar("i^99999999", FIELD_QI) == GaussianRational(0, -1)
     for text, field in (
@@ -146,6 +147,9 @@ def test_powers_of_a_single_term_are_bounded():
         (f"(1/2*x*y)^{MAX_POWER_BITS + 1}", FIELD_Q),
         ("(2^60000)^2", FIELD_Q),
         (f"(1+i)^{MAX_POWER_BITS + 1}", FIELD_QI),
+        ("2^40000*3^30000*x", FIELD_Q),
+        ("(x+2^40000)*2^30000", FIELD_Q),
+        ("(3^41000*x+y)^2", FIELD_Q),
     ):
         with pytest.raises(ParseError, match=f"over {MAX_POWER_BITS} bits"):
             parse_polynomial(text, XY, field)

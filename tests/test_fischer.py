@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,15 @@ def test_decompose_circle_x_squared():
     assert cert.h == (X * X - Y * Y + Poly.constant(2, 1)).scale(Fraction(1, 2))
     assert cert.identity_exact and cert.h_harmonic_exact
     assert cert.verify()
+
+
+def test_certificate_verify_rejects_a_changed_q_or_h():
+    cert = fischer_decompose(CIRCLE, X * X)
+    one = Poly.constant(2, 1)
+    # each changes one coefficient; the changed h stays harmonic
+    for changed in (replace(cert, q=cert.q + one), replace(cert, h=cert.h + one)):
+        assert changed.identity_exact and changed.h_harmonic_exact
+        assert not changed.verify()
 
 
 def test_decompose_harmonic_data_keeps_f():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -96,12 +97,12 @@ def test_solve_recheck_rejects_a_wrong_solution(monkeypatch, field):
     exact = _kernels.solution
 
     def perturbed(table, echelon, column):
-        # add one to the first value: n/d -> (n + d)/d in the real part
-        values = exact(table, echelon, column)
+        # add one to the real part of the first value: x/d -> (x + d)/d
+        values, d = exact(table, echelon, column)
         lead = min(values)
-        n, d, *imaginary = values[lead]
-        values[lead] = (n + d, d, *imaginary)
-        return values
+        x = values[lead]
+        values[lead] = x + d if isinstance(x, int) else (x[0] + d, x[1])
+        return values, d
 
     m = ExactMatrix.from_rows([[2, 1, 0], [1, 1, 1], [0, 3, 1]], field)
     rhs = [as_scalar(v, field) for v in (1, 2, 3)]
@@ -325,11 +326,15 @@ def test_kernels_do_not_mutate_input():
         # the kernel itself: its vectors stay as they were, its echelon grows
         vectors = linalg._rows(m)
         vectors_snapshot = [dict(v) for v in vectors]
-        table = _kernels.Q if field == FIELD_Q else _kernels.QI
         echelon = getattr(_kernels, kernel)(vectors, {})
         assert vectors == vectors_snapshot
         assert tuple(sorted(echelon)) == rref(m).pivot_cols
-        assert all(row[lead] == table.one for lead, row in echelon.items())
+        # each row is primitive and leads, at its lowest key, with a positive int
+        for lead, row in echelon.items():
+            parts = [p for e in row.values() for p in ((e,) if field == FIELD_Q else e)]
+            head = row[lead] if field == FIELD_Q else row[lead][0]
+            assert math.gcd(*parts) == 1 and min(row) == lead
+            assert isinstance(head, int) and head > 0 and row[lead] in (head, (head, 0))
 
 
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
