@@ -32,7 +32,7 @@ from .polyring import (
     overflow_error,
     squared_norm,
 )
-from .scalars import FIELD_Q, FIELD_QI, GAUSSIAN_I, as_scalar, from_integer, integer_form
+from .scalars import FIELD_Q, FIELD_QI, GAUSSIAN_I, as_scalar, integer_form
 
 SURJECTIVE = "surjective"
 UNDETERMINED = "undetermined"
@@ -111,9 +111,10 @@ def operator_matrix(op, source, target):
     each pair of an operator term d*D^g and a psi term c*x^b with
     a + b >= g adds c*d * prod_i (a_i + b_i)! / (a_i + b_i - g_i)! at the
     monomial a + b - g.  The products c*d are kept as integers over one
-    common denominator, so a column is summed in int arithmetic and each
-    of its nonzeros becomes one field scalar.  Raises BasisOverflowError
-    if an image monomial falls outside the target slice.
+    common denominator, so a column is summed in int arithmetic, and those
+    sums over that denominator are the matrix's stored rows: no scalar is
+    built.  Raises BasisOverflowError if an image monomial falls outside
+    the target slice.
     """
     if source.arity != op.arity or target.arity != op.arity:
         raise ValueError("basis arity does not match the operator")
@@ -151,8 +152,9 @@ def operator_matrix(op, source, target):
                 i = target.index(m)
             except KeyError:
                 raise overflow_error(m, target) from None
-            rows[i][j] = from_integer(value, denominator)
-    return ExactMatrix.from_nonzeros(len(source), rows, op.field)
+            rows[i][j] = value
+    return ExactMatrix.from_integer_rows(len(source), [(row, denominator) for row in rows],
+                                         op.field)
 
 
 @dataclass(frozen=True)

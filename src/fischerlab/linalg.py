@@ -1,62 +1,79 @@
 """Exact linear algebra over the coefficient fields.
 
-ExactMatrix is an immutable matrix of field scalars that stores only its
-nonzero entries, one dict per row.  Every elimination is sparse echelon
-insertion in fischerlab._kernels on integer rows: a row (or column) goes in
-with its denominators cleared, and each result entry comes out by one division.
-On top of it this module owns reduced row echelon form, solving,
-nullspaces, cokernel witnesses and the growing echelon of a filtered
-ladder.  Apart from GrowingEchelon, all operations are pure functions.
+ExactMatrix stores each row in the vector form of the elimination kernel,
+fischerlab._kernels, so rows go into its sparse echelon insertion as they
+are, and field scalars are built only when an entry is read.  On top of it
+this module owns reduced row echelon form, solving, nullspaces, cokernel
+witnesses and the growing echelon of a filtered ladder.  Apart from
+GrowingEchelon, all operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import _kernels
 from .errors import InconsistentSystemError
 from .scalars import FIELD_Q, as_scalar, from_integer, integer_form, validate_field
 
 
-class ExactMatrix:
-    """Immutable matrix of exact field scalars, stored as one dict {column:
-    entry} of the nonzero entries per row.  The constructor takes dense
-    row-major entries, ``from_nonzeros`` the row dicts."""
+def _integer_row(entries, cols, field):
+    """The stored row (ints, den) of {column: entry}: each column must be
+    below cols and each entry in the field; zero entries are dropped."""
+    if any(not 0 <= j < cols for j in entries):
+        raise IndexError(f"a column index is out of range for {cols} columns")
+    nonzero = {j: v for j, e in entries.items() if (v := as_scalar(e, field))}
+    ints, den = integer_form(nonzero.values(), field)
+    return dict(zip(nonzero, ints)), den
 
-    __slots__ = ("rows", "cols", "field", "_nonzeros")
+
+class ExactMatrix:
+    """Immutable matrix of exact field scalars.
+
+    Row i is stored as (ints, den): ints maps the columns of the nonzero
+    entries to den times the entry, an int over Q and an (re, im) pair of
+    ints over Qi; den is a positive int, not always the least, so equality
+    compares values.  The constructor takes dense row-major entries,
+    ``from_nonzeros`` one dict {column: entry} per row, and
+    ``from_integer_rows`` the stored rows.
+    """
+
+    __slots__ = ("rows", "cols", "field", "_int_rows")
 
     def __init__(self, rows, cols, entries, field=FIELD_Q):
+        entries = list(entries)
+        if rows < 0 or len(entries) != rows * cols:
+            raise ValueError(f"expected {rows} x {cols} entries, got {len(entries)}")
+        self._store(cols, [_integer_row(dict(enumerate(entries[i * cols : (i + 1) * cols])),
+                                        cols, field) for i in range(rows)], field)
+
+    def _store(self, cols, int_rows, field):
         validate_field(field)
-        if rows < 0 or cols < 0:
+        if cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        entries = [as_scalar(e, field) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        nonzeros = tuple(
-            {j: e for j, e in enumerate(entries[i * cols : (i + 1) * cols]) if e}
-            for i in range(rows)
-        )
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", len(int_rows))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_nonzeros", nonzeros)
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
+    def from_integer_rows(cls, cols, int_rows, field=FIELD_Q):
+        """The matrix of the given stored rows (ints, den), taken as they
+        are: no entry is checked or converted."""
+        matrix = cls.__new__(cls)
+        matrix._store(cols, int_rows, field)
+        return matrix
+
+    @classmethod
     def from_nonzeros(cls, cols, rows_data, field=FIELD_Q):
         """The matrix with one row per dict {column: entry}; absent entries
         are zero, and zero entries are dropped."""
-        matrix = cls(0, cols, (), field)  # checks cols and the field; rows are set below
-        nonzeros = []
-        for row in rows_data:
-            if any(not 0 <= j < cols for j in row):
-                raise IndexError(f"a column index is out of range for {cols} columns")
-            nonzeros.append({j: v for j, e in row.items() if (v := as_scalar(e, field))})
-        object.__setattr__(matrix, "rows", len(nonzeros))
-        object.__setattr__(matrix, "_nonzeros", tuple(nonzeros))
-        return matrix
+        int_rows = [_integer_row(row, cols, field) for row in rows_data]
+        return cls.from_integer_rows(cols, int_rows, field)
 
     @classmethod
     def from_rows(cls, rows_data, field=FIELD_Q):
@@ -86,38 +103,36 @@ class ExactMatrix:
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range")
-        return self._nonzeros[i].get(j) or as_scalar(0, self.field)
+        ints, den = self._int_rows[i]
+        return from_integer(ints[j], den) if j in ints else as_scalar(0, self.field)
 
     def row(self, i):
-        zero = as_scalar(0, self.field)
-        return tuple(self._nonzeros[i].get(j, zero) for j in range(self.cols))
+        return tuple(self.entry(i, j) for j in range(self.cols))
 
     def column(self, j):
-        zero = as_scalar(0, self.field)
-        return tuple(row.get(j, zero) for row in self._nonzeros)
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
+        scale = _kernel(self.field)[1].scale
+        # rows a / da and b / db are equal when a * db == b * da entrywise
         return (
             self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and self._nonzeros == other._nonzeros
+            and all(a.keys() == b.keys() and all(scale(a[j], db) == scale(b[j], da) for j in a)
+                    for (a, da), (b, db) in zip(self._int_rows, other._int_rows))
         )
 
     def mul_vector(self, vec):
+        """matrix @ vec, as dot products in ints: one scalar per output row."""
         vec = [as_scalar(v, self.field) for v in vec]
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
-        zero = as_scalar(0, self.field)
-        out = []
-        for row in self._nonzeros:
-            acc = zero
-            for j, e in row.items():
-                acc = acc + e * vec[j]
-            out.append(acc)
-        return out
+        ints, vec_den = integer_form(vec, self.field)
+        values, dot = dict(enumerate(ints)), _kernel(self.field)[1].dot
+        return [from_integer(dot(row, values), den * vec_den) for row, den in self._int_rows]
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -133,19 +148,14 @@ class ExactMatrix:
         """Concatenate columns: [self | other]."""
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack needs matching row count and field")
-        rows_data = [
-            {**left, **{self.cols + j: e for j, e in right.items()}}
-            for left, right in zip(self._nonzeros, other._nonzeros)
-        ]
-        return ExactMatrix.from_nonzeros(self.cols + other.cols, rows_data, self.field)
+        scale = _kernel(self.field)[1].scale
+        int_rows = [({**{j: scale(x, db) for j, x in a.items()},
+                      **{self.cols + j: scale(x, da) for j, x in b.items()}}, da * db)
+                    for (a, da), (b, db) in zip(self._int_rows, other._int_rows)]
+        return ExactMatrix.from_integer_rows(self.cols + other.cols, int_rows, self.field)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, field={self.field!r})"
-
-
-def _vector(scalars, field):
-    """The kernel vector of {key: scalar}, its denominators cleared."""
-    return dict(zip(scalars, integer_form(scalars.values(), field)[0]))
 
 
 def _kernel(field):
@@ -153,11 +163,6 @@ def _kernel(field):
     if field == FIELD_Q:
         return _kernels.rref_q, _kernels.Q
     return _kernels.rref_qi, _kernels.QI
-
-
-def _rows(matrix):
-    """The rows of a matrix as kernel vectors keyed by column."""
-    return [_vector(row, matrix.field) for row in matrix._nonzeros]
 
 
 @dataclass(frozen=True)
@@ -178,12 +183,10 @@ def rref(matrix):
     """Reduced row echelon form: the rows go into one echelon, then
     back-substitution clears every pivot column."""
     kernel, field = _kernel(matrix.field)
-    reduced = _kernels.back_substitute(field, kernel(_rows(matrix), {}))
+    reduced = _kernels.back_substitute(field, kernel([row for row, _ in matrix._int_rows], {}))
     pivots = tuple(sorted(reduced))
-    rows_data = [{j: from_integer(e, den) for j, e in row.items()}
-                 for row, den in (reduced[pc] for pc in pivots)]
-    rows_data += [{}] * (matrix.rows - len(pivots))
-    reduced_matrix = ExactMatrix.from_nonzeros(matrix.cols, rows_data, matrix.field)
+    int_rows = [reduced[pc] for pc in pivots] + [({}, 1)] * (matrix.rows - len(pivots))
+    reduced_matrix = ExactMatrix.from_integer_rows(matrix.cols, int_rows, matrix.field)
     return RrefResult(rref=reduced_matrix, rank=len(pivots), pivot_cols=pivots)
 
 
@@ -215,12 +218,15 @@ class GrowingEchelon:
             raise ValueError(f"field mismatch: {self.field} vs {matrix.field}")
         if matrix.rows < self.width:
             raise ValueError("a later matrix cannot have fewer rows than an earlier one")
-        kernel, _ = _kernel(self.field)
+        kernel, field = _kernel(self.field)
+        # a column's entries share one denominator, the rows' lcm
+        common = lcm(*(den for _, den in matrix._int_rows))
         columns = [{} for _ in range(matrix.cols)]
-        for i, row in enumerate(matrix._nonzeros):
-            for j, e in row.items():
-                columns[j][-i] = e
-        kernel([_vector(column, self.field) for column in columns], self._echelon)
+        for i, (row, den) in enumerate(matrix._int_rows):
+            k = common // den
+            for j, x in row.items():
+                columns[j][-i] = x if k == 1 else field.scale(x, k)
+        kernel(columns, self._echelon)
         self.width = matrix.rows
         self.rank = len(self._echelon)
         self.leading = frozenset(-lead for lead in self._echelon)
@@ -245,16 +251,13 @@ def solve(matrix, rhs):
     rhs = [as_scalar(v, matrix.field) for v in rhs]
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
-    rows = [_vector({**row, matrix.cols: value} if value else row, matrix.field)
-            for row, value in zip(matrix._nonzeros, rhs)]
+    augmented = matrix.hstack(ExactMatrix.from_columns([rhs], matrix.rows, matrix.field))
     kernel, field = _kernel(matrix.field)
-    echelon = kernel(rows, {})
+    echelon = kernel([row for row, _ in augmented._int_rows], {})
     if matrix.cols in echelon:
         raise InconsistentSystemError("right-hand side is outside the column space")
-    x = [as_scalar(0, matrix.field)] * matrix.cols
-    values, den = _kernels.solution(field, echelon, matrix.cols)
-    for pc, value in values.items():
-        x[pc] = from_integer(value, den)
+    x = list(ExactMatrix.from_integer_rows(
+        matrix.cols, [_kernels.solution(field, echelon, matrix.cols)], matrix.field).row(0))
     if matrix.mul_vector(x) != rhs:
         raise AssertionError("internal error: solution failed the exact recheck")
     return x

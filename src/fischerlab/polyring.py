@@ -445,22 +445,6 @@ def check_slice_dimension(arity, degree):
             )
 
 
-def nonzero_coordinates(p, basis):
-    """{position in the basis: coefficient} for the terms of p.
-
-    Raises BasisOverflowError if p carries a monomial outside the basis.
-    """
-    if p.arity != basis.arity:
-        raise ValueError(f"arity mismatch: poly {p.arity} vs basis {basis.arity}")
-    positions = {}
-    for m, c in p._terms.items():
-        try:
-            positions[basis.index(m)] = c
-        except KeyError:
-            raise overflow_error(m, basis) from None
-    return positions
-
-
 def overflow_error(exponents, basis):
     """The BasisOverflowError for a monomial that falls outside the basis."""
     return BasisOverflowError(
@@ -470,9 +454,19 @@ def overflow_error(exponents, basis):
 
 
 def coordinates(p, basis):
-    """Coordinate vector of p in the given basis; see nonzero_coordinates."""
-    positions, zero = nonzero_coordinates(p, basis), as_scalar(0, p.field)
-    return [positions.get(i, zero) for i in range(len(basis))]
+    """Coordinate vector of p in the given basis.
+
+    Raises BasisOverflowError if p carries a monomial outside the basis.
+    """
+    if p.arity != basis.arity:
+        raise ValueError(f"arity mismatch: poly {p.arity} vs basis {basis.arity}")
+    coords = [as_scalar(0, p.field)] * len(basis)
+    for m, c in p._terms.items():
+        try:
+            coords[basis.index(m)] = c
+        except KeyError:
+            raise overflow_error(m, basis) from None
+    return coords
 
 
 def from_coordinates(coords, basis, field=FIELD_Q):

@@ -33,8 +33,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction part is kept: Fraction(f) would redo a numbers.Rational check
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fischerlab import fischer
+from fischerlab import fischer, linalg
 from fischerlab import (
     BasisOverflowError,
     DecompositionCertificate,
@@ -15,6 +15,7 @@ from fischerlab import (
     FischerOperator,
     GAUSSIAN_I,
     GaussianRational,
+    GrowingEchelon,
     HOMOGENEOUS,
     InconsistentSystemError,
     NoDecompositionFoundError,
@@ -297,6 +298,31 @@ def test_assembly_does_not_apply_the_operator(monkeypatch):
     assert [v.slack for v in expected[0].verdicts] == [2, 4, 6]
     assert not expected[1].all_surjective() and expected[2].verify()
     assert expected[5].verify()
+
+
+def _slice_echelons(slices):
+    echelons = []
+    for op, source, target in slices:
+        echelon = GrowingEchelon(op.field)
+        echelon.extend(operator_matrix(op, source, target))
+        echelons.append((echelon.rank, echelon.leading))
+    return echelons
+
+
+def test_ladder_path_builds_no_scalar(monkeypatch):
+    # operator_matrix hands its integer rows to the kernel as they are: with
+    # every scalar constructor on that path disabled, the echelons agree
+    slices = _slices()
+    expected = _slice_echelons(slices)
+
+    def refuse(*args):
+        raise AssertionError("a field scalar was built between the stencil and the kernel")
+
+    for module in (fischer, linalg):
+        for name in ("from_integer", "as_scalar"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert _slice_echelons(slices) == expected
+    assert {op.field for op, _, _ in slices} == {FIELD_Q, FIELD_QI}
 
 
 def test_operator_slices_agree_with_sympy():

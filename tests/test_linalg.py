@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fischerlab import _kernels, linalg
+from fischerlab import _kernels
 from fischerlab import (
     ExactMatrix,
     FIELD_Q,
@@ -210,6 +210,13 @@ def test_matrix_validation():
         ExactMatrix.from_nonzeros(2, [{2: 1}])
     with pytest.raises(ValueError):
         ExactMatrix.from_nonzeros(1, [{0: GaussianRational(1)}])
+    # a stored row whose ints and den share a factor reads as its values
+    m = ExactMatrix.from_integer_rows(3, [({0: 2, 2: -4}, 6), ({}, 1)])
+    assert m == ExactMatrix.from_rows([[Fraction(1, 3), 0, Fraction(-2, 3)], [0, 0, 0]])
+    assert m.entry(0, 2) == Fraction(-2, 3)
+    assert m.row(0) == (Fraction(1, 3), 0, Fraction(-2, 3))
+    assert m.column(0) == (Fraction(1, 3), 0)
+    assert m.mul_vector([3, 5, Fraction(1, 2)]) == [Fraction(2, 3), 0]
 
 
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
@@ -324,7 +331,7 @@ def test_kernels_do_not_mutate_input():
         assert [m.row(i) for i in range(4)] == snapshot
         assert rhs == rhs_snapshot
         # the kernel itself: its vectors stay as they were, its echelon grows
-        vectors = linalg._rows(m)
+        vectors = [row for row, _ in m._int_rows]
         vectors_snapshot = [dict(v) for v in vectors]
         echelon = getattr(_kernels, kernel)(vectors, {})
         assert vectors == vectors_snapshot

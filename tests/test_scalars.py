@@ -19,6 +19,10 @@ def test_gaussian_construction_normalizes():
     z = GaussianRational(Fraction(2, 4), Fraction(-6, 3))
     assert z.re == Fraction(1, 2)
     assert z.im == -2
+    # Fraction parts are kept as they are
+    re, im = Fraction(1, 3), Fraction(-2, 5)
+    z = GaussianRational(re, im)
+    assert z.re is re and z.im is im
 
 
 def test_gaussian_is_immutable():
