@@ -88,18 +88,28 @@ QI = SimpleNamespace(
     parts=lambda x: x, scale=lambda x, k, g=1: (x[0] // g * k, x[1] // g * k))
 
 
+def remainder(field, vector, echelon):
+    """The vector reduced until its lowest key leads no row: empty exactly
+    when the vector lies in the span.  The vector and echelon are left as
+    they are."""
+    vector = dict(vector)
+    while vector:
+        lead = min(vector)
+        row = echelon.get(lead)
+        if row is None:
+            break
+        vector = field.reduce(vector, row, lead)
+    return vector
+
+
 def insert(field, vectors, echelon):
     """Insert each vector into the echelon, in place, and return the echelon;
     the vectors themselves are left as they are."""
     for vector in vectors:
-        vector = dict(vector)
-        while vector:
+        vector = remainder(field, vector, echelon)
+        if vector:
             lead = min(vector)
-            row = echelon.get(lead)
-            if row is None:
-                echelon[lead] = field.store(vector, lead)
-                break
-            vector = field.reduce(vector, row, lead)
+            echelon[lead] = field.store(vector, lead)
     return echelon
 
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from functools import cached_property
+from fractions import Fraction
+from operator import add, mul, sub
 
 from .errors import NoDecompositionFoundError, InconsistentSystemError
 # rref stays importable here: the benchmark's tracer wraps fischer.rref
@@ -76,6 +78,21 @@ class FischerOperator:
     def field(self):
         return self.psi.field
 
+    @cached_property
+    def _stencil(self):
+        """The stencil of the operator and its common denominator L.
+
+        Each operator term d*D^g gives one entry (g, its axes with g_i > 0
+        as (i, g_i) pairs, [C for each psi term c*x^b]), where C = c*d*L is
+        an int over Q and an (re, im) pair of ints over Qi; L is the least
+        common denominator of every product c*d.  Built once per operator.
+        """
+        psi, n = self.psi.terms.values(), len(self.psi.terms)
+        ints, den = integer_form([c * d for d in self.operator.terms.values() for c in psi],
+                                 self.field)
+        return [(g, [(i, k) for i, k in enumerate(g) if k], ints[r * n : (r + 1) * n])
+                for r, g in enumerate(self.operator.terms)], den
+
     def apply(self, q):
         if q.arity != self.arity:
             raise ValueError(f"arity mismatch: operator {self.arity} vs q {q.arity}")
@@ -89,25 +106,11 @@ def fischer_apply(op, q):
     return op.apply(q)
 
 
-def _stencil(op):
-    """The stencil of the operator and its common denominator L.
-
-    Each operator term d*D^g gives one entry (g, its axes with g_i > 0 as
-    (i, g_i) pairs, [C for each psi term c*x^b]), where C = c*d*L is an int
-    over Q and an (re, im) pair of ints over Qi; L is the least common
-    denominator of every product c*d.
-    """
-    psi, n = op.psi.terms.values(), len(op.psi.terms)
-    ints, den = integer_form([c * d for d in op.operator.terms.values() for c in psi], op.field)
-    return [(g, [(i, k) for i, k in enumerate(g) if k], ints[r * n : (r + 1) * n])
-            for r, g in enumerate(op.operator.terms)], den
-
-
 def operator_matrix(op, source, target):
     """Matrix of the operator from one graded slice to another.
 
     Column j holds the target coordinates of P(D)(psi * x^a), x^a the j-th
-    source monomial.  It is assembled from a stencil built once per call:
+    source monomial.  It is assembled from the operator's stencil:
     each pair of an operator term d*D^g and a psi term c*x^b with
     a + b >= g adds c*d * prod_i (a_i + b_i)! / (a_i + b_i - g_i)! at the
     monomial a + b - g.  The products c*d are kept as integers over one
@@ -118,7 +121,7 @@ def operator_matrix(op, source, target):
     """
     if source.arity != op.arity or target.arity != op.arity:
         raise ValueError("basis arity does not match the operator")
-    stencil, denominator = _stencil(op)
+    stencil, denominator = op._stencil
     qi = op.field == FIELD_QI
     psi = tuple(op.psi.terms)
     rows = [{} for _ in range(len(target))]
@@ -222,7 +225,8 @@ def fischer_decompose(psi, f, slack=0):
     deg f - deg psi + 2 + s for s = 0..slack, smallest s first, with free
     variables pinned to zero.  Failure raises NoDecompositionFoundError and
     is inconclusive: higher source degrees might still work.  On an
-    ellipsoid the s = 0 slice is bijective; solve_by_degree gives its q.
+    ellipsoid the s = 0 slice is bijective; solve_by_degree gives its q,
+    and the slack is not used.
     """
     if psi.arity != f.arity:
         raise ValueError(f"arity mismatch: psi {psi.arity} vs f {f.arity}")
@@ -235,12 +239,14 @@ def fischer_decompose(psi, f, slack=0):
     lap_f = f.laplacian()
     if not lap_f:
         return DecompositionCertificate.build(psi, f, Poly.zero(f.arity, f.field))
+    if ellipsoidal_form(psi) is not None:
+        # the blocks of solve_by_degree lie in filtered(deg f - 2), whatever the slack
+        check_slice_dimension(f.arity, f.degree - 2)
+        return DecompositionCertificate.build(psi, f, solve_by_degree(psi, lap_f))
     deg_psi = psi.degree
     # every slice built lies in filtered(top) or filtered(top + deg_psi - 2)
     top = f.degree - deg_psi + 2 + slack
     check_slice_dimension(f.arity, max(top, top + deg_psi - 2))
-    if ellipsoidal_form(psi) is not None:
-        return DecompositionCertificate.build(psi, f, solve_by_degree(psi, lap_f))
     op = FischerOperator(psi)
     for s in range(slack + 1):
         m = f.degree - deg_psi + 2 + s
@@ -343,40 +349,155 @@ def _homogeneous_profile(psi, max_target_degree):
     return rows, verdicts
 
 
-def _filtered_profile(psi, max_target_degree, slack):
-    op = FischerOperator(psi)
+class _Slice:
+    """Monomials in a fixed order, as operator_matrix reads a slice."""
+
+    def __init__(self, arity, monomials=()):
+        self.arity = arity
+        self.monomials = []
+        self._positions = {}
+        for exponents in monomials:
+            self.append(exponents)
+
+    def append(self, exponents):
+        self._positions[exponents] = len(self.monomials)
+        self.monomials.append(exponents)
+
+    def __len__(self):
+        return len(self.monomials)
+
+    def index(self, exponents):
+        return self._positions[exponents]
+
+    def __repr__(self):
+        return f"weight block of {len(self)} monomials"
+
+
+class _GradedImage:
+    """The image of filtered(m) under a weight grading of the operator, as
+    one growing echelon per weight block; it starts at m = -1.
+
+    ``change`` holds the original coordinates as polynomials in the new ones
+    (an affine change with an invertible linear part, so it keeps degrees)
+    and ``operator`` is the Fischer operator in the new coordinates.  It maps
+    a monomial x^e to a polynomial of the same weight, ``weights`` . e.
+    A block's coordinates are the target monomials of its weight in graded
+    order, so a filtered target of higher degree appends to them.  The image
+    is the direct sum of the block images: its rank is the sum of theirs, a
+    polynomial lies in it iff each weight component lies in its block's, and
+    filtered(n) lies in it iff every block covers its monomials of degree
+    at most n.
+    """
+
+    def __init__(self, weights, change, operator):
+        self.weights = weights
+        self.change = change
+        self.operator = operator
+        self.blocks = {}  # weight -> (_Slice of coordinates, GrowingEchelon)
+        self.source_degree = -1
+        self.target_degree = -1
+
+    def weight(self, exponents):
+        return sum(map(mul, self.weights, exponents))
+
+    def _block(self, weight):
+        if weight not in self.blocks:
+            self.blocks[weight] = (_Slice(self.operator.arity),
+                                   GrowingEchelon(self.operator.field))
+        return self.blocks[weight]
+
+    def grow(self):
+        """Add the images of the monomials of the next source degree."""
+        op = self.operator
+        self.source_degree += 1
+        top = self.source_degree + op.psi.degree - 2
+        if top < 0:
+            return  # deg psi = 1 sends the constants to 0
+        while self.target_degree < top:
+            self.target_degree += 1
+            for exponents in homogeneous_basis(op.arity, self.target_degree):
+                self._block(self.weight(exponents))[0].append(exponents)
+        sources = {}
+        for exponents in homogeneous_basis(op.arity, self.source_degree):
+            sources.setdefault(self.weight(exponents), []).append(exponents)
+        for w, monomials in sources.items():
+            target, echelon = self._block(w)
+            echelon.extend(operator_matrix(op, _Slice(op.arity, monomials), target))
+
+    def rank(self):
+        return sum(echelon.rank for _, echelon in self.blocks.values())
+
+    def missed_degree(self):
+        """The least degree of a coordinate outside the image, or None when
+        every coordinate up to the target degree lies in it."""
+        return min((sum(target.monomials[echelon.covered])
+                    for target, echelon in self.blocks.values()
+                    if echelon.covered < len(target)), default=None)
+
+    def contains(self, exponents):
+        """Whether the original monomial x^exponents lies in the image; its
+        degree must not pass the target degree."""
+        image = Poly.constant(self.operator.arity, 1, self.operator.field)
+        for p, e in zip(self.change, exponents):
+            image = image * p**e
+        parts = {}
+        for e, c in image.terms.items():
+            w = self.weight(e)
+            parts.setdefault(w, {})[self.blocks[w][0].index(e)] = c
+        return all(self.blocks[w][1].contains(entries) for w, entries in parts.items())
+
+
+def _trivial_grading(psi):
+    """The empty image under one block of weight 0, in the original coordinates."""
+    variables = tuple(Poly.variable(psi.arity, i, psi.field) for i in range(psi.arity))
+    return _GradedImage((0,) * psi.arity, variables, FischerOperator(psi))
+
+
+def _khavinson_grading(psi):
+    """The empty image under the grading of psi = (x3 - a0 - a_k*(x1 + i*x2)^k)^2
+    over Qi, or None for any other psi.
+
+    In (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) the Laplacian is
+    4*dw*du + dt^2 and psi is (t - a_k*w^k)^2.  With the weights
+    (1, 2k - 1, k), psi has weight 2k and the operator lowers weight by 2k,
+    so q -> laplacian(psi*q) keeps the weight of every monomial.
+    """
+    if psi.arity != 3 or psi.field != FIELD_QI or psi.degree % 2:
+        return None
+    # the x3-linear part of psi is -2*phi(x1 + i*x2), and x1^j occurs in w^j only
+    k = psi.degree // 2
+    a0, ak = (psi.coefficient((j, 0, 1)) * Fraction(-1, 2) for j in (0, k))
+    if not ak or khavinson_psi([a0] + [0] * (k - 1) + [ak]) != psi:
+        return None
+    w, u, t = (Poly.variable(3, i, FIELD_QI) for i in range(3))
+    change = ((w + u).scale(Fraction(1, 2)), (u - w).scale(GAUSSIAN_I / 2),
+              t + Poly.constant(3, a0, FIELD_QI))
+    base = t - (w**k).scale(ak)
+    operator = FischerOperator(base * base, (w * u).scale(4) + t * t)
+    return _GradedImage((1, 2 * k - 1, k), change, operator)
+
+
+def _filtered_profile(psi, max_target_degree, slack, image):
     deg_psi = psi.degree
-    image = GrowingEchelon(psi.field)
-    # spans[m] = (rank, first missing coordinate below top_dim) of the image
-    # of filtered(m), in the graded basis of filtered(m + deg_psi - 2); grown
+    # spans[m] = (rank, missed degree) of the image of filtered(m); grown
     # only as far as a rung asks
-    top_dim = basis_dimension(psi.arity, FILTERED, max_target_degree)
     spans = []
     rows = []
     verdicts = []
     for n in range(max_target_degree + 1):
         tested_dim = basis_dimension(psi.arity, FILTERED, n)
         verdict = None
-        witness = None
         for s in range(slack + 1):
             m = n - deg_psi + 2 + s
             if m < 0:
-                # empty source slice: its image is {0}, so every monomial of
-                # the tested block witnesses the miss
+                # empty source slice: its image is {0}
                 rows.append(RankProfileRow(n, m, 0, tested_dim, 0, False))
-                witness = _monomial_poly(psi.arity, (0,) * psi.arity, psi.field)
                 continue
             while len(spans) <= m:
-                k = len(spans)
-                if k + deg_psi - 2 >= 0:
-                    # the images of the degree-k monomials join the span
-                    source = homogeneous_basis(psi.arity, k)
-                    target = filtered_basis(psi.arity, k + deg_psi - 2)
-                    image.extend(operator_matrix(op, source, target))
-                spans.append((image.rank, image.first_missing(top_dim)))
+                image.grow()
+                spans.append((image.rank(), image.missed_degree()))
             rank, missed = spans[m]
-            # the degree-n block is the first tested_dim target coordinates
-            surjective = missed is None or missed >= tested_dim
+            surjective = missed is None or missed > n
             rows.append(
                 RankProfileRow(
                     n,
@@ -390,10 +511,15 @@ def _filtered_profile(psi, max_target_degree, slack):
             if surjective:
                 verdict = DegreeVerdict(n, SURJECTIVE, slack=s)
                 break
-            exponents = filtered_basis(psi.arity, n).monomials[missed]
-            witness = _monomial_poly(psi.arity, exponents, psi.field)
         if verdict is None:
-            verdict = DegreeVerdict(n, UNDETERMINED, witness=witness)
+            # the last rung has the highest m, so the image is at its m; with
+            # m < 0 every monomial of the block is outside, the constant first
+            exponents = (0,) * psi.arity
+            if m >= 0:
+                exponents = next(e for e in filtered_basis(psi.arity, n)
+                                 if not image.contains(e))
+            verdict = DegreeVerdict(n, UNDETERMINED,
+                                    witness=_monomial_poly(psi.arity, exponents, psi.field))
         verdicts.append(verdict)
     return rows, verdicts
 
@@ -409,11 +535,25 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     image (see DegreeVerdict).
 
     Homogeneous mode reduces each slice matrix in a fresh GrowingEchelon.
-    Filtered mode keeps one growing echelon form of the image for the whole
+    Filtered mode keeps growing echelon forms of the image for the whole
     ladder: source degree m adds the images of the degree-m monomials, and
-    every rung reads its rank, verdict and witness from the form at its m.
-    Rows and witnesses are those of reducing each rung's [A | E] afresh,
-    with E the identity on the degree-n block.
+    every rung reads its rank and verdict from the forms at its m.  Rows and
+    witnesses are those of reducing each rung's [A | E] afresh, with E the
+    identity on the degree-n block.
+
+    The forms are one per weight block of a grading, read off psi.  For
+    psi = (x3 - a0 - a_k*(x1 + i*x2)^k)^2 the coordinates
+    (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) make the Laplacian
+    4*dw*du + dt^2 and psi (t - a_k*w^k)^2, and with the weights
+    (1, 2k - 1, k) the map keeps the weight of every monomial.  The change
+    of coordinates is a ring isomorphism that keeps degrees and commutes
+    with the Laplacian, so each filtered slice, its image, their ranks and
+    the filtered(n) it covers correspond exactly; the image is the direct
+    sum of its weight components.  A rung covers degree n iff every block
+    image holds the block's monomials of degree at most n, and x^a lies in
+    the image iff every weight component of its expansion lies in its
+    block's.  Every other psi has one block of weight 0 in the original
+    coordinates: one echelon over filtered(m + deg psi - 2).
     """
     if psi.degree < 1:
         raise ValueError("psi must be non-constant")
@@ -432,7 +572,11 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     if mode == HOMOGENEOUS:
         rows, verdicts = _homogeneous_profile(psi, max_target_degree)
     else:
-        rows, verdicts = _filtered_profile(psi, max_target_degree, slack)
+        # psi is read for a grading only if a slice gets built; the check
+        # above then bounds its degree by the top target degree plus 2
+        image = _khavinson_grading(psi) if top >= 0 else None
+        rows, verdicts = _filtered_profile(psi, max_target_degree, slack,
+                                           image or _trivial_grading(psi))
     return RankProfile(
         psi=psi,
         mode=mode,

@@ -201,8 +201,10 @@ class GrowingEchelon:
     only the new columns are inserted.  ``leading`` is the set of those
     coordinates: e_j lies in span + span(e_0..e_{j-1}) exactly when j is in
     it, and ``rank`` is its size.  Neither depends on the order in which
-    vectors arrive.  So the first coordinate that leads no row is the first
-    e_j outside the span (``first_missing``).
+    vectors arrive.  So the first coordinate that leads no row, ``covered``,
+    is the first e_j outside the span (``first_missing``), and every e_i
+    with i < covered lies in it.  ``contains`` tests one vector without
+    changing the span.
     """
 
     def __init__(self, field=FIELD_Q):
@@ -210,6 +212,7 @@ class GrowingEchelon:
         self.field = field
         self.width = 0
         self.rank = 0
+        self.covered = 0
         self.leading = frozenset()
         self._echelon = {}
 
@@ -230,6 +233,8 @@ class GrowingEchelon:
         self.width = matrix.rows
         self.rank = len(self._echelon)
         self.leading = frozenset(-lead for lead in self._echelon)
+        while self.covered in self.leading:
+            self.covered += 1
 
     def first_missing(self, count):
         """The first j < count with e_j outside the span, or None.
@@ -237,7 +242,26 @@ class GrowingEchelon:
         Every e_i with i < j lies in the span.  Coordinates at or beyond
         ``width`` lead no row, so they count as outside.
         """
-        return next((j for j in range(count) if j not in self.leading), None)
+        return self.covered if self.covered < count else None
+
+    def contains(self, entries):
+        """Whether the vector {coordinate: entry} lies in the span.
+
+        A vector whose highest coordinate leads no row is outside, and one
+        whose highest coordinate lies below ``covered`` is inside; any other
+        vector is reduced by the echelon, which is left as it is.
+        """
+        entries = {j: v for j, e in entries.items() if (v := as_scalar(e, self.field))}
+        if not entries:
+            return True
+        top = max(entries)
+        if top not in self.leading:
+            return False
+        if top < self.covered:
+            return True
+        ints, _ = integer_form(entries.values(), self.field)
+        vector = {-j: x for j, x in zip(entries, ints)}
+        return not _kernels.remainder(_kernel(self.field)[1], vector, self._echelon)
 
 
 def solve(matrix, rhs):

@@ -303,3 +303,22 @@ def test_khavinson_measured_slack_ladder():
     deeper = rank_profile(psi, max_target_degree=2, slack=6)
     assert deeper.verdicts[2].status == SURJECTIVE
     assert deeper.verdicts[2].slack == 6
+
+
+# phi = z^k first covers the degree-n block at slack (2k - 2)(n + 1), the
+# source degree 2k - 2 + (2k - 1)n: the ladder's minimal slacks up to n
+_MINIMAL_SLACK_LADDERS = {2: (8, 18), 3: (3, 16)}
+
+
+@pytest.mark.parametrize("k", sorted(_MINIMAL_SLACK_LADDERS))
+def test_khavinson_minimal_slack(k):
+    max_target_degree, slack = _MINIMAL_SLACK_LADDERS[k]
+    started = time.perf_counter()
+    profile = rank_profile(khavinson_psi([0] * k + [1]), max_target_degree, slack=slack)
+    elapsed = time.perf_counter() - started
+    expected = [(2 * k - 2) * (n + 1) for n in range(max_target_degree + 1)]
+    measured = [v.slack for v in profile.verdicts]
+    passed = profile.all_surjective() and measured == expected
+    _report(f"khavinson phi=z^{k} minimal slack", passed,
+            f"slacks {measured}, expected {expected}, {elapsed:.2f}s")
+    assert passed

@@ -503,3 +503,125 @@ def test_fischer_theorem_outputs_are_pinned(capsys):
     code, out, _ = run_cli(capsys, *_FISCHER_THEOREM, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _FISCHER_THEOREM_JSON_SHA256
+
+
+# sha256 of each format of the report as the one-echelon ladder wrote it,
+# before the ladder was split into weight blocks: the graded ladder must not
+# move a byte.  "1,1,1" takes the one-block ladder; rank-profile on the
+# expanded psi of phi = z^2 is recognized and takes the graded one.
+_KHAVINSON_PSI_Z2 = (
+    "x1^4 + 4*i*x1^3*x2 - 6*x1^2*x2^2 - 4*i*x1*x2^3 + x2^4 - 2*x1^2*x3"
+    " - 4*i*x1*x2*x3 + 2*x2^2*x3 + x3^2"
+)
+_PINNED_LADDERS = [
+    (
+        ("khavinson", "--phi", "0,1", "--max-degree", "3", "--slack", "2"),
+        0,
+        {
+            "json": "e8221e378aa04ee83fb33aa1eb91aff1b4164692fe2394e13a910bf0711330b4",
+            "text": "a525c12d11db9f8083a654f3653fb9ac4cfb4facc9275641291b45327fcd8193",
+            "csv": "279d448e38fbfa111bb25d8c39e3cd1bab082477b0e86d661da2e056b4d5bd0d",
+        },
+    ),
+    (
+        ("khavinson", "--phi", "0,0,2+3*i", "--max-degree", "3", "--slack", "8"),
+        0,
+        {
+            "json": "9c8c8358fcb8200201dd34cd9c9a5657056a2185fdde0ff5a59daef8af77d8a9",
+            "text": "b2ae54699766ffb34874632db287b006db48d9299f3560ac44d04fe20fa6af9f",
+            "csv": "17c607a49290b5ba8bef363501d758dfd8ee1102a680fd17820a5e88e9a015d1",
+        },
+    ),
+    (
+        ("khavinson", "--phi", "1+2*i,0,0,-i", "--max-degree", "2", "--slack", "8"),
+        3,
+        {
+            "json": "9a8c0ca4de1752591409e18889cde54a7d722f072daec37e0fc61ed0a60eb7b0",
+            "text": "98b4303d3240e838462f1cffcfdd8392ada2f593819b4da3a39ce5bd192fe8b4",
+            "csv": "e668efdca220a06662318afe9de30308762fef29058949a64d69cffd84b8e68e",
+        },
+    ),
+    (
+        ("khavinson", "--phi", "0,0,0,1", "--max-degree", "3", "--slack", "8"),
+        3,
+        {
+            "json": "9fc41aacbb0fbe13ff8a1dd7c440576778336c3fcd4057e5172da263b4adb434",
+            "text": "b1dbf9261ab35d64febbf0869dd19df67191699796e5db564da8e897704f9fb5",
+            "csv": "f81ca48cc446ac26621bc50a833f116218e157e9336d6546e48d103026433cf0",
+        },
+    ),
+    (
+        ("khavinson", "--phi", "0,0,1", "--max-degree", "3", "--slack", "5"),
+        3,
+        {
+            "json": "088863523cf230c7c349e5b203b2094c53f90fd1b1055d6e092d1a6e659e53d3",
+            "text": "9bea66e616bb5a8146ccee5a585a805915440ba2aba179b3843dad373945be01",
+            "csv": "33fbea8346251d8da8c99da983e8caebe144b8c46aebb4b609cd08e11991e9b2",
+        },
+    ),
+    (
+        ("khavinson", "--phi", "1,1,1", "--max-degree", "3", "--slack", "8"),
+        0,
+        {
+            "json": "b86e4d98972db35cdbfc6463306fde3cf93dbbeb7d228ca8c366f2f9ff894c09",
+            "text": "a6f4b4db6724e44f17cfb378f806e88c3e8f7900c2e05368d05e7ff52ed55283",
+            "csv": "17c607a49290b5ba8bef363501d758dfd8ee1102a680fd17820a5e88e9a015d1",
+        },
+    ),
+    (
+        ("rank-profile", "--psi", _KHAVINSON_PSI_Z2, "--vars", "x1,x2,x3", "--field", "Qi",
+         "--max-degree", "3", "--slack", "8"),
+        0,
+        {
+            "json": "67332222ff63ea8d02493b71c7353dcb1115f64dbb5d1ef88d685bc6a5954ae4",
+            "text": "1023178b2c095f5bf9c416e764ec9baf35a35b45033ed1d33e7f69ebb36c8d5e",
+            "csv": "17c607a49290b5ba8bef363501d758dfd8ee1102a680fd17820a5e88e9a015d1",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digests", _PINNED_LADDERS,
+                         ids=[argv[2] if argv[0] == "khavinson" else argv[0]
+                              for argv, _, _ in _PINNED_LADDERS])
+def test_ladder_reports_are_pinned(capsys, argv, code, digests):
+    for fmt, digest in digests.items():
+        got, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_decompose_on_an_ellipse_ignores_the_slack(capsys):
+    argv = ("decompose", "--psi", "x^2+y^2-1", "--f", "x^4", "--vars", "x,y")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    start = time.perf_counter()
+    code, slack_report, err = run_json(capsys, *argv, "--slack", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert slack_report["result"] == report["result"]
+    assert slack_report["result"]["q"]["expr"] == "7/8*x^2 - 1/8*y^2 + 3/8"
+
+
+def test_huge_slack_off_an_ellipsoid_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "decompose", "--psi", "x^2-y^2-1", "--f", "x^4", "--vars", "x,y",
+        "--slack", "100",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"more than the limit of {MAX_SLICE_DIMENSION}" in err
+
+
+def test_a_psi_of_huge_degree_is_not_expanded_without_a_slice(capsys):
+    # no rung builds a slice, so psi is never read for a weight grading
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "rank-profile", "--psi", "x1^400*x3+x1^800", "--vars", "x1,x2,x3",
+        "--field", "Qi", "--max-degree", "0", "--format", "text",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "degree 0: undetermined (witness: 1)" in out

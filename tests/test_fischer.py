@@ -524,9 +524,13 @@ def test_other_psi_keep_the_filtered_slices(monkeypatch, psi, f, slack):
     assert cert.verify() and cert.q == _filtered_slice_decompose(psi, f, slack).q
 
 
-def test_oversized_slack_on_an_ellipsoid_is_refused():
+def test_slack_on_an_ellipsoid_builds_no_larger_slice():
+    # the ellipsoid blocks lie in filtered(deg f - 2) whatever the slack, so
+    # a slack whose filtered slices would pass MAX_SLICE_DIMENSION is unused
+    cert = fischer_decompose(CIRCLE, X**3 * Y, slack=100)
+    assert cert == fischer_decompose(CIRCLE, X**3 * Y)
     with pytest.raises(SliceTooLargeError):
-        fischer_decompose(CIRCLE, X**3 * Y, slack=100)
+        fischer_decompose(X * X - Y * Y - Poly.constant(2, 1), X**3 * Y, slack=100)
 
 
 def test_rank_profile_circle_all_surjective_at_slack_zero():
@@ -746,6 +750,85 @@ def test_filtered_covering_rung_solves_every_block_monomial():
         for exponents in filtered_basis(psi.arity, row.target_degree):
             e = Poly.monomial(psi.arity, exponents, 1, psi.field)
             solve(matrix, coordinates(e, target))
+
+
+# k -> (max_target_degree, slack): phi = a0 + a_k*z^k first covers degree n
+# at slack (2k - 2)(n + 1), so these ladders end undetermined for k >= 2,
+# and for k = 4 they start with rungs of negative source degree
+_GRADED_LADDERS = {1: (3, 0), 2: (3, 5), 3: (2, 6), 4: (1, 8)}
+
+
+@pytest.mark.parametrize("k", sorted(_GRADED_LADDERS))
+def test_graded_ladder_matches_the_one_block_ladder(k):
+    max_target_degree, slack = _GRADED_LADDERS[k]
+    undetermined = 0
+    for a0 in (0, GaussianRational(1, 2)):
+        for ak in (1, GaussianRational(2, 3), -GAUSSIAN_I):
+            psi = khavinson_psi([a0] + [0] * (k - 1) + [ak])
+            grading = fischer._khavinson_grading(psi)
+            assert grading.weights == (1, 2 * k - 1, k)
+            rows, verdicts = fischer._filtered_profile(psi, max_target_degree, slack, grading)
+            trivial = fischer._trivial_grading(psi)
+            assert len(trivial.weights) == 3 and not any(trivial.weights)
+            assert (rows, verdicts) == fischer._filtered_profile(
+                psi, max_target_degree, slack, trivial)
+            profile = rank_profile(psi, max_target_degree, slack=slack)
+            assert profile.rows == tuple(rows) and profile.verdicts == tuple(verdicts)
+            undetermined += sum(v.status == UNDETERMINED for v in verdicts)
+    missed = [n for n in range(max_target_degree + 1) if (2 * k - 2) * (n + 1) > slack]
+    assert undetermined == 6 * len(missed) and (missed or k == 1)
+
+
+@pytest.mark.parametrize("phi", [[GaussianRational(1, 2), 3], [0, 0, GaussianRational(2, 3)],
+                                 [GaussianRational(1, 2), 0, 0, -GAUSSIAN_I]])
+def test_khavinson_grading_is_an_exact_change_of_coordinates(phi):
+    # substituting the old coordinates takes psi to the new psi and the
+    # Laplacian of psi*q to the new operator applied to the substituted q,
+    # and the new operator keeps the weight of a monomial
+    psi = khavinson_psi(phi)
+    image = fischer._khavinson_grading(psi)
+
+    def substitute(p):
+        total = Poly.zero(3, FIELD_QI)
+        for exponents, c in p.terms.items():
+            term = Poly.constant(3, c, FIELD_QI)
+            for x, e in zip(image.change, exponents):
+                term = term * x**e
+            total = total + term
+        return total
+
+    assert substitute(psi) == image.operator.psi
+    for exponents in filtered_basis(3, 2):
+        q = Poly.monomial(3, exponents, 1, FIELD_QI)
+        assert substitute(FischerOperator(psi).apply(q)) == image.operator.apply(substitute(q))
+        weights = {image.weight(e) for e in image.operator.apply(q).terms}
+        assert weights <= {image.weight(exponents)}
+
+
+def test_khavinson_grading_is_only_for_a_monomial_phi(monkeypatch):
+    psi = khavinson_psi([1, 0, GaussianRational(2, 3)])
+    grading = fischer._khavinson_grading(psi)
+    assert grading.weights == (1, 3, 2)
+    # in (w, u, t) psi is (t - a_k*w^k)^2 and the Laplacian 4*w*u + t^2
+    assert len(grading.operator.psi.terms) == 3 and len(grading.operator.operator.terms) == 2
+    # phi with two non-constant terms, and psi with any coefficient changed
+    assert fischer._khavinson_grading(khavinson_psi([1, 1, 1])) is None
+    for exponents in psi.terms:
+        changed = psi + Poly.monomial(3, exponents, 1, FIELD_QI)
+        assert fischer._khavinson_grading(changed) is None
+    assert fischer._khavinson_grading(psi + Poly.monomial(3, (0, 1, 1), 1, FIELD_QI)) is None
+
+    # arity and field reject a psi before anything is expanded
+    def refuse(*args):
+        raise AssertionError("the recognizer expanded a Khavinson psi")
+
+    monkeypatch.setattr(fischer, "khavinson_psi", refuse)
+    names = ("x1", "x2", "x3")
+    for other in (parse_polynomial("x^2+y^2-1", ("x", "y"), FIELD_QI),
+                  parse_polynomial("(x3 - x1^2 + x2^2)^2", names),
+                  parse_polynomial("x1^2+x2^2+x3^2-1", names)):
+        assert fischer._khavinson_grading(other) is None
+    assert rank_profile(CIRCLE.scale(3) - X * X, 4).all_surjective()
 
 
 def test_fischer_theorem_examples():

@@ -309,6 +309,42 @@ def test_growing_echelon_tracks_rank_and_leading_coordinates(field):
         echelon.extend(ExactMatrix(8, 1, [0] * 8, other))
 
 
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_growing_echelon_membership_agrees_with_solve(field):
+    rng = random.Random(29)
+    rows = 7
+    for trial in range(6):
+        # leading unit columns make a covered prefix, so every branch of
+        # contains is taken: outside by its top coordinate, inside below the
+        # prefix, and decided by reduction
+        columns = [unit_vector(rows, j, field) for j in range(trial % 3)]
+        columns += [
+            [random_scalar(rng, field) if rng.random() < 0.4 else 0 for _ in range(rows)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        matrix = ExactMatrix.from_columns(columns, rows=rows, field=field)
+        echelon = GrowingEchelon(field)
+        echelon.extend(matrix)
+        state = (echelon.rank, echelon.leading, echelon.covered,
+                 {lead: dict(row) for lead, row in echelon._echelon.items()})
+        inside = [matrix.mul_vector([random_scalar(rng, field) for _ in columns])
+                  for _ in range(3)]
+        others = [[random_scalar(rng, field) if rng.random() < 0.5 else 0 for _ in range(rows)]
+                  for _ in range(3)]
+        units = [unit_vector(rows, j, field) for j in range(rows)]
+        for vector in inside + others + units + [[0] * rows]:
+            try:
+                solve(matrix, vector)
+                solvable = True
+            except InconsistentSystemError:
+                solvable = False
+            assert echelon.contains(dict(enumerate(vector))) == solvable
+        assert state == (echelon.rank, echelon.leading, echelon.covered,
+                         {lead: dict(row) for lead, row in echelon._echelon.items()})
+        missing = echelon.first_missing(rows)
+        assert echelon.covered == (rows if missing is None else missing)
+
+
 def test_backend_name_is_pure():
     assert backend_name() == "pure"
 
