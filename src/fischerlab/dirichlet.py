@@ -168,6 +168,10 @@ def _ray_boundary_parameter(a, b, c):
     return min(positive) if positive else None
 
 
+# 100 times the CLI's default; each sample costs a fraction of a millisecond
+MAX_SAMPLES = 10_000
+
+
 def boundary_samples(domain, count, tol=1e-12, rng=None):
     """Sample boundary points by shooting rays from the interior point.
 
@@ -177,8 +181,8 @@ def boundary_samples(domain, count, tol=1e-12, rng=None):
     redrawn up to a bound, after which NoBoundaryHitError is raised (this is
     how geometrically empty or unreachable boundaries surface).
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ValueError(f"the sample count must be from 1 to {MAX_SAMPLES}, got {count}")
     if rng is None:
         rng = random.Random()
     psi = domain.psi

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
-from .errors import NoDecompositionFoundError, InconsistentSystemError
+from .errors import InconsistentSystemError, NoDecompositionFoundError, SliceTooLargeError
 # rref stays importable here: the benchmark's tracer wraps fischer.rref
 from .linalg import ExactMatrix, GrowingEchelon, rref, solve  # noqa: F401
 from .polyring import (
@@ -350,18 +350,17 @@ def _homogeneous_profile(psi, max_target_degree):
 
 
 class _Slice:
-    """Monomials in a fixed order, as operator_matrix reads a slice."""
+    """A growing list of monomials, read by operator_matrix as a target slice."""
 
-    def __init__(self, arity, monomials=()):
+    def __init__(self, arity):
         self.arity = arity
         self.monomials = []
         self._positions = {}
-        for exponents in monomials:
-            self.append(exponents)
 
-    def append(self, exponents):
-        self._positions[exponents] = len(self.monomials)
-        self.monomials.append(exponents)
+    def extend(self, monomials):
+        for exponents in monomials:
+            self._positions[exponents] = len(self.monomials)
+            self.monomials.append(exponents)
 
     def __len__(self):
         return len(self.monomials)
@@ -370,41 +369,27 @@ class _Slice:
         return self._positions[exponents]
 
     def __repr__(self):
-        return f"weight block of {len(self)} monomials"
+        return f"graded slice of {len(self)} monomials"
 
 
-class _GradedImage:
-    """The image of filtered(m) under a weight grading of the operator, as
-    one growing echelon per weight block; it starts at m = -1.
+class _LadderImage:
+    """The image of filtered(m) under the operator in a change of
+    coordinates, as one growing echelon; it starts at m = -1.
 
     ``change`` holds the original coordinates as polynomials in the new ones
     (an affine change with an invertible linear part, so it keeps degrees)
-    and ``operator`` is the Fischer operator in the new coordinates.  It maps
-    a monomial x^e to a polynomial of the same weight, ``weights`` . e.
-    A block's coordinates are the target monomials of its weight in graded
-    order, so a filtered target of higher degree appends to them.  The image
-    is the direct sum of the block images: its rank is the sum of theirs, a
-    polynomial lies in it iff each weight component lies in its block's, and
-    filtered(n) lies in it iff every block covers its monomials of degree
-    at most n.
+    and ``operator`` is the Fischer operator in the new coordinates.  The
+    echelon's coordinates are the target monomials in graded order, so a
+    filtered target of higher degree appends to them.
     """
 
-    def __init__(self, weights, change, operator):
-        self.weights = weights
+    def __init__(self, change, operator):
         self.change = change
         self.operator = operator
-        self.blocks = {}  # weight -> (_Slice of coordinates, GrowingEchelon)
+        self.target = _Slice(operator.arity)
+        self.echelon = GrowingEchelon(operator.field)
         self.source_degree = -1
         self.target_degree = -1
-
-    def weight(self, exponents):
-        return sum(map(mul, self.weights, exponents))
-
-    def _block(self, weight):
-        if weight not in self.blocks:
-            self.blocks[weight] = (_Slice(self.operator.arity),
-                                   GrowingEchelon(self.operator.field))
-        return self.blocks[weight]
 
     def grow(self):
         """Add the images of the monomials of the next source degree."""
@@ -415,24 +400,15 @@ class _GradedImage:
             return  # deg psi = 1 sends the constants to 0
         while self.target_degree < top:
             self.target_degree += 1
-            for exponents in homogeneous_basis(op.arity, self.target_degree):
-                self._block(self.weight(exponents))[0].append(exponents)
-        sources = {}
-        for exponents in homogeneous_basis(op.arity, self.source_degree):
-            sources.setdefault(self.weight(exponents), []).append(exponents)
-        for w, monomials in sources.items():
-            target, echelon = self._block(w)
-            echelon.extend(operator_matrix(op, _Slice(op.arity, monomials), target))
-
-    def rank(self):
-        return sum(echelon.rank for _, echelon in self.blocks.values())
+            self.target.extend(homogeneous_basis(op.arity, self.target_degree).monomials)
+        source = homogeneous_basis(op.arity, self.source_degree)
+        self.echelon.extend(operator_matrix(op, source, self.target))
 
     def missed_degree(self):
         """The least degree of a coordinate outside the image, or None when
         every coordinate up to the target degree lies in it."""
-        return min((sum(target.monomials[echelon.covered])
-                    for target, echelon in self.blocks.values()
-                    if echelon.covered < len(target)), default=None)
+        missed = self.echelon.first_missing(len(self.target))
+        return None if missed is None else sum(self.target.monomials[missed])
 
     def contains(self, exponents):
         """Whether the original monomial x^exponents lies in the image; its
@@ -440,27 +416,21 @@ class _GradedImage:
         image = Poly.constant(self.operator.arity, 1, self.operator.field)
         for p, e in zip(self.change, exponents):
             image = image * p**e
-        parts = {}
-        for e, c in image.terms.items():
-            w = self.weight(e)
-            parts.setdefault(w, {})[self.blocks[w][0].index(e)] = c
-        return all(self.blocks[w][1].contains(entries) for w, entries in parts.items())
+        return self.echelon.contains({self.target.index(e): c for e, c in image.terms.items()})
 
 
-def _trivial_grading(psi):
-    """The empty image under one block of weight 0, in the original coordinates."""
+def _original_coordinates(psi):
+    """The empty image under the identity change of coordinates."""
     variables = tuple(Poly.variable(psi.arity, i, psi.field) for i in range(psi.arity))
-    return _GradedImage((0,) * psi.arity, variables, FischerOperator(psi))
+    return _LadderImage(variables, FischerOperator(psi))
 
 
-def _khavinson_grading(psi):
-    """The empty image under the grading of psi = (x3 - a0 - a_k*(x1 + i*x2)^k)^2
-    over Qi, or None for any other psi.
+def _khavinson_coordinates(psi):
+    """The empty image in (w, u, t) coordinates for
+    psi = (x3 - a0 - a_k*(x1 + i*x2)^k)^2 over Qi, or None for any other psi.
 
     In (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) the Laplacian is
-    4*dw*du + dt^2 and psi is (t - a_k*w^k)^2.  With the weights
-    (1, 2k - 1, k), psi has weight 2k and the operator lowers weight by 2k,
-    so q -> laplacian(psi*q) keeps the weight of every monomial.
+    4*dw*du + dt^2 and psi is (t - a_k*w^k)^2, with 2 and 3 terms.
     """
     if psi.arity != 3 or psi.field != FIELD_QI or psi.degree % 2:
         return None
@@ -473,8 +443,7 @@ def _khavinson_grading(psi):
     change = ((w + u).scale(Fraction(1, 2)), (u - w).scale(GAUSSIAN_I / 2),
               t + Poly.constant(3, a0, FIELD_QI))
     base = t - (w**k).scale(ak)
-    operator = FischerOperator(base * base, (w * u).scale(4) + t * t)
-    return _GradedImage((1, 2 * k - 1, k), change, operator)
+    return _LadderImage(change, FischerOperator(base * base, (w * u).scale(4) + t * t))
 
 
 def _filtered_profile(psi, max_target_degree, slack, image):
@@ -495,7 +464,7 @@ def _filtered_profile(psi, max_target_degree, slack, image):
                 continue
             while len(spans) <= m:
                 image.grow()
-                spans.append((image.rank(), image.missed_degree()))
+                spans.append((image.echelon.rank, image.missed_degree()))
             rank, missed = spans[m]
             surjective = missed is None or missed > n
             rows.append(
@@ -535,25 +504,22 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     image (see DegreeVerdict).
 
     Homogeneous mode reduces each slice matrix in a fresh GrowingEchelon.
-    Filtered mode keeps growing echelon forms of the image for the whole
+    Filtered mode keeps one growing echelon form of the image for the whole
     ladder: source degree m adds the images of the degree-m monomials, and
-    every rung reads its rank and verdict from the forms at its m.  Rows and
+    every rung reads its rank and verdict from the form at its m.  Rows and
     witnesses are those of reducing each rung's [A | E] afresh, with E the
     identity on the degree-n block.
 
-    The forms are one per weight block of a grading, read off psi.  For
+    The form is kept in a change of coordinates read off psi.  For
     psi = (x3 - a0 - a_k*(x1 + i*x2)^k)^2 the coordinates
     (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) make the Laplacian
-    4*dw*du + dt^2 and psi (t - a_k*w^k)^2, and with the weights
-    (1, 2k - 1, k) the map keeps the weight of every monomial.  The change
-    of coordinates is a ring isomorphism that keeps degrees and commutes
-    with the Laplacian, so each filtered slice, its image, their ranks and
-    the filtered(n) it covers correspond exactly; the image is the direct
-    sum of its weight components.  A rung covers degree n iff every block
-    image holds the block's monomials of degree at most n, and x^a lies in
-    the image iff every weight component of its expansion lies in its
-    block's.  Every other psi has one block of weight 0 in the original
-    coordinates: one echelon over filtered(m + deg psi - 2).
+    4*dw*du + dt^2 and psi (t - a_k*w^k)^2.  There the map keeps the weight
+    (1, 2k - 1, k) of a monomial, so every echelon row stays inside one
+    weight.  The change is a ring isomorphism that keeps degrees and
+    commutes with the Laplacian, so each filtered slice, its image, their
+    ranks and the filtered(n) it covers correspond exactly, and x^a lies in
+    the image iff its expansion does.  Every other psi keeps the original
+    coordinates.
     """
     if psi.degree < 1:
         raise ValueError("psi must be non-constant")
@@ -572,11 +538,11 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     if mode == HOMOGENEOUS:
         rows, verdicts = _homogeneous_profile(psi, max_target_degree)
     else:
-        # psi is read for a grading only if a slice gets built; the check
-        # above then bounds its degree by the top target degree plus 2
-        image = _khavinson_grading(psi) if top >= 0 else None
+        # psi is read for a change of coordinates only if a slice gets
+        # built; the check above then bounds its degree by top + 2
+        image = _khavinson_coordinates(psi) if top >= 0 else None
         rows, verdicts = _filtered_profile(psi, max_target_degree, slack,
-                                           image or _trivial_grading(psi))
+                                           image or _original_coordinates(psi))
     return RankProfile(
         psi=psi,
         mode=mode,
@@ -604,6 +570,8 @@ def fischer_theorem_check(p, max_degree):
     """
     if not p.is_homogeneous() or p.degree < 1:
         raise ValueError("p must be homogeneous and non-constant")
+    if not isinstance(max_degree, int) or max_degree < 0:
+        raise ValueError("max_degree must be a non-negative int")
     check_slice_dimension(p.arity, max_degree)
     op = FischerOperator(psi=p, operator=p)
     slices = []
@@ -619,11 +587,18 @@ def khavinson_psi(phi_coeffs):
     """Expand (x3 - phi(x1 + i*x2))^2 over the Gaussian rationals in d = 3.
 
     phi is given by its coefficient list a0, a1, ..., an and must be
-    non-constant.
+    non-constant.  With a_k its top nonzero coefficient, psi has degree 2k,
+    and it is expanded only when filtered(2k - 2) passes the slice bound, as
+    for any other product of sums (see exprs._check_expansion).
     """
     coeffs = [as_scalar(c, FIELD_QI) for c in phi_coeffs]
     if not any(coeffs[1:]):
         raise ValueError("phi must be non-constant (some a_k != 0 with k >= 1)")
+    k = max(j for j, c in enumerate(coeffs) if c)
+    try:
+        check_slice_dimension(3, 2 * k - 2)
+    except SliceTooLargeError as exc:
+        raise SliceTooLargeError(f"phi of degree {k} gives psi of degree {2 * k}: {exc}") from None
     w = Poly.variable(3, 0, FIELD_QI) + Poly.variable(3, 1, FIELD_QI).scale(GAUSSIAN_I)
     phi_w = Poly.zero(3, FIELD_QI)
     for c in reversed(coeffs):

@@ -111,6 +111,14 @@ def test_decompose_undetermined_exits_3(capsys):
     assert report["result"]["max_slack_tried"] == 0
 
 
+def test_fischer_theorem_negative_degree_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "fischer-theorem", "--p", "x^2+y^2", "--vars", "x,y",
+                             "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "max_degree must be a non-negative int" in err
+
+
 def test_fischer_theorem_cli(capsys):
     code, report, _ = run_json(
         capsys,
@@ -505,10 +513,10 @@ def test_fischer_theorem_outputs_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _FISCHER_THEOREM_JSON_SHA256
 
 
-# sha256 of each format of the report as the one-echelon ladder wrote it,
-# before the ladder was split into weight blocks: the graded ladder must not
-# move a byte.  "1,1,1" takes the one-block ladder; rank-profile on the
-# expanded psi of phi = z^2 is recognized and takes the graded one.
+# sha256 of each format of the report as the ladder in the original
+# coordinates wrote it: the (w, u, t) coordinates must not move a byte.
+# "1,1,1" keeps the original coordinates; rank-profile on the expanded psi
+# of phi = z^2 is recognized and takes the (w, u, t) ones.
 _KHAVINSON_PSI_Z2 = (
     "x1^4 + 4*i*x1^3*x2 - 6*x1^2*x2^2 - 4*i*x1*x2^3 + x2^4 - 2*x1^2*x3"
     " - 4*i*x1*x2*x3 + 2*x2^2*x3 + x3^2"
@@ -615,8 +623,34 @@ def test_huge_slack_off_an_ellipsoid_is_a_usage_error(capsys):
     assert f"more than the limit of {MAX_SLICE_DIMENSION}" in err
 
 
+def test_a_phi_of_high_degree_is_not_expanded(capsys):
+    # psi of degree 2k is expanded only when filtered(2k - 2) passes the bound
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "khavinson", "--phi", ",".join(["1"] * 101),
+                             "--max-degree", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "phi of degree 100 gives psi of degree 200" in err
+    code, _, err = run_cli(capsys, "khavinson", "--phi", ",".join(["1"] * 15),
+                           "--max-degree", "0")
+    assert code in (0, 3), err
+
+
+def test_dirichlet_sample_count_is_bounded(capsys):
+    argv = ("dirichlet", "--psi", "x^2+y^2-1", "--f", "x^2", "--vars", "x,y",
+            "--interior", "0,0", "--samples")
+    code, report, err = run_json(capsys, *argv, "10000")
+    assert code == 0, err
+    assert report["checks"]["samples"] == 10000
+    code, out, err = run_cli(capsys, *argv, "10001")
+    assert code == 2
+    assert out == ""
+    assert "sample count must be from 1 to 10000" in err
+
+
 def test_a_psi_of_huge_degree_is_not_expanded_without_a_slice(capsys):
-    # no rung builds a slice, so psi is never read for a weight grading
+    # no rung builds a slice, so psi is never read for a change of coordinates
     start = time.perf_counter()
     code, out, _ = run_cli(
         capsys, "rank-profile", "--psi", "x1^400*x3+x1^800", "--vars", "x1,x2,x3",

@@ -127,6 +127,13 @@ def test_boundary_samples_empty_zero_set():
         boundary_samples(empty, 2, rng=random.Random(4))
 
 
+def test_boundary_samples_are_bounded():
+    points = boundary_samples(UNIT_CIRCLE, dirichlet.MAX_SAMPLES, rng=random.Random(5))
+    assert len(points) == dirichlet.MAX_SAMPLES
+    with pytest.raises(ValueError, match="sample count"):
+        boundary_samples(UNIT_CIRCLE, dirichlet.MAX_SAMPLES + 1, rng=random.Random(5))
+
+
 def test_boundary_samples_reproducible_with_seed():
     a = boundary_samples(ELLIPSE, 10, rng=random.Random(9))
     b = boundary_samples(ELLIPSE, 10, rng=random.Random(9))

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -758,20 +759,27 @@ def test_filtered_covering_rung_solves_every_block_monomial():
 _GRADED_LADDERS = {1: (3, 0), 2: (3, 5), 3: (2, 6), 4: (1, 8)}
 
 
+def _weight(k, exponents):
+    # psi = (t - a_k*w^k)^2 has weight 2k under the weights (1, 2k - 1, k) of
+    # (w, u, t), and the operator 4*dw*du + dt^2 lowers weight by 2k
+    return sum(map(mul, (1, 2 * k - 1, k), exponents))
+
+
 @pytest.mark.parametrize("k", sorted(_GRADED_LADDERS))
 def test_graded_ladder_matches_the_one_block_ladder(k):
+    # the ladder in (w, u, t) coordinates against the one in the original ones
     max_target_degree, slack = _GRADED_LADDERS[k]
     undetermined = 0
     for a0 in (0, GaussianRational(1, 2)):
         for ak in (1, GaussianRational(2, 3), -GAUSSIAN_I):
             psi = khavinson_psi([a0] + [0] * (k - 1) + [ak])
-            grading = fischer._khavinson_grading(psi)
-            assert grading.weights == (1, 2 * k - 1, k)
-            rows, verdicts = fischer._filtered_profile(psi, max_target_degree, slack, grading)
-            trivial = fischer._trivial_grading(psi)
-            assert len(trivial.weights) == 3 and not any(trivial.weights)
+            image = fischer._khavinson_coordinates(psi)
+            assert image.operator.psi != psi
+            rows, verdicts = fischer._filtered_profile(psi, max_target_degree, slack, image)
+            original = fischer._original_coordinates(psi)
+            assert original.operator == FischerOperator(psi)
             assert (rows, verdicts) == fischer._filtered_profile(
-                psi, max_target_degree, slack, trivial)
+                psi, max_target_degree, slack, original)
             profile = rank_profile(psi, max_target_degree, slack=slack)
             assert profile.rows == tuple(rows) and profile.verdicts == tuple(verdicts)
             undetermined += sum(v.status == UNDETERMINED for v in verdicts)
@@ -786,7 +794,8 @@ def test_khavinson_grading_is_an_exact_change_of_coordinates(phi):
     # Laplacian of psi*q to the new operator applied to the substituted q,
     # and the new operator keeps the weight of a monomial
     psi = khavinson_psi(phi)
-    image = fischer._khavinson_grading(psi)
+    k = len(phi) - 1
+    image = fischer._khavinson_coordinates(psi)
 
     def substitute(p):
         total = Poly.zero(3, FIELD_QI)
@@ -801,22 +810,30 @@ def test_khavinson_grading_is_an_exact_change_of_coordinates(phi):
     for exponents in filtered_basis(3, 2):
         q = Poly.monomial(3, exponents, 1, FIELD_QI)
         assert substitute(FischerOperator(psi).apply(q)) == image.operator.apply(substitute(q))
-        weights = {image.weight(e) for e in image.operator.apply(q).terms}
-        assert weights <= {image.weight(exponents)}
+        weights = {_weight(k, e) for e in image.operator.apply(q).terms}
+        assert weights <= {_weight(k, exponents)}
+    # so the one echelon never mixes weights: every row it stores is
+    # weight-homogeneous, as if each weight had an echelon of its own
+    for _ in range(5):
+        image.grow()
+    rows = image.echelon._echelon.values()
+    assert len(rows) == image.echelon.rank > 0
+    for row in rows:
+        assert len({_weight(k, image.target.monomials[-i]) for i in row}) == 1
 
 
 def test_khavinson_grading_is_only_for_a_monomial_phi(monkeypatch):
     psi = khavinson_psi([1, 0, GaussianRational(2, 3)])
-    grading = fischer._khavinson_grading(psi)
-    assert grading.weights == (1, 3, 2)
+    image = fischer._khavinson_coordinates(psi)
     # in (w, u, t) psi is (t - a_k*w^k)^2 and the Laplacian 4*w*u + t^2
-    assert len(grading.operator.psi.terms) == 3 and len(grading.operator.operator.terms) == 2
+    assert len(image.operator.psi.terms) == 3 and len(image.operator.operator.terms) == 2
+    assert {_weight(2, e) for e in image.operator.psi.terms} == {4}
     # phi with two non-constant terms, and psi with any coefficient changed
-    assert fischer._khavinson_grading(khavinson_psi([1, 1, 1])) is None
+    assert fischer._khavinson_coordinates(khavinson_psi([1, 1, 1])) is None
     for exponents in psi.terms:
         changed = psi + Poly.monomial(3, exponents, 1, FIELD_QI)
-        assert fischer._khavinson_grading(changed) is None
-    assert fischer._khavinson_grading(psi + Poly.monomial(3, (0, 1, 1), 1, FIELD_QI)) is None
+        assert fischer._khavinson_coordinates(changed) is None
+    assert fischer._khavinson_coordinates(psi + Poly.monomial(3, (0, 1, 1), 1, FIELD_QI)) is None
 
     # arity and field reject a psi before anything is expanded
     def refuse(*args):
@@ -827,7 +844,7 @@ def test_khavinson_grading_is_only_for_a_monomial_phi(monkeypatch):
     for other in (parse_polynomial("x^2+y^2-1", ("x", "y"), FIELD_QI),
                   parse_polynomial("(x3 - x1^2 + x2^2)^2", names),
                   parse_polynomial("x1^2+x2^2+x3^2-1", names)):
-        assert fischer._khavinson_grading(other) is None
+        assert fischer._khavinson_coordinates(other) is None
     assert rank_profile(CIRCLE.scale(3) - X * X, 4).all_surjective()
 
 
@@ -848,6 +865,19 @@ def test_fischer_theorem_rejects_inhomogeneous():
         fischer_theorem_check(CIRCLE, 3)
     with pytest.raises(ValueError):
         fischer_theorem_check(Poly.constant(2, 2), 3)
+
+
+def test_fischer_theorem_rejects_a_negative_or_non_int_degree():
+    for max_degree in (-1, 2.0, None):
+        with pytest.raises(ValueError, match="max_degree"):
+            fischer_theorem_check(squared_norm(2), max_degree)
+
+
+def test_khavinson_psi_of_high_degree_is_refused_before_expanding():
+    # deg psi = 2k, and filtered(2k - 2) passes the slice bound up to k = 14
+    assert khavinson_psi([0] * 14 + [1]).degree == 28
+    with pytest.raises(SliceTooLargeError, match="phi of degree 15"):
+        khavinson_psi([0] * 15 + [1, 0])
 
 
 def test_khavinson_psi_linear_phi_expansion():
