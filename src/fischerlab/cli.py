@@ -165,13 +165,14 @@ def _profile_exit_code(profile):
     return 0
 
 
-def _profile_text(profile, names):
-    lines = [f"psi = {format_polynomial(profile.psi, names)}", f"mode = {profile.mode}"]
-    for v in profile.verdicts:
+def _verdict_text(profile, profile_json):
+    # the witnesses' text is the "expr" that _profile_json formatted
+    lines = []
+    for v, payload in zip(profile.verdicts, profile_json["verdicts"]):
         if v.status == SURJECTIVE:
             lines.append(f"degree {v.target_degree}: surjective (slack {v.slack})")
         else:
-            witness = format_polynomial(v.witness, names) if v.witness else "?"
+            witness = payload["witness"]["expr"] if v.witness else "?"
             lines.append(f"degree {v.target_degree}: {v.status} (witness: {witness})")
     lines.append(f"all_surjective = {profile.all_surjective()}")
     return lines
@@ -224,10 +225,7 @@ def _cmd_decompose(config, args):
     checks = {"identity_exact": cert.identity_exact, "h_harmonic_exact": cert.h_harmonic_exact}
     code = 0 if cert.identity_exact and cert.h_harmonic_exact else 1
     text = [
-        f"psi = {format_polynomial(cert.psi, names)}",
-        f"f = {format_polynomial(cert.f, names)}",
-        f"q = {format_polynomial(cert.q, names)}",
-        f"h = {format_polynomial(cert.h, names)}",
+        *(f"{key} = {result[key]['expr']}" for key in ("psi", "f", "q", "h")),
         f"identity_exact = {cert.identity_exact}",
         f"h_harmonic_exact = {cert.h_harmonic_exact}",
     ]
@@ -240,10 +238,12 @@ def _cmd_rank_profile(config, args):
     profile = rank_profile(psi, args.max_degree, config.slack, args.mode)
     result = {"psi": _poly_payload(psi, names), "profile": _profile_json(profile, names)}
     checks = {"all_surjective": profile.all_surjective()}
+    text = [f"psi = {result['psi']['expr']}", f"mode = {profile.mode}",
+            *_verdict_text(profile, result["profile"])]
     return (
         _report("rank-profile", config, result, checks),
         _profile_exit_code(profile),
-        _profile_text(profile, names),
+        text,
         _profile_csv(profile),
     )
 
@@ -275,10 +275,8 @@ def _cmd_dirichlet(config, args):
     }
     checks = asdict(record)
     text = [
-        f"psi = {format_polynomial(psi, names)}",
-        f"f = {format_polynomial(solution.f, names)}",
-        f"q = {format_polynomial(solution.q, names)}",
-        f"h = {format_polynomial(solution.h, names)}",
+        f"psi = {result['domain']['psi']['expr']}",
+        *(f"{key} = {result[key]['expr']}" for key in ("f", "q", "h")),
         f"harmonic_exact = {record.harmonic_exact}",
         f"identity_exact = {record.identity_exact}",
         f"boundary_max_error = {record.boundary_max_error!r} over {record.samples} samples",
@@ -315,7 +313,7 @@ def _cmd_fischer_theorem(config, args):
         "slices": [asdict(s) for s in slices],
     }
     checks = {"all_nonsingular": all_nonsingular}
-    text = [f"p = {format_polynomial(p, names)}"]
+    text = [f"p = {result['p']['expr']}"]
     for s in slices:
         status = "nonsingular" if s.nonsingular else "SINGULAR"
         text.append(f"degree {s.degree}: rank {s.rank}/{s.dimension} {status}")
@@ -335,8 +333,7 @@ def _cmd_khavinson(config, args):
         "profile": _profile_json(profile, names),
     }
     checks = {"all_surjective": profile.all_surjective()}
-    text = [f"psi = {format_polynomial(psi, names)}"]
-    text.extend(_profile_text(profile, names)[2:])
+    text = [f"psi = {result['psi']['expr']}", *_verdict_text(profile, result["profile"])]
     return (
         _report("khavinson", config, result, checks),
         _profile_exit_code(profile),
@@ -360,8 +357,8 @@ def _cmd_ks_residual(config, args):
     checks = {"proportional_to_psi": report.proportional_to_psi}
     factor_text = "none" if report.factor is None else str(report.factor)
     text = [
-        f"psi = {format_polynomial(psi, names)}",
-        f"residual = {format_polynomial(report.residual, names)}",
+        f"psi = {result['psi']['expr']}",
+        f"residual = {result['residual']['expr']}",
         f"proportional_to_psi = {report.proportional_to_psi}",
         f"factor = {factor_text}",
     ]

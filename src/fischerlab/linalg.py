@@ -267,24 +267,35 @@ class GrowingEchelon:
 def solve(matrix, rhs):
     """One exact solution of matrix @ x == rhs, free variables pinned to zero.
 
-    The rows of [matrix | rhs] go into one echelon.  Raises
-    InconsistentSystemError when the rhs column leads a row, i.e. rhs is
-    outside the column space; otherwise back-substitution reads x off the
-    rhs column.  The solution is rechecked exactly before being returned.
+    The rows of [matrix | rhs] go into one echelon, in ints: the stored row
+    (a, den) and rhs entry b / bden give the row [a * bden | b * den].
+    Raises InconsistentSystemError when the rhs column leads a row, i.e. rhs
+    is outside the column space; otherwise back-substitution reads x =
+    values / d off the rhs column.  Before x is returned, each row is
+    rechecked exactly against the stored matrix: dot(a, values) * bden ==
+    b * d * den.
     """
     rhs = [as_scalar(v, matrix.field) for v in rhs]
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
-    augmented = matrix.hstack(ExactMatrix.from_columns([rhs], matrix.rows, matrix.field))
     kernel, field = _kernel(matrix.field)
-    echelon = kernel([row for row, _ in augmented._int_rows], {})
-    if matrix.cols in echelon:
+    cols, scale = matrix.cols, field.scale
+    rhs_ints = [integer_form((v,), matrix.field) for v in rhs]
+    augmented = []
+    for (row, den), v, ((b,), bden) in zip(matrix._int_rows, rhs, rhs_ints):
+        row = {j: scale(x, bden) for j, x in row.items()}
+        if v:  # the scalar: over Qi a zero b is (0, 0), which is truthy
+            row[cols] = scale(b, den)
+        augmented.append(row)
+    echelon = kernel(augmented, {})
+    if cols in echelon:
         raise InconsistentSystemError("right-hand side is outside the column space")
-    x = list(ExactMatrix.from_integer_rows(
-        matrix.cols, [_kernels.solution(field, echelon, matrix.cols)], matrix.field).row(0))
-    if matrix.mul_vector(x) != rhs:
+    values, d = _kernels.solution(field, echelon, cols)
+    if any(scale(field.dot(row, values), bden) != scale(b, d * den)
+           for (row, den), ((b,), bden) in zip(matrix._int_rows, rhs_ints)):
         raise AssertionError("internal error: solution failed the exact recheck")
-    return x
+    zero = as_scalar(0, matrix.field)
+    return [from_integer(values[j], d) if j in values else zero for j in range(cols)]
 
 
 def nullspace_basis(matrix):

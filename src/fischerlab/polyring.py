@@ -242,23 +242,29 @@ class Poly:
     def float_terms(self, point):
         """The terms c * x^m at a float point, as floats (complex over Qi).
 
-        Raises FloatEvaluationError when a coordinate, a coefficient or a
+        Each term is float(c) times v**e for each nonzero exponent e of m,
+        in axis order.  The powers come from one table per axis, v**e for e
+        up to the highest exponent on that axis, built once per point, so
+        the floats are bit-identical to term-by-term evaluation.  Each
+        table's highest power is one that some term uses, and a lower power
+        overflows only when it does, so FloatEvaluationError is raised on
+        exactly the same inputs: when a coordinate, a coefficient or a used
         power of a coordinate is beyond the float range.
         """
         if len(point) != self.arity:
             raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
-        terms = []
         try:
             values = [float(v) for v in point]
-            floats = getattr(self, "_floats", None)
-            if floats is None:  # filled once: the polynomial is immutable
-                floats = [complex(c) if isinstance(c, GaussianRational) else float(c)
-                          for c in self._terms.values()]
-                object.__setattr__(self, "_floats", floats)
-            for m, term in zip(self._terms, floats):
-                for v, e in zip(values, m):
-                    if e:
-                        term *= v**e
+            prepared = getattr(self, "_floats", None)
+            if prepared is None:  # built once: the polynomial is immutable
+                prepared = self._float_form()
+                object.__setattr__(self, "_floats", prepared)
+            floats, tops = prepared
+            tables = [[v**e for e in range(top + 1)] for v, top in zip(values, tops)]
+            terms = []
+            for term, powers in floats:
+                for axis, e in powers:
+                    term *= tables[axis][e]
                 terms.append(term)
         except OverflowError:
             raise FloatEvaluationError(
@@ -266,6 +272,16 @@ class Poly:
                 "of a coordinate is beyond the float range (about 1.8e308)"
             ) from None
         return terms
+
+    def _float_form(self):
+        # ([(float coefficient, ((axis, e) for each e > 0))], highest e per axis)
+        floats, tops = [], [0] * self.arity
+        for m, c in self._terms.items():
+            powers = tuple((axis, e) for axis, e in enumerate(m) if e)
+            for axis, e in powers:
+                tops[axis] = max(tops[axis], e)
+            floats.append((complex(c) if isinstance(c, GaussianRational) else float(c), powers))
+        return floats, tops
 
     def evaluate(self, point):
         """Numeric evaluation at a float point; complex over field Qi."""

@@ -6,7 +6,7 @@ import pytest
 
 from fischerlab import MAX_SLICE_DIMENSION, cli
 from fischerlab.cli import run
-from fischerlab.exprs import parse_polynomial
+from fischerlab.exprs import format_polynomial, parse_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -659,3 +659,60 @@ def test_a_psi_of_huge_degree_is_not_expanded_without_a_slice(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "degree 0: undetermined (witness: 1)" in out
+
+
+# The benchmark's solve-q job: q has coefficients of about 1000 bits, and
+# boundary_max_error the bits of 100 float evaluations of f and h.
+_SOLVE_Q = (
+    "dirichlet", "--psi", "4/9*x^2+y^2+9/25*z^2-1", "--f", "(3*x+y*z+2)^8",
+    "--vars", "x,y,z", "--interior", "0,0,0", "--seed", "5",
+)
+_SOLVE_Q_SHA256 = {
+    "json": "742c7976237f0226a36c3a2e42fa2c5f5548e281c9d4f7edb559515b587b6918",
+    "text": "d1f07b4e1b82dba4c65b3d6ef6b06d276d04e73f10df6a7fc1bbe2ba81d76f57",
+    "csv": "1cdf049df933c2d119184168ecc8815f46cb1d3712584314ffd66a107c1b0485",
+}
+
+
+def test_dirichlet_reports_are_pinned_at_benchmark_scale(capsys):
+    for fmt, digest in _SOLVE_Q_SHA256.items():
+        code, out, _ = run_cli(capsys, *_SOLVE_Q, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def _exprs(node):
+    """Every "expr" string of a JSON report, in document order."""
+    if isinstance(node, dict):
+        return [node["expr"]] if "expr" in node else _exprs(list(node.values()))
+    if isinstance(node, list):
+        return [e for v in node for e in _exprs(v)]
+    return []
+
+
+@pytest.mark.parametrize("argv", [
+    _PINNED_DECOMPOSE["Q"][0],
+    _ELLIPSE_DIRICHLET,
+    ("ks-residual", "--psi", "1/4*x^2+y^2-1", "--vars", "x,y", "--interior", "0,0"),
+    _FISCHER_THEOREM,
+    ("khavinson", "--phi", "0,0,1", "--max-degree", "3", "--slack", "5"),
+    ("rank-profile", "--psi", "x^3", "--vars", "x,y", "--max-degree", "3",
+     "--mode", "homogeneous"),
+], ids=lambda argv: argv[0])
+def test_each_polynomial_is_formatted_once(capsys, monkeypatch, argv):
+    formatted = []
+
+    def counting(p, names=None):
+        formatted.append(p)
+        return format_polynomial(p, names)
+
+    monkeypatch.setattr(cli, "format_polynomial", counting)
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code != 2, err
+    exprs = _exprs(json.loads(out))
+    assert len(formatted) == len(exprs) > 0
+    formatted.clear()
+    _, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert len(formatted) == len(exprs)
+    # the text prints the report's polynomials, as the JSON wrote them
+    assert all(expr in out for expr in exprs)

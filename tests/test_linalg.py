@@ -118,6 +118,35 @@ def test_solve_inconsistent():
         solve(m, [0, 1])
 
 
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_solve_rhs_with_zero_entries(monkeypatch, field):
+    # a zero row with a zero rhs entry: over Qi that entry's int form is the
+    # truthy (0, 0), and it must not reach the rhs column as a nonzero
+    c = GaussianRational(0, 1) if field == FIELD_QI else Fraction(5, 2)
+    m = ExactMatrix.from_rows([[2, 1, 0], [0, 0, 0], [1, 0, c], [0, 3, 1]], field)
+    rhs = [as_scalar(v, field) for v in (0, 0, Fraction(1, 3), 0)]
+    x = solve(m, rhs)
+    assert m.mul_vector(x) == rhs
+    zero = [as_scalar(0, field)] * 4
+    assert solve(m, zero) == zero[:3]
+    with pytest.raises(InconsistentSystemError):
+        solve(m, [as_scalar(v, field) for v in (0, 1, 0, 0)])
+    exact = _kernels.solution
+
+    def perturbed(table, echelon, column):
+        # one numerator moves by one, so matrix @ x leaves rhs
+        values, d = exact(table, echelon, column)
+        key = max(values)
+        x = values[key]
+        values[key] = x + 1 if isinstance(x, int) else (x[0], x[1] + 1)
+        return values, d
+
+    monkeypatch.setattr(_kernels, "solution", perturbed)
+    for b in (rhs, zero):
+        with pytest.raises(AssertionError, match="exact recheck"):
+            solve(m, b)
+
+
 def test_solve_rhs_length_check():
     with pytest.raises(ValueError):
         solve(ExactMatrix.identity(2), [1])

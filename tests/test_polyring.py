@@ -9,6 +9,7 @@ from fischerlab import (
     FIELD_Q,
     FIELD_QI,
     FloatEvaluationError,
+    GaussianRational,
     HOMOGENEOUS,
     MAX_SLICE_DIMENSION,
     NEG_INF,
@@ -28,6 +29,7 @@ from fischerlab import (
     rank_profile,
     squared_norm,
 )
+from fischerlab.dirichlet import boundary_mismatch
 from fischerlab.polyring import check_slice_dimension
 from helpers import random_poly, random_scalar
 
@@ -187,6 +189,103 @@ def test_float_evaluation_overflow_is_typed(coefficient, point):
     p = (x * x).scale(coefficient)
     with pytest.raises(FloatEvaluationError):
         p.evaluate(point)
+
+
+def _reference_float_terms(p, point):
+    # term by term, one v**e per factor: the loop the power tables replace
+    values = [float(v) for v in point]
+    terms = []
+    for m, c in p.terms.items():
+        term = complex(c) if isinstance(c, GaussianRational) else float(c)
+        for v, e in zip(values, m):
+            if e:
+                term *= v**e
+        terms.append(term)
+    return terms
+
+
+def _reference_sums(p, point):
+    value, magnitude = (0j if p.field != FIELD_Q else 0.0), 0.0
+    for term in _reference_float_terms(p, point):
+        value += term
+        magnitude += abs(term)
+    return value, magnitude
+
+
+def _bits(value):
+    """The exact bits of a float or complex, signed zeros included."""
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value.hex()
+
+
+_ODD_COORDINATES = (0.0, -0.0, -1.5, 1e-300, -5e-310, 1e155, -1e200, 1e300, 2.0**0.5)
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_float_evaluation_is_bit_identical_to_term_by_term(field):
+    rng = random.Random(23)
+    overflowed = 0
+    for _ in range(300):
+        f = random_poly(rng, 3, rng.randint(0, 6), field, max_terms=8)
+        h = random_poly(rng, 3, rng.randint(0, 6), field, max_terms=8)
+        if rng.random() < 0.1:
+            f = f.scale(Fraction(10**rng.randint(300, 320)))
+        for _ in range(4):
+            point = tuple(rng.choice(_ODD_COORDINATES) if rng.random() < 0.5
+                          else rng.uniform(-3.0, 3.0) for _ in range(3))
+            finite = 0
+            for p in (f, h):
+                try:
+                    expected = _reference_float_terms(p, point)
+                except OverflowError:
+                    overflowed += 1
+                    with pytest.raises(FloatEvaluationError):
+                        p.float_terms(point)
+                    continue
+                assert [_bits(t) for t in p.float_terms(point)] == [_bits(t) for t in expected]
+                assert _bits(p.evaluate(point)) == _bits(_reference_sums(p, point)[0])
+                finite += 1
+            if finite < 2:
+                with pytest.raises(FloatEvaluationError):
+                    boundary_mismatch(f, h, point)
+                continue
+            (f_value, f_size), (h_value, h_size) = (_reference_sums(p, point) for p in (f, h))
+            error, scale = boundary_mismatch(f, h, point)
+            assert _bits(error) == _bits(abs(f_value - h_value))
+            assert _bits(scale) == _bits(max(1.0, f_size, h_size))
+    assert 0 < overflowed < 2400
+
+
+def test_float_evaluation_computes_no_power_that_no_term_uses():
+    x, y = xy()
+    p = x * x * x + y + Poly.constant(2, 1)
+    # y^2 would overflow at y = 1e300, and no term of p uses it
+    assert p.float_terms((2.0, 1e300)) == _reference_float_terms(p, (2.0, 1e300))
+    with pytest.raises(FloatEvaluationError):
+        (p + y * y).float_terms((2.0, 1e300))
+    with pytest.raises(OverflowError):
+        _reference_float_terms(p + y * y, (2.0, 1e300))
+
+
+def test_float_form_is_built_once_per_polynomial(monkeypatch):
+    built = []
+    prepare = Poly._float_form
+
+    def counting(self):
+        built.append(self)
+        return prepare(self)
+
+    monkeypatch.setattr(Poly, "_float_form", counting)
+    rng = random.Random(29)
+    p, q = (random_poly(rng, 3, 4, FIELD_QI, nonzero=True) for _ in range(2))
+    for _ in range(20):
+        point = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+        p.evaluate(point)
+        q.float_terms(point)
+        p.float_terms(point)
+    assert len(built) == 2
+    assert built[0] is p and built[1] is q
 
 
 def test_slice_dimension_limit():
