@@ -57,6 +57,7 @@ from .linalg import (
     RrefResult,
     cokernel_witness,
     nullspace_basis,
+    rank_and_first_missing,
     rref,
     solve,
 )

@@ -9,7 +9,8 @@ over their gcd), then divides it by the gcd of its parts: no gcd runs per
 entry, and Bareiss (1968, Math. Comp. 22) bounds the growth.  Leads, the
 reduced form and the solution values are unique.  Callers look ``rref_q``
 and ``rref_qi`` up here at call time, so a wrapper installed on them (a
-tracer) sees every elimination.
+tracer) sees every exact elimination.  ``insert_mod_p`` runs the same
+insertion on residues mod a prime, whose leads bound ranks from below.
 """
 
 from __future__ import annotations
@@ -110,6 +111,37 @@ def insert(field, vectors, echelon):
         if vector:
             lead = min(vector)
             echelon[lead] = field.store(vector, lead)
+    return echelon
+
+
+# The prime of ``insert_mod_p``: P = 15 * 2^27 + 1 is 1 mod 4, and I_P,
+# 31 to the power (P - 1) / 4, is a square root of -1 mod P, the image of i.
+P = 2013265921
+I_P = pow(31, (P - 1) // 4, P)
+
+
+def insert_mod_p(vectors, echelon, p):
+    """``insert`` mod the prime p, in place: the vectors' entries are ints,
+    the echelon's rows are monic with entries in [0, p).  A reduction step
+    subtracts a * row and leaves the other entries unreduced, so an entry
+    grows by less than p^2 per step; only a candidate lead is taken mod p,
+    and dropped when it is 0 there."""
+    for vector in vectors:
+        vector = dict(vector)
+        while vector:
+            lead = min(vector)
+            a = vector[lead] % p
+            if not a:
+                del vector[lead]
+                continue
+            row = echelon.get(lead)
+            if row is None:
+                b = pow(a, -1, p)
+                echelon[lead] = {key: y for key, x in vector.items() if (y := x * b % p)}
+                break
+            for key, x in row.items():
+                vector[key] = vector.get(key, 0) - a * x
+            del vector[lead]
     return echelon
 
 

@@ -349,8 +349,8 @@ def _coeff_pieces(coeff):
             return negative, [text], text
     negative = coeff < 0
     magnitude = abs(coeff)
-    factors = [] if magnitude == 1 else [format_fraction(magnitude)]
-    return negative, factors, format_fraction(magnitude)
+    text = format_fraction(magnitude)
+    return negative, [] if magnitude == 1 else [text], text
 
 
 def format_polynomial(p, var_names=None):

@@ -18,8 +18,9 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import InconsistentSystemError, NoDecompositionFoundError, SliceTooLargeError
+from .linalg import ExactMatrix, GrowingEchelon, rank_and_first_missing, solve
 # rref stays importable here: the benchmark's tracer wraps fischer.rref
-from .linalg import ExactMatrix, GrowingEchelon, rref, solve  # noqa: F401
+from .linalg import rref  # noqa: F401
 from .polyring import (
     FILTERED,
     HOMOGENEOUS,
@@ -291,6 +292,9 @@ class DegreeVerdict:
     (homogeneous mode, conclusive) carry a witness: the first monomial of
     the tested block, in its graded basis order, that lies outside the
     image of the last tested slice.  Every earlier monomial lies inside.
+    In homogeneous mode the rank and witness of a slice come from
+    linalg.rank_and_first_missing: certified mod a prime when the slice is
+    onto or the witness is its first monomial, else by an exact echelon.
     """
 
     target_degree: int
@@ -334,13 +338,9 @@ def _homogeneous_profile(psi, max_target_degree):
             verdicts.append(DegreeVerdict(n, NOT_SURJECTIVE, witness=witness))
             continue
         source = homogeneous_basis(psi.arity, m)
-        image = GrowingEchelon(psi.field)
-        image.extend(operator_matrix(op, source, target))
-        missed = image.first_missing(len(target))
+        rank, missed = rank_and_first_missing(operator_matrix(op, source, target))
         surjective = missed is None
-        rows.append(
-            RankProfileRow(n, m, len(source), len(target), image.rank, surjective)
-        )
+        rows.append(RankProfileRow(n, m, len(source), len(target), rank, surjective))
         if surjective:
             verdicts.append(DegreeVerdict(n, SURJECTIVE, slack=0))
         else:
@@ -503,10 +503,12 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     Either witness is the first monomial of the tested block outside the
     image (see DegreeVerdict).
 
-    Homogeneous mode reduces each slice matrix in a fresh GrowingEchelon.
-    Filtered mode keeps one growing echelon form of the image for the whole
-    ladder: source degree m adds the images of the degree-m monomials, and
-    every rung reads its rank and verdict from the form at its m.  Rows and
+    Homogeneous mode reads each slice's rank and witness off
+    linalg.rank_and_first_missing, which proves them from a reduction mod a
+    prime when it can and reduces the slice exactly otherwise.  Filtered
+    mode keeps one growing echelon form of the image for the whole ladder:
+    source degree m adds the images of the degree-m monomials, and every
+    rung reads its rank and verdict from the form at its m.  Rows and
     witnesses are those of reducing each rung's [A | E] afresh, with E the
     identity on the degree-n block.
 
@@ -566,7 +568,9 @@ def fischer_theorem_check(p, max_degree):
 
     For every m <= max_degree the map sends the homogeneous slice of degree m
     to itself; the rank of each slice matrix is reported.  Expected outcome:
-    nonsingular at every degree.
+    nonsingular at every degree.  The ranks come from
+    linalg.rank_and_first_missing: full rank mod a prime proves a slice
+    nonsingular, and any other slice is reduced exactly.
     """
     if not p.is_homogeneous() or p.degree < 1:
         raise ValueError("p must be homogeneous and non-constant")
@@ -577,9 +581,8 @@ def fischer_theorem_check(p, max_degree):
     slices = []
     for m in range(max_degree + 1):
         basis = homogeneous_basis(p.arity, m)
-        echelon = GrowingEchelon(op.field)
-        echelon.extend(operator_matrix(op, basis, basis))
-        slices.append(BijectivitySlice(m, len(basis), echelon.rank, echelon.rank == len(basis)))
+        rank = rank_and_first_missing(operator_matrix(op, basis, basis))[0]
+        slices.append(BijectivitySlice(m, len(basis), rank, rank == len(basis)))
     return tuple(slices)
 
 

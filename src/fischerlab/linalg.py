@@ -4,8 +4,9 @@ ExactMatrix stores each row in the vector form of the elimination kernel,
 fischerlab._kernels, so rows go into its sparse echelon insertion as they
 are, and field scalars are built only when an entry is read.  On top of it
 this module owns reduced row echelon form, solving, nullspaces, cokernel
-witnesses and the growing echelon of a filtered ladder.  Apart from
-GrowingEchelon, all operations are pure functions.
+witnesses, ranks certified mod a prime and the growing echelon of a
+filtered ladder.  Apart from GrowingEchelon, all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -190,6 +191,20 @@ def rref(matrix):
     return RrefResult(rref=reduced_matrix, rank=len(pivots), pivot_cols=pivots)
 
 
+def _columns(matrix, entry):
+    """The columns of the matrix as kernel vectors, coordinate i keyed by -i.
+    Row i, stored as (ints, den), is scaled by k = lcm / den, so the columns
+    are those of lcm times the matrix; entry(x, k) is the vector entry of a
+    stored x."""
+    common = lcm(*(den for _, den in matrix._int_rows))
+    columns = [{} for _ in range(matrix.cols)]
+    for i, (row, den) in enumerate(matrix._int_rows):
+        k = common // den
+        for j, x in row.items():
+            columns[j][-i] = entry(x, k)
+    return columns
+
+
 class GrowingEchelon:
     """Echelon form of a growing span of coordinate vectors.
 
@@ -222,14 +237,8 @@ class GrowingEchelon:
         if matrix.rows < self.width:
             raise ValueError("a later matrix cannot have fewer rows than an earlier one")
         kernel, field = _kernel(self.field)
-        # a column's entries share one denominator, the rows' lcm
-        common = lcm(*(den for _, den in matrix._int_rows))
-        columns = [{} for _ in range(matrix.cols)]
-        for i, (row, den) in enumerate(matrix._int_rows):
-            k = common // den
-            for j, x in row.items():
-                columns[j][-i] = x if k == 1 else field.scale(x, k)
-        kernel(columns, self._echelon)
+        scale = field.scale
+        kernel(_columns(matrix, lambda x, k: x if k == 1 else scale(x, k)), self._echelon)
         self.width = matrix.rows
         self.rank = len(self._echelon)
         self.leading = frozenset(-lead for lead in self._echelon)
@@ -310,15 +319,44 @@ def nullspace_basis(matrix):
     return basis
 
 
+def rank_and_first_missing(matrix):
+    """(rank, first_missing) of the column span of the matrix: its rank, and
+    the first j with e_j outside the span, every e_i with i < j inside, or
+    None at full row rank.  They equal ``GrowingEchelon.rank`` and
+    ``first_missing(matrix.rows)`` after one ``extend``.
+
+    The columns are first reduced mod the prime ``_kernels.P``, i sent to
+    ``_kernels.I_P``: a ring map from the integer matrix, so its rank r mod
+    P bounds the exact rank from below.  Two answers rest on that bound
+    alone.  With r = rows the rank is rows: the span is everything (None).
+    With r = cols, e_0 outside the span mod P, the rank of [matrix | e_0]
+    mod P is cols + 1: the rank is cols and e_0 is outside the span (0).
+    Any other case, a rank deficit, a witness past e_0 or a prime at which
+    the rank drops, is answered by an exact GrowingEchelon.
+    """
+    p, i_p = _kernels.P, _kernels.I_P
+    if matrix.field == FIELD_Q:
+        residues = _columns(matrix, lambda x, k: x * k % p)
+    else:
+        residues = _columns(matrix, lambda x, k: (x[0] + x[1] * i_p) * k % p)
+    leads = _kernels.insert_mod_p(residues, {}, p)
+    if len(leads) == matrix.rows:
+        return matrix.rows, None
+    if len(leads) == matrix.cols and 0 not in leads:
+        return matrix.cols, 0
+    echelon = GrowingEchelon(matrix.field)
+    echelon.extend(matrix)
+    return echelon.rank, echelon.first_missing(matrix.rows)
+
+
 def cokernel_witness(matrix):
     """A right-hand side provably outside the column space, or None.
 
     The witness is e_j for the first j such that matrix @ x == e_j has no
     solution; every e_i with i < j is solvable.  None means full row rank.
+    j comes from ``rank_and_first_missing``.
     """
-    echelon = GrowingEchelon(matrix.field)
-    echelon.extend(matrix)
-    j = echelon.first_missing(matrix.rows)
+    j = rank_and_first_missing(matrix)[1]
     if j is None:
         return None
     return [as_scalar(int(i == j), matrix.field) for i in range(matrix.rows)]

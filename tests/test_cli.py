@@ -681,6 +681,39 @@ def test_dirichlet_reports_are_pinned_at_benchmark_scale(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+# The benchmark's witness-q job and one of its small-batch fischer-theorem
+# jobs: the rank of every slice, and each witness, is certified mod a prime.
+_PINNED_SLICE_REPORTS = [
+    (
+        ("rank-profile", "--psi=x^3-2*y^3+3*z^3", "--vars", "x,y,z", "--max-degree", "15",
+         "--mode", "homogeneous"),
+        1,
+        {
+            "json": "d8640055644cd6da32ae3b53dfbaa9ea57aaeae68eb0d56a3a795a7ad7d5eb9a",
+            "text": "e5ae965150df9d723783d261845cbb6791f95c010926f4b14b6dfa9c6e143857",
+            "csv": "d2c12a7f4d3a4b274730f7b0faeb59ff4e4181c816920bc85bf2a72778159c0e",
+        },
+    ),
+    (
+        ("fischer-theorem", "--p", "2*x^2+3*y^2+z^2", "--vars", "x,y,z", "--max-degree", "7"),
+        0,
+        {
+            "json": "e71366dee65d0f60c9c924c4a96c8cd08d9218ccab4880db87af558b616620b3",
+            "text": "ecdae441d5d7c605da1ac2dc39d65339d4aa2295fa09830c7dde002db292899f",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digests", _PINNED_SLICE_REPORTS,
+                         ids=[argv[0] for argv, _, _ in _PINNED_SLICE_REPORTS])
+def test_slice_reports_are_pinned_at_benchmark_scale(capsys, argv, code, digests):
+    for fmt, digest in digests.items():
+        got, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def _exprs(node):
     """Every "expr" string of a JSON report, in document order."""
     if isinstance(node, dict):
