@@ -243,14 +243,19 @@ def _check_expansion(arity, degree):
 
 def _check_bits(what, factors, exponent=1):
     # log2 of a coefficient's height bounds its bits: a product's (or power's)
-    # have about the sum over the factors' largest, plus log2 of the terms summed
+    # have about the sum over the factors' largest, plus log2 of the terms summed.
+    # The height is sum |num| * prod den over the parts num / den in lowest terms.
     bits = 0.0
     for poly in factors:
+        ints, den = poly.integer_form
         heights = [1]
-        for c in poly.terms.values():
-            parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
-            heights.append(sum(abs(p.numerator) for p in parts)
-                           * math.prod(p.denominator for p in parts))
+        for n in ints.values():
+            nums, dens = [], []
+            for part in n if poly.field == FIELD_QI else (n,):
+                g = math.gcd(part, den)
+                nums.append(abs(part) // g)
+                dens.append(den // g)
+            heights.append(sum(nums) * math.prod(dens))
         bits += exponent * math.log2(max(heights))
     if bits > MAX_POWER_BITS:
         raise ParseError(f"{what} could give a coefficient of over {MAX_POWER_BITS} bits")

@@ -32,10 +32,11 @@ from .polyring import (
     filtered_basis,
     from_coordinates,
     homogeneous_basis,
+    lowest_terms,
     overflow_error,
     squared_norm,
 )
-from .scalars import FIELD_Q, FIELD_QI, GAUSSIAN_I, as_scalar, integer_form
+from .scalars import FIELD_Q, FIELD_QI, GAUSSIAN_I, as_scalar
 
 SURJECTIVE = "surjective"
 UNDETERMINED = "undetermined"
@@ -88,11 +89,16 @@ class FischerOperator:
         an int over Q and an (re, im) pair of ints over Qi; L is the least
         common denominator of every product c*d.  Built once per operator.
         """
-        psi, n = self.psi.terms.values(), len(self.psi.terms)
-        ints, den = integer_form([c * d for d in self.operator.terms.values() for c in psi],
-                                 self.field)
+        (psi, psi_den), (ops, op_den) = self.psi.integer_form, self.operator.integer_form
+        pairs = [(d, c) for d in ops.values() for c in psi.values()]
+        if self.field == FIELD_QI:
+            products = [(dr * cr - di * ci, dr * ci + di * cr) for (dr, di), (cr, ci) in pairs]
+        else:
+            products = [d * c for d, c in pairs]
+        ints, den = lowest_terms(dict(enumerate(products)), psi_den * op_den, self.field)
+        ints, n = list(ints.values()), len(psi)
         return [(g, [(i, k) for i, k in enumerate(g) if k], ints[r * n : (r + 1) * n])
-                for r, g in enumerate(self.operator.terms)], den
+                for r, g in enumerate(ops)], den
 
     def apply(self, q):
         if q.arity != self.arity:
@@ -427,22 +433,23 @@ def _original_coordinates(psi):
 
 def _khavinson_coordinates(psi):
     """The empty image in (w, u, t) coordinates for
-    psi = (x3 - a0 - a_k*(x1 + i*x2)^k)^2 over Qi, or None for any other psi.
+    psi = (x3 - phi(x1 + i*x2))^2 over Qi, phi = a0 + a1*z + ... + a_k*z^k
+    with a_k != 0 and k >= 1, or None for any other psi.
 
     In (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) the Laplacian is
-    4*dw*du + dt^2 and psi is (t - a_k*w^k)^2, with 2 and 3 terms.
+    4*dw*du + dt^2, with 2 terms, and psi is (t - a1*w - ... - a_k*w^k)^2.
     """
     if psi.arity != 3 or psi.field != FIELD_QI or psi.degree % 2:
         return None
     # the x3-linear part of psi is -2*phi(x1 + i*x2), and x1^j occurs in w^j only
     k = psi.degree // 2
-    a0, ak = (psi.coefficient((j, 0, 1)) * Fraction(-1, 2) for j in (0, k))
-    if not ak or khavinson_psi([a0] + [0] * (k - 1) + [ak]) != psi:
+    a = [psi.coefficient((j, 0, 1)) * Fraction(-1, 2) for j in range(k + 1)]
+    if not a[k] or khavinson_psi(a) != psi:
         return None
     w, u, t = (Poly.variable(3, i, FIELD_QI) for i in range(3))
     change = ((w + u).scale(Fraction(1, 2)), (u - w).scale(GAUSSIAN_I / 2),
-              t + Poly.constant(3, a0, FIELD_QI))
-    base = t - (w**k).scale(ak)
+              t + Poly.constant(3, a[0], FIELD_QI))
+    base = t - sum(((w**j).scale(a[j]) for j in range(1, k + 1)), Poly.zero(3, FIELD_QI))
     return _LadderImage(change, FischerOperator(base * base, (w * u).scale(4) + t * t))
 
 
@@ -513,15 +520,16 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     identity on the degree-n block.
 
     The form is kept in a change of coordinates read off psi.  For
-    psi = (x3 - a0 - a_k*(x1 + i*x2)^k)^2 the coordinates
-    (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) make the Laplacian
-    4*dw*du + dt^2 and psi (t - a_k*w^k)^2.  There the map keeps the weight
-    (1, 2k - 1, k) of a monomial, so every echelon row stays inside one
-    weight.  The change is a ring isomorphism that keeps degrees and
-    commutes with the Laplacian, so each filtered slice, its image, their
-    ranks and the filtered(n) it covers correspond exactly, and x^a lies in
-    the image iff its expansion does.  Every other psi keeps the original
-    coordinates.
+    psi = (x3 - phi(x1 + i*x2))^2, phi = a0 + a1*z + ... + a_k*z^k, the
+    coordinates (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) make the
+    Laplacian 4*dw*du + dt^2 and psi (t - a1*w - ... - a_k*w^k)^2, both
+    sparse.  For a monomial phi = a0 + a_k*z^k the map also keeps the
+    weight (1, 2k - 1, k) of a monomial, so every echelon row stays inside
+    one weight; with two or more non-constant terms it does not.  The
+    change is a ring isomorphism that keeps degrees and commutes with the
+    Laplacian, so each filtered slice, its image, their ranks and the
+    filtered(n) it covers correspond exactly, and x^a lies in the image iff
+    its expansion does.  Every other psi keeps the original coordinates.
     """
     if psi.degree < 1:
         raise ValueError("psi must be non-constant")

@@ -1,22 +1,34 @@
 """Sparse exact multivariate polynomials and graded monomial bases.
 
-Polynomials are immutable maps from exponent tuples to nonzero field
-elements, with a fixed arity and field tag.  The monomial order everywhere
-is graded lexicographic with the first variable dominant: lower total degree
-first, and within a degree x1^n precedes x1^(n-1)*x2 and so on.  The zero
-polynomial stores no terms and has degree NEG_INF.
+A polynomial stores a dict {exponents: n} of its nonzero terms, n an int
+over Q and an (re, im) pair of ints over Qi, and one positive denominator
+den, in canonical form (den and every part have gcd 1): the vector form of
+ExactMatrix rows.  Arithmetic runs on the ints and builds no field scalar;
+``terms`` builds the scalars once, when first read.  Terms keep their
+insertion order (a term that cancels is deleted, and appended again if it
+comes back), and float_terms sums in that order.  The monomial order
+everywhere is graded lexicographic with the first variable dominant: lower
+total degree first, and within a degree x1^n precedes x1^(n-1)*x2 and so
+on.  The zero polynomial stores no terms and has degree NEG_INF.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
 
 from .errors import BasisOverflowError, FloatEvaluationError, SliceTooLargeError
 from .scalars import (
     FIELD_Q,
+    FIELD_QI,
     GaussianRational,
     as_scalar,
+    from_integer,
+    integer_form,
     scalar_from_json,
     scalar_to_json,
     validate_field,
@@ -30,21 +42,67 @@ def grlex_key(exponents):
     return (sum(exponents), tuple(-e for e in exponents))
 
 
+def _split(value, field):
+    # (n, den) with value == n / den, read off the scalar's parts
+    if isinstance(value, (int, Fraction)):
+        n, den = value.numerator, value.denominator
+        return ((n, 0) if field == FIELD_QI else n), den
+    if field == FIELD_QI and isinstance(value, GaussianRational):
+        (n,), den = integer_form([value], field)
+        return n, den
+    raise ValueError(f"field {field} cannot hold {value!r}")
+
+
+def _times(n, k, qi):
+    return (n[0] * k, n[1] * k) if qi else n * k
+
+
+def _product(a, b, qi):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]) if qi else a * b
+
+
+def _gather(pairs, qi, out=None):
+    # {m: sum of the values of m} in the term order: a sum that cancels is
+    # deleted, and appended again if it comes back
+    out = {} if out is None else out
+    for m, value in pairs:
+        if m in out:
+            old = out[m]
+            value = (old[0] + value[0], old[1] + value[1]) if qi else old + value
+        if value[0] or value[1] if qi else value:
+            out[m] = value
+        elif m in out:
+            del out[m]
+    return out
+
+
+def lowest_terms(ints, den, field):
+    """The dict {key: n} and positive den divided by the gcd of den and
+    every part: the canonical form of the scalars n / den."""
+    qi = field == FIELD_QI
+    g = gcd(den, *(chain.from_iterable(ints.values()) if qi else ints.values()))
+    if g == 1:
+        return ints, den
+    if qi:
+        return {m: (re // g, im // g) for m, (re, im) in ints.items()}, den // g
+    return {m: n // g for m, n in ints.items()}, den // g
+
+
 class Poly:
     """Immutable sparse polynomial with exact coefficients.
 
-    Construction canonicalizes: zero coefficients are dropped and duplicate
-    exponent tuples are merged, so equal polynomials always carry identical
-    term maps.
+    The coefficients are ints over one common denominator, in canonical
+    form and in term order (see the module docstring).  Construction drops
+    zero coefficients and merges duplicate exponent tuples.
     """
 
-    __slots__ = ("arity", "field", "_terms", "_floats")
+    __slots__ = ("arity", "field", "_ints", "_den", "_scalars", "_floats")
 
     def __init__(self, arity, field=FIELD_Q, terms=None):
         validate_field(field)
         if not isinstance(arity, int) or arity < 1:
             raise ValueError(f"arity must be a positive integer, got {arity!r}")
-        clean = {}
+        split = []
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exponents, coeff in items:
@@ -53,18 +111,20 @@ class Poly:
                     raise ValueError(
                         f"exponent tuple {exponents} does not match arity {arity}"
                     )
-                if any(not isinstance(e, int) or e < 0 for e in exponents):
+                if any(isinstance(e, bool) or not isinstance(e, int) or e < 0
+                       for e in exponents):
                     raise ValueError(f"exponents must be non-negative ints: {exponents}")
-                value = as_scalar(coeff, field)
-                if exponents in clean:
-                    value = clean[exponents] + value
-                if value:
-                    clean[exponents] = value
-                elif exponents in clean:
-                    del clean[exponents]
+                split.append((exponents, *_split(coeff, field)))
+        den = lcm(*(d for _, _, d in split))
+        qi = field == FIELD_QI
+        ints = _gather(((m, _times(n, den // d, qi)) for m, n, d in split), qi)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_terms", clean)
+        self._store(*lowest_terms(ints, den, field))
+
+    def _store(self, ints, den):
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -91,14 +151,25 @@ class Poly:
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        """{exponents: field scalar}, in term order; built on first read."""
+        scalars = getattr(self, "_scalars", None)
+        if scalars is None:
+            den = self._den
+            scalars = {m: from_integer(n, den) for m, n in self._ints.items()}
+            object.__setattr__(self, "_scalars", scalars)
+        return MappingProxyType(scalars)
+
+    @property
+    def integer_form(self):
+        """(ints, den): the stored {exponents: n} and the common denominator."""
+        return MappingProxyType(self._ints), self._den
 
     def coefficient(self, exponents):
         """Coefficient of the given monomial (field zero if absent)."""
-        return self._terms.get(tuple(exponents), as_scalar(0, self.field))
+        return self.terms.get(tuple(exponents), as_scalar(0, self.field))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._ints)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -106,7 +177,8 @@ class Poly:
         return (
             self.arity == other.arity
             and self.field == other.field
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._ints == other._ints
         )
 
     def _check_compatible(self, other):
@@ -119,17 +191,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for exponents, coeff in other._terms.items():
-            if exponents in out:
-                value = out[exponents] + coeff
-                if value:
-                    out[exponents] = value
-                else:
-                    del out[exponents]
-            else:
-                out[exponents] = coeff
-        return self._wrap(out)
+        qi = self.field == FIELD_QI
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        out = {m: _times(n, a, qi) for m, n in self._ints.items()}
+        out = _gather(((m, _times(n, b, qi)) for m, n in other._ints.items()), qi, out)
+        return self._wrap(out, den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -137,24 +204,18 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        return self._wrap({m: -c for m, c in self._terms.items()})
+        qi = self.field == FIELD_QI
+        return self._wrap({m: _times(n, -1, qi) for m, n in self._ints.items()}, self._den)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check_compatible(other)
-            out = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    m = tuple(a + b for a, b in zip(ma, mb))
-                    value = ca * cb
-                    if m in out:
-                        value = out[m] + value
-                    if value:
-                        out[m] = value
-                    elif m in out:
-                        del out[m]
-            return self._wrap(out)
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._check_compatible(other)
+        qi = self.field == FIELD_QI
+        right = other._ints.items()
+        out = _gather(((tuple(map(add, ma, mb)), _product(ca, cb, qi))
+                       for ma, ca in self._ints.items() for mb, cb in right), qi)
+        return self._wrap(out, self._den * other._den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -162,7 +223,8 @@ class Poly:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative int exponents")
-        result = Poly.constant(self.arity, 1, self.field)
+        one = (1, 0) if self.field == FIELD_QI else 1
+        result = self._wrap({(0,) * self.arity: one}, 1)
         base = self
         n = exponent
         while n:
@@ -174,82 +236,67 @@ class Poly:
 
     def scale(self, value):
         """Multiply every coefficient by a field scalar."""
-        c = as_scalar(value, self.field)
-        if not c:
+        c, den = _split(value, self.field)
+        qi = self.field == FIELD_QI
+        if not (c[0] or c[1] if qi else c):
             return Poly.zero(self.arity, self.field)
-        return self._wrap({m: coeff * c for m, coeff in self._terms.items()})
+        return self._wrap({m: _product(n, c, qi) for m, n in self._ints.items()},
+                          self._den * den)
 
-    def _wrap(self, term_dict):
+    def _wrap(self, ints, den):
+        # a polynomial of this arity and field holding ints / den
         p = Poly.__new__(Poly)
         object.__setattr__(p, "arity", self.arity)
         object.__setattr__(p, "field", self.field)
-        object.__setattr__(p, "_terms", term_dict)
+        p._store(*lowest_terms(ints, den, self.field))
         return p
 
     @property
     def degree(self):
         """Total degree, or NEG_INF for the zero polynomial."""
-        if not self._terms:
+        if not self._ints:
             return NEG_INF
-        return max(sum(m) for m in self._terms)
+        return max(sum(m) for m in self._ints)
 
     def diff(self, axis):
         """Formal partial derivative along the given 0-based axis."""
         if not 0 <= axis < self.arity:
             raise IndexError(f"axis {axis} out of range for arity {self.arity}")
-        out = {}
-        for m, c in self._terms.items():
-            e = m[axis]
-            if e == 0:
-                continue
-            dm = m[:axis] + (e - 1,) + m[axis + 1 :]
-            value = c * e
-            if dm in out:
-                value = out[dm] + value
-            if value:
-                out[dm] = value
-            elif dm in out:
-                del out[dm]
-        return self._wrap(out)
+        qi = self.field == FIELD_QI
+        out = _gather(((m[:axis] + (m[axis] - 1,) + m[axis + 1 :], _times(n, m[axis], qi))
+                       for m, n in self._ints.items() if m[axis]), qi)
+        return self._wrap(out, self._den)
 
     def laplacian(self):
         """Sum of second partials along every axis, computed exactly."""
-        out = {}
-        for m, c in self._terms.items():
-            for axis, e in enumerate(m):
-                if e < 2:
-                    continue
-                dm = m[:axis] + (e - 2,) + m[axis + 1 :]
-                value = c * (e * (e - 1))
-                if dm in out:
-                    value = out[dm] + value
-                if value:
-                    out[dm] = value
-                elif dm in out:
-                    del out[dm]
-        return self._wrap(out)
+        qi = self.field == FIELD_QI
+        out = _gather(((m[:axis] + (e - 2,) + m[axis + 1 :], _times(n, e * (e - 1), qi))
+                       for m, n in self._ints.items()
+                       for axis, e in enumerate(m) if e >= 2), qi)
+        return self._wrap(out, self._den)
 
     def homogeneous_component(self, n):
         """Terms of total degree exactly n."""
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"component degree must be a non-negative int, got {n!r}")
-        return self._wrap({m: c for m, c in self._terms.items() if sum(m) == n})
+        return self._wrap({m: c for m, c in self._ints.items() if sum(m) == n}, self._den)
 
     def is_homogeneous(self):
-        degrees = {sum(m) for m in self._terms}
+        degrees = {sum(m) for m in self._ints}
         return len(degrees) <= 1
 
     def float_terms(self, point):
         """The terms c * x^m at a float point, as floats (complex over Qi).
 
         Each term is float(c) times v**e for each nonzero exponent e of m,
-        in axis order.  The powers come from one table per axis, v**e for e
-        up to the highest exponent on that axis, built once per point, so
-        the floats are bit-identical to term-by-term evaluation.  Each
-        table's highest power is one that some term uses, and a lower power
-        overflows only when it does, so FloatEvaluationError is raised on
-        exactly the same inputs: when a coordinate, a coefficient or a used
-        power of a coordinate is beyond the float range.
+        in axis order, in the term order; float(c) is n / den, correctly
+        rounded by int true division.  The powers come from one table per axis,
+        v**e for e up to the highest exponent on that axis, built once per
+        point, so the floats are bit-identical to term-by-term evaluation.
+        Each table's highest power is one that some term uses, and a lower
+        power overflows only when it does, so FloatEvaluationError is raised
+        on exactly the same inputs: when a coordinate, a coefficient or a
+        used power of a coordinate is beyond the float range.
         """
         if len(point) != self.arity:
             raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
@@ -275,12 +322,13 @@ class Poly:
 
     def _float_form(self):
         # ([(float coefficient, ((axis, e) for each e > 0))], highest e per axis)
-        floats, tops = [], [0] * self.arity
-        for m, c in self._terms.items():
+        floats, tops, den = [], [0] * self.arity, self._den
+        qi = self.field == FIELD_QI
+        for m, n in self._ints.items():
             powers = tuple((axis, e) for axis, e in enumerate(m) if e)
             for axis, e in powers:
                 tops[axis] = max(tops[axis], e)
-            floats.append((complex(c) if isinstance(c, GaussianRational) else float(c), powers))
+            floats.append((complex(n[0] / den, n[1] / den) if qi else n / den, powers))
         return floats, tops
 
     def evaluate(self, point):
@@ -296,7 +344,7 @@ class Poly:
             raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
         values = [as_scalar(v, self.field) for v in point]
         total = as_scalar(0, self.field)
-        for m, c in self._terms.items():
+        for m, c in self.terms.items():
             term = c
             for v, e in zip(values, m):
                 if e:
@@ -306,7 +354,7 @@ class Poly:
 
     def sorted_terms(self):
         """Terms in ascending graded lex order (deterministic)."""
-        return sorted(self._terms.items(), key=lambda item: grlex_key(item[0]))
+        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
     def __repr__(self):
         body = ", ".join(f"{m}: {c}" for m, c in self.sorted_terms())
@@ -320,9 +368,10 @@ def apply_operator(operator_poly, target):
     if not isinstance(operator_poly, Poly) or not isinstance(target, Poly):
         raise TypeError("apply_operator expects two Poly arguments")
     operator_poly._check_compatible(target)
-    out = {}
-    for beta, c_op in operator_poly._terms.items():
-        for alpha, c in target._terms.items():
+    qi = target.field == FIELD_QI
+    pairs = []
+    for beta, c_op in operator_poly._ints.items():
+        for alpha, c in target._ints.items():
             if any(a < b for a, b in zip(alpha, beta)):
                 continue
             factor = 1
@@ -330,14 +379,8 @@ def apply_operator(operator_poly, target):
                 for k in range(b):
                     factor *= a - k
             m = tuple(a - b for a, b in zip(alpha, beta))
-            value = c * c_op * factor
-            if m in out:
-                value = out[m] + value
-            if value:
-                out[m] = value
-            elif m in out:
-                del out[m]
-    return target._wrap(out)
+            pairs.append((m, _times(_product(c, c_op, qi), factor, qi)))
+    return target._wrap(_gather(pairs, qi), target._den * operator_poly._den)
 
 
 def squared_norm(arity, field=FIELD_Q):
@@ -477,9 +520,9 @@ def coordinates(p, basis):
     if p.arity != basis.arity:
         raise ValueError(f"arity mismatch: poly {p.arity} vs basis {basis.arity}")
     coords = [as_scalar(0, p.field)] * len(basis)
-    for m, c in p._terms.items():
+    for m, n in p._ints.items():
         try:
-            coords[basis.index(m)] = c
+            coords[basis.index(m)] = from_integer(n, p._den)
         except KeyError:
             raise overflow_error(m, basis) from None
     return coords
@@ -493,7 +536,11 @@ def from_coordinates(coords, basis, field=FIELD_Q):
 
 
 def poly_to_json(p):
-    """Serialize to the wire schema: exact, with ints as decimal strings."""
+    """Serialize to the wire schema: exact, with ints as decimal strings.
+
+    It reads the scalars of ``terms``: each coefficient in lowest terms,
+    built once per polynomial and shared with the printer.
+    """
     return {
         "arity": p.arity,
         "field": p.field,
@@ -504,10 +551,15 @@ def poly_to_json(p):
 
 
 def poly_from_json(obj):
-    field = obj["field"]
+    """The polynomial of a poly_to_json object.  Any other input, such as a
+    duplicate or non-int exponent or a malformed coefficient, is a
+    ValueError."""
+    try:
+        field, arity = obj["field"], obj["arity"]
+        pairs = [(tuple(term["exps"]), term["coeff"]) for term in obj["terms"]]
+    except (KeyError, TypeError):
+        raise ValueError("a polynomial object needs arity, field and terms") from None
     validate_field(field)
-    arity = obj["arity"]
-    terms = {}
-    for term in obj["terms"]:
-        terms[tuple(term["exps"])] = scalar_from_json(term["coeff"], field)
-    return Poly(arity, field, terms)
+    if isinstance(arity, bool) or len({m for m, _ in pairs}) != len(pairs):
+        raise ValueError("the arity must be an int, and no exponent tuple may occur twice")
+    return Poly(arity, field, {m: scalar_from_json(c, field) for m, c in pairs})

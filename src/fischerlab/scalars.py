@@ -190,10 +190,6 @@ def _fraction_to_json(value):
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _fraction_from_json(obj):
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def scalar_to_json(value):
     """JSON form with integers as decimal strings (bit-exact, unbounded)."""
     if isinstance(value, Fraction):
@@ -203,8 +199,27 @@ def scalar_to_json(value):
     raise ValueError(f"not a scalar: {value!r}")
 
 
+def _json_int(text):
+    digits = text[1:] if isinstance(text, str) and text.startswith("-") else text
+    if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected a decimal integer string, got {text!r}")
+    return int(text)
+
+
+def _fraction_from_json(obj):
+    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
+        raise ValueError(f"expected a rational {{num, den}}, got {obj!r}")
+    num, den = _json_int(obj["num"]), _json_int(obj["den"])
+    if den <= 0:
+        raise ValueError(f"a denominator must be positive, got {den}")
+    return Fraction(num, den)
+
+
 def scalar_from_json(obj, field):
+    """The scalar of a scalar_to_json object; any other input is a ValueError."""
     validate_field(field)
     if field == FIELD_Q:
         return _fraction_from_json(obj)
+    if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
+        raise ValueError(f"expected a Gaussian rational {{re, im}}, got {obj!r}")
     return GaussianRational(_fraction_from_json(obj["re"]), _fraction_from_json(obj["im"]))

@@ -515,8 +515,8 @@ def test_fischer_theorem_outputs_are_pinned(capsys):
 
 # sha256 of each format of the report as the ladder in the original
 # coordinates wrote it: the (w, u, t) coordinates must not move a byte.
-# "1,1,1" keeps the original coordinates; rank-profile on the expanded psi
-# of phi = z^2 is recognized and takes the (w, u, t) ones.
+# Every phi, "1,1,1" included, takes the (w, u, t) ones, and so does
+# rank-profile on the expanded psi of phi = z^2.
 _KHAVINSON_PSI_Z2 = (
     "x1^4 + 4*i*x1^3*x2 - 6*x1^2*x2^2 - 4*i*x1*x2^3 + x2^4 - 2*x1^2*x3"
     " - 4*i*x1*x2*x3 + 2*x2^2*x3 + x3^2"
@@ -679,6 +679,31 @@ def test_dirichlet_reports_are_pinned_at_benchmark_scale(capsys):
         code, out, _ = run_cli(capsys, *_SOLVE_Q, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# solve-q's argv at another seed and with other signs: h has 417 terms, and
+# boundary_max_error sums them in term order, so any change of that order
+# shows in its bits.  Taken before Poly stored its coefficients as ints.
+_SOLVE_Q_SIGNED = (
+    "dirichlet", "--psi", "4/9*x^2+y^2+9/25*z^2-1", "--f", "(-3*x+1*y*z-2)^8",
+    "--vars", "x,y,z", "--interior", "0,0,0", "--seed", "40321",
+)
+_SOLVE_Q_SIGNED_SHA256 = {
+    "json": "75a5320022d3f9312840e56b292edc11868bbcfc32bf03a65c374a8514923f07",
+    "text": "bac62b980db5b93864be86ceb55901e5bc47b1c462f690d7aa7c289413b6774d",
+    "csv": "16338348fef4af66b4297ebb46f568fa2ec34959fb5b3eb35e0825486081714a",
+}
+
+
+def test_dirichlet_report_is_pinned_for_solve_q_signs(capsys):
+    for fmt, digest in _SOLVE_Q_SIGNED_SHA256.items():
+        code, out, _ = run_cli(capsys, *_SOLVE_Q_SIGNED, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+        if fmt == "json":
+            report = json.loads(out)
+            assert len(report["result"]["h"]["poly"]["terms"]) == 417
+            assert report["checks"]["boundary_max_error"] == 2.3283064365386963e-09
 
 
 # The benchmark's witness-q job and one of its small-batch fischer-theorem

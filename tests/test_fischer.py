@@ -822,14 +822,36 @@ def test_khavinson_grading_is_an_exact_change_of_coordinates(phi):
         assert len({_weight(k, image.target.monomials[-i]) for i in row}) == 1
 
 
+def test_khavinson_coordinates_match_the_original_ones_for_any_phi():
+    # phi with two or more non-constant Qi coefficients: the ladder in
+    # (w, u, t) coordinates gives the rows, verdicts and witnesses of the
+    # ladder in the original ones, covered degrees and undetermined ones
+    rng = random.Random(11)
+    statuses = set()
+    for _ in range(24):
+        k = rng.choice((2, 3))
+        phi = [0] * (k + 1)
+        while not phi[k] or sum(map(bool, phi[1:])) < 2:
+            phi = [GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2)) / rng.randint(1, 3)
+                   for _ in range(k + 1)]
+        psi = khavinson_psi(phi)
+        image = fischer._khavinson_coordinates(psi)
+        assert len(image.operator.psi.terms) < len(psi.terms)
+        max_target_degree, slack = (2, 3) if k == 2 else (1, 5)
+        rows, verdicts = fischer._filtered_profile(psi, max_target_degree, slack, image)
+        assert (rows, verdicts) == fischer._filtered_profile(
+            psi, max_target_degree, slack, fischer._original_coordinates(psi))
+        statuses.update(v.status for v in verdicts)
+    assert statuses == {SURJECTIVE, UNDETERMINED}
+
+
 def test_khavinson_grading_is_only_for_a_monomial_phi(monkeypatch):
     psi = khavinson_psi([1, 0, GaussianRational(2, 3)])
     image = fischer._khavinson_coordinates(psi)
     # in (w, u, t) psi is (t - a_k*w^k)^2 and the Laplacian 4*w*u + t^2
     assert len(image.operator.psi.terms) == 3 and len(image.operator.operator.terms) == 2
     assert {_weight(2, e) for e in image.operator.psi.terms} == {4}
-    # phi with two non-constant terms, and psi with any coefficient changed
-    assert fischer._khavinson_coordinates(khavinson_psi([1, 1, 1])) is None
+    # psi with any coefficient changed
     for exponents in psi.terms:
         changed = psi + Poly.monomial(3, exponents, 1, FIELD_QI)
         assert fischer._khavinson_coordinates(changed) is None

@@ -29,7 +29,10 @@ from fischerlab import (
     rank_profile,
     squared_norm,
 )
+from fischerlab import polyring
 from fischerlab.dirichlet import boundary_mismatch
+from fischerlab.exprs import parse_polynomial
+from fischerlab.fischer import solve_by_degree
 from fischerlab.polyring import check_slice_dimension
 from helpers import random_poly, random_scalar
 
@@ -423,3 +426,79 @@ def test_poly_json_schema_shape():
     assert payload["field"] == "Q"
     assert payload["terms"][0] == {"exps": [0, 0], "coeff": {"num": "-1", "den": "1"}}
     assert payload["terms"][1] == {"exps": [2, 0], "coeff": {"num": "3", "den": "2"}}
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"num": "1", "den": "0"}, "denominator must be positive"),
+    ({"num": "1", "den": "-2"}, "denominator must be positive"),
+    ({"num": "0x10", "den": "1"}, "decimal integer string"),
+    ({"num": " 12", "den": "1"}, "decimal integer string"),
+    ({"num": "1_000", "den": "1"}, "decimal integer string"),
+    ({"num": 3, "den": "1"}, "decimal integer string"),
+    ({"num": "1"}, "expected a rational"),
+])
+def test_poly_from_json_refuses_a_malformed_rational(payload, match):
+    obj = {"arity": 1, "field": "Q", "terms": [{"exps": [2], "coeff": payload}]}
+    with pytest.raises(ValueError, match=match):
+        poly_from_json(obj)
+
+
+def test_poly_from_json_refuses_a_rational_under_qi():
+    obj = {"arity": 1, "field": "Qi", "terms": [{"exps": [2], "coeff": {"num": "1", "den": "1"}}]}
+    with pytest.raises(ValueError, match="expected a Gaussian rational"):
+        poly_from_json(obj)
+
+
+def test_poly_from_json_refuses_a_duplicate_exponent_tuple():
+    one = {"num": "1", "den": "1"}
+    obj = {"arity": 2, "field": "Q",
+           "terms": [{"exps": [1, 0], "coeff": one}, {"exps": [1, 0], "coeff": one}]}
+    with pytest.raises(ValueError, match="may occur twice"):
+        poly_from_json(obj)
+
+
+@pytest.mark.parametrize("exps", [[True], [1.0], ["1"], [-1]])
+def test_poly_from_json_refuses_a_non_int_exponent(exps):
+    obj = {"arity": 1, "field": "Q", "terms": [{"exps": exps, "coeff": {"num": "1", "den": "1"}}]}
+    with pytest.raises(ValueError, match="non-negative ints"):
+        poly_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    None,
+    {"arity": 1, "field": "Q"},
+    {"arity": True, "field": "Q", "terms": []},
+    {"arity": 1, "field": "R", "terms": []},
+    {"arity": 1, "field": "Q", "terms": [{"exps": [1]}]},
+    {"arity": 1, "field": "Q", "terms": {"exps": [1]}},
+])
+def test_poly_from_json_refuses_a_malformed_object(obj):
+    with pytest.raises(ValueError):
+        poly_from_json(obj)
+
+
+def test_poly_arithmetic_builds_no_scalar(monkeypatch):
+    # the certificate of the benchmark's Dirichlet job, f = psi*q + h with h
+    # harmonic, is computed in ints: with every scalar constructor that
+    # polyring uses refused, psi*q, laplacian(h) and f - h - psi*q agree
+    names = ("x", "y", "z")
+    psi = parse_polynomial("4/9*x^2+y^2+9/25*z^2-1", names)
+    f = parse_polynomial("(3*x+y*z+2)^8", names)
+    q = solve_by_degree(psi, f.laplacian())
+    h = f - psi * q
+    w = parse_polynomial("(x+(2-i)*y*z-1/3)^4", names, FIELD_QI)
+
+    def compute():
+        return [psi * q, h.laplacian(), f - h - psi * q, w * w, (w - w.scale(2)).laplacian()]
+
+    expected = compute()
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic built a field scalar")
+
+    for name in ("from_integer", "as_scalar", "Fraction", "GaussianRational"):
+        monkeypatch.setattr(polyring, name, refuse)
+    got = compute()
+    assert got == expected
+    assert [list(p.integer_form[0]) for p in got] == [list(p.integer_form[0]) for p in expected]
+    assert len(h.integer_form[0]) > 400 and not got[1] and not got[2]
