@@ -210,7 +210,9 @@ def solve_by_degree(psi, lap_f):
 
     The degree-k part of laplacian(psi*q) is laplacian(P2*q_k) + c0*laplacian(q_{k+2}),
     and each block q_k -> laplacian(P2*q_k) is nonsingular (Fischer): q_k is solved
-    for k = deg lap_f down to 0, and any higher q_k is 0.
+    for k = deg lap_f down to 0, and any higher q_k is 0.  The parts share no
+    monomial, so q gathers their ints over the lcm of their denominators once,
+    in order of degree: the term order of their sum.
     """
     arity = psi.arity
     c0 = psi.coefficient((0,) * arity)
@@ -222,7 +224,13 @@ def solve_by_degree(psi, lap_f):
         rhs = lap_f.homogeneous_component(k) - parts[k + 2].laplacian().scale(c0)
         x = solve(operator_matrix(block, basis, basis), coordinates(rhs, basis))
         parts[k] = from_coordinates(x, basis, FIELD_Q)
-    return sum(parts, zero)
+    forms = [part.integer_form for part in parts]
+    den = math.lcm(*(d for _, d in forms))
+    merged = {}
+    for ints, d in forms:
+        k = den // d
+        merged.update((m, n * k) for m, n in ints.items())
+    return zero._wrap(merged, den)
 
 
 def fischer_decompose(psi, f, slack=0):

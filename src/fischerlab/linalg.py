@@ -6,7 +6,9 @@ are, and field scalars are built only when an entry is read.  On top of it
 this module owns reduced row echelon form, solving, nullspaces, cokernel
 witnesses, ranks certified mod a prime and the growing echelon of a
 filtered ladder.  Apart from GrowingEchelon, all operations are pure
-functions.
+functions.  ``solve`` eliminates only the rows that the right-hand side
+reaches through shared columns; every other unknown is 0, as a free one
+is, and its exact recheck still covers every row.
 """
 
 from __future__ import annotations
@@ -273,27 +275,52 @@ class GrowingEchelon:
         return not _kernels.remainder(_kernel(self.field)[1], vector, self._echelon)
 
 
+def _reached(int_rows, seeds):
+    """The indices, in order, of the rows joined to a seed row by a chain of
+    rows that share a column, the seeds included: one pass over the
+    nonzeros to index rows by column, then a search from the seeds."""
+    rows_of = {}
+    for i, (row, _) in enumerate(int_rows):
+        for j in row:
+            rows_of.setdefault(j, []).append(i)
+    reached, stack = set(seeds), list(seeds)
+    while stack:
+        for j in int_rows[stack.pop()][0]:
+            for i in rows_of.pop(j, ()):
+                if i not in reached:
+                    reached.add(i)
+                    stack.append(i)
+    return sorted(reached)
+
+
 def solve(matrix, rhs):
     """One exact solution of matrix @ x == rhs, free variables pinned to zero.
 
-    The rows of [matrix | rhs] go into one echelon, in ints: the stored row
-    (a, den) and rhs entry b / bden give the row [a * bden | b * den].
-    Raises InconsistentSystemError when the rhs column leads a row, i.e. rhs
-    is outside the column space; otherwise back-substitution reads x =
-    values / d off the rhs column.  Before x is returned, each row is
-    rechecked exactly against the stored matrix: dot(a, values) * bden ==
-    b * d * den.
+    Only the rows that a row with a nonzero rhs entry reaches through shared
+    columns (Gilbert & Peierls 1988, SIAM J. Sci. Stat. Comput. 9) go into
+    the echelon, in ints and in their order: the stored row (a, den) and rhs
+    entry b / bden give the row [a * bden | b * den].  The other rows share
+    no column with them and have a zero rhs, so they would only add leads
+    whose value is 0, and their unknowns are 0, as free ones are; the
+    reached rows' echelon is the one all rows would give.  Raises
+    InconsistentSystemError when the rhs column leads a row, i.e. rhs is
+    outside the column space; otherwise back-substitution reads x =
+    values / d off the rhs column.  Before x is returned, every row of the
+    stored matrix, reached or not, is rechecked exactly: dot(a, values) *
+    bden == b * d * den.
     """
     rhs = [as_scalar(v, matrix.field) for v in rhs]
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
     kernel, field = _kernel(matrix.field)
-    cols, scale = matrix.cols, field.scale
+    cols, scale, int_rows = matrix.cols, field.scale, matrix._int_rows
     rhs_ints = [integer_form((v,), matrix.field) for v in rhs]
     augmented = []
-    for (row, den), v, ((b,), bden) in zip(matrix._int_rows, rhs, rhs_ints):
+    # the seeds test the scalar: over Qi a zero b is (0, 0), which is truthy
+    for i in _reached(int_rows, [i for i, v in enumerate(rhs) if v]):
+        (row, den), ((b,), bden) = int_rows[i], rhs_ints[i]
         row = {j: scale(x, bden) for j, x in row.items()}
-        if v:  # the scalar: over Qi a zero b is (0, 0), which is truthy
+        if rhs[i]:
             row[cols] = scale(b, den)
         augmented.append(row)
     echelon = kernel(augmented, {})
@@ -301,7 +328,7 @@ def solve(matrix, rhs):
         raise InconsistentSystemError("right-hand side is outside the column space")
     values, d = _kernels.solution(field, echelon, cols)
     if any(scale(field.dot(row, values), bden) != scale(b, d * den)
-           for (row, den), ((b,), bden) in zip(matrix._int_rows, rhs_ints)):
+           for (row, den), ((b,), bden) in zip(int_rows, rhs_ints)):
         raise AssertionError("internal error: solution failed the exact recheck")
     zero = as_scalar(0, matrix.field)
     return [from_integer(values[j], d) if j in values else zero for j in range(cols)]

@@ -706,6 +706,41 @@ def test_dirichlet_report_is_pinned_for_solve_q_signs(capsys):
             assert report["checks"]["boundary_max_error"] == 2.3283064365386963e-09
 
 
+# The callers of solve off the ellipsoid blocks: a non-diagonal quadric takes
+# one solve of its whole filtered slice, and the filtered decompose slices of
+# x^4+y^2-1 are each refused as inconsistent.  Taken before solve eliminated
+# only the rows that its rhs reaches.
+_PINNED_FILTERED_SOLVES = [
+    (
+        ("dirichlet", "--psi", "x^2+x*y+2*y^2-1", "--f", "(x+y*y-2)^5", "--vars", "x,y",
+         "--interior", "0,0"),
+        0,
+        {
+            "json": "aaa73480f87df333f29c9dbb5439e3396b3ec82ad8ac22ec7778ac057dffdbb3",
+            "text": "43ad9be39463f8fc2f0ac5084a61d282a89dd4da7c9edee437dfaf5e336bcb30",
+        },
+    ),
+    (
+        ("decompose", "--psi", "x^4+y^2-1", "--f", "(x^2+y)^4", "--vars", "x,y",
+         "--slack", "4"),
+        3,
+        {
+            "json": "59cd20a4bd683318785e7e67ae31c088d758941c73a32870233d753ef7d56996",
+            "text": "34141ff3980e5cb4029efeb5b0dda14f6bb2d02ae5a809d5f8c061c027645235",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digests", _PINNED_FILTERED_SOLVES,
+                         ids=[argv[0] for argv, _, _ in _PINNED_FILTERED_SOLVES])
+def test_filtered_solve_reports_are_pinned(capsys, argv, code, digests):
+    for fmt, digest in digests.items():
+        got, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 # The benchmark's witness-q job and one of its small-batch fischer-theorem
 # jobs: the rank of every slice, and each witness, is certified mod a prime.
 _PINNED_SLICE_REPORTS = [

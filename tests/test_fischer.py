@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from fischerlab import fischer, linalg
+from fischerlab import _kernels, fischer, linalg
 from fischerlab import (
     BasisOverflowError,
     DecompositionCertificate,
@@ -487,6 +487,30 @@ def test_decompose_on_an_ellipsoid_builds_no_slice_above_the_top_block(monkeypat
     fischer_decompose(psi, f, slack=2)
     # one square block per degree of laplacian(f), the top one the largest
     assert shapes == [(len(homogeneous_basis(3, k)),) * 2 for k in range(6, -1, -1)]
+
+
+def test_ellipsoid_blocks_eliminate_only_the_rows_their_rhs_reaches(monkeypatch):
+    # solve-q's data: laplacian(P2 * x^a) keeps the parity of a, so each
+    # block falls apart, and its rhs reaches 288 of the 680 block rows
+    names = ("x", "y", "z")
+    psi = parse_polynomial("4/9*x^2+y^2+9/25*z^2-1", names)
+    f = parse_polynomial("(-3*x+1*y*z-2)^8", names)
+    inserted = []
+    kernel = _kernels.rref_q
+
+    def spy(vectors, echelon):
+        inserted.append(len(vectors))
+        return kernel(vectors, echelon)
+
+    monkeypatch.setattr(_kernels, "rref_q", spy)
+    q = fischer.solve_by_degree(psi, f.laplacian())
+    assert sum(len(homogeneous_basis(3, k)) for k in range(15)) == 680
+    assert sum(inserted) == 288
+    assert len(homogeneous_basis(3, 14)) == 120 and inserted[0] == 36
+    # the parts are gathered in order of degree, as their sum orders them
+    degrees = [sum(m) for m in q.terms]
+    assert degrees == sorted(degrees)
+    assert DecompositionCertificate.build(psi, f, q).verify()
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from fischerlab import (
     rref,
     solve,
 )
+from fischerlab.scalars import from_integer, integer_form
 from helpers import (
     assert_first_unsolvable_unit,
     from_sympy,
@@ -134,8 +135,12 @@ def test_solve_rhs_with_zero_entries(monkeypatch, field):
     exact = _kernels.solution
 
     def perturbed(table, echelon, column):
-        # one numerator moves by one, so matrix @ x leaves rhs
+        # one numerator moves by one, so matrix @ x leaves rhs; a zero rhs
+        # reaches no row and gives no values, so x_0 = 1 / d is planted
         values, d = exact(table, echelon, column)
+        if not values:
+            values[0] = 1 if table is _kernels.Q else (1, 0)
+            return values, d
         key = max(values)
         x = values[key]
         values[key] = x + 1 if isinstance(x, int) else (x[0], x[1] + 1)
@@ -145,6 +150,139 @@ def test_solve_rhs_with_zero_entries(monkeypatch, field):
     for b in (rhs, zero):
         with pytest.raises(AssertionError, match="exact recheck"):
             solve(m, b)
+
+
+def _oracle_solve(matrix, rhs):
+    """x as one echelon of every row of [matrix | rhs] gives it, read off the
+    rhs column with free variables pinned to zero."""
+    field, cols = matrix.field, matrix.cols
+    kernel, table = ((_kernels.rref_q, _kernels.Q) if field == FIELD_Q
+                     else (_kernels.rref_qi, _kernels.QI))
+    vectors = []
+    for i in range(matrix.rows):
+        entries = {j: e for j, e in enumerate(matrix.row(i) + (rhs[i],)) if e}
+        ints, _ = integer_form(entries.values(), field)
+        vectors.append(dict(zip(entries, ints)))
+    echelon = kernel(vectors, {})
+    if cols in echelon:
+        raise InconsistentSystemError("oracle: rhs outside the column space")
+    values, d = _kernels.solution(table, echelon, cols)
+    zero = 0 if field == FIELD_Q else (0, 0)
+    return [from_integer(values.get(j, zero), d) for j in range(cols)]
+
+
+def _block_system(rng, field, blocks):
+    """(matrix, rhs, column blocks) of a sparse system that is block-diagonal
+    once its rows and its columns are permuted at random.  Each block is
+    (rows, cols, dependent, kind): its last ``dependent`` rows combine two
+    earlier ones (or are zero when there are none), and kind says whether
+    its rhs is "zero", in the span of its columns ("span") or, its last
+    row's entry moved by one, outside it ("outside")."""
+    zero = as_scalar(0, field)
+    row_order = list(range(sum(b[0] for b in blocks)))
+    col_order = list(range(sum(b[1] for b in blocks)))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    dense = [[zero] * len(col_order) for _ in row_order]
+    rhs = [zero] * len(row_order)
+    col_blocks, r0, c0 = [], 0, 0
+    for rows, cols, dependent, kind in blocks:
+        entries = [[random_scalar(rng, field, nonzero=True) if rng.random() < 0.6 else zero
+                    for _ in range(cols)] for _ in range(rows - dependent)]
+        for _ in range(dependent):
+            if rows > dependent:
+                a, b = random_scalar(rng, field), random_scalar(rng, field)
+                u, v = rng.choice(entries[:rows - dependent]), rng.choice(entries[:rows - dependent])
+                entries.append([a * x + b * y for x, y in zip(u, v)])
+            else:
+                entries.append([zero] * cols)
+        # a sparse x, so that a row of a block can have a zero rhs entry
+        x = [random_scalar(rng, field) if rng.random() < 0.5 else zero for _ in range(cols)]
+        b = [sum((e * v for e, v in zip(row, x)), zero) if kind != "zero" else zero
+             for row in entries]
+        if kind == "outside":
+            b[-1] += 1
+        for i in range(rows):
+            rhs[row_order[r0 + i]] = b[i]
+            for j in range(cols):
+                dense[row_order[r0 + i]][col_order[c0 + j]] = entries[i][j]
+        col_blocks.append([col_order[c0 + j] for j in range(cols)])
+        r0, c0 = r0 + rows, c0 + cols
+    matrix = ExactMatrix(len(row_order), len(col_order), [e for r in dense for e in r], field)
+    return matrix, rhs, col_blocks
+
+
+def _solve_both(matrix, rhs):
+    """solve and the oracle on one system: both x, or both refusals."""
+    try:
+        expected = _oracle_solve(matrix, rhs)
+    except InconsistentSystemError:
+        with pytest.raises(InconsistentSystemError):
+            solve(matrix, rhs)
+        return None
+    x = solve(matrix, rhs)
+    assert x == expected
+    assert matrix.mul_vector(x) == rhs
+    return x
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_solve_on_permuted_blocks_matches_the_all_rows_oracle(field):
+    rng = random.Random(1988 if field == FIELD_Q else 1989)
+    zero = as_scalar(0, field)
+    # a singular block with a zero rhs: x is 0 on its columns, and no error
+    matrix, rhs, col_blocks = _block_system(
+        rng, field, [(4, 4, 2, "zero"), (3, 3, 0, "span"), (2, 3, 1, "span")])
+    x = _solve_both(matrix, rhs)
+    assert x is not None and all(x[j] == zero for j in col_blocks[0])
+    # a rank-deficient block whose rhs is outside its span
+    matrix, rhs, _ = _block_system(rng, field, [(3, 3, 0, "span"), (4, 3, 1, "outside")])
+    assert _solve_both(matrix, rhs) is None
+    # an all-zero rhs: every unknown is 0
+    matrix, _, _ = _block_system(rng, field, [(3, 4, 1, "span"), (2, 2, 0, "span")])
+    assert _solve_both(matrix, [zero] * matrix.rows) == [zero] * matrix.cols
+    # a nonzero rhs entry on an all-zero row
+    matrix, rhs, _ = _block_system(rng, field, [(3, 3, 0, "span"), (1, 2, 1, "outside")])
+    assert _solve_both(matrix, rhs) is None
+    # and random mixtures of all of these
+    refused = 0
+    for _ in range(60):
+        blocks = []
+        for _ in range(rng.randint(1, 5)):
+            rows, cols = rng.randint(1, 5), rng.randint(0, 5)
+            dependent = rng.randint(0, rows - 1) if rng.random() < 0.5 else 0
+            kinds = ["zero", "span"] + ["outside"] * (dependent > 0 and rng.random() < 0.3)
+            blocks.append((rows, cols, dependent, rng.choice(kinds)))
+        matrix, rhs, _ = _block_system(rng, field, blocks)
+        refused += _solve_both(matrix, rhs) is None
+    assert 0 < refused < 60
+
+
+def test_solve_inserts_only_the_reached_rows(monkeypatch):
+    # rows 0-1 on columns 0-1 carry the rhs; rows 2-3 on columns 2-3 do not
+    m = ExactMatrix.from_rows([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]])
+    rhs = [as_scalar(v, FIELD_Q) for v in (1, 2, 0, 0)]
+    inserted = []
+    kernel = _kernels.rref_q
+
+    def spy(vectors, echelon):
+        inserted.extend(vectors)
+        return kernel(vectors, echelon)
+
+    monkeypatch.setattr(_kernels, "rref_q", spy)
+    assert solve(m, rhs) == [0, Fraction(1, 2), 0, 0]
+    assert [sorted(v) for v in inserted] == [[0, 1, 4], [0, 1, 4]]
+    exact = _kernels.solution
+
+    def planted(table, echelon, column):
+        # x_2 = 1 on a column that no reached row holds: only rows 2-3 see it
+        values, d = exact(table, echelon, column)
+        values[2] = d
+        return values, d
+
+    monkeypatch.setattr(_kernels, "solution", planted)
+    with pytest.raises(AssertionError, match="exact recheck"):
+        solve(m, rhs)
 
 
 def test_solve_rhs_length_check():
