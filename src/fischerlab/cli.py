@@ -6,6 +6,12 @@ rendering).  Exit codes: 0 success or verified, 1 verification failure,
 2 parse or usage error, 3 undetermined result.  Runs are reproducible:
 the seed comes from --seed, else FISCHERLAB_SEED, else 0, and identical
 argv plus seed yield byte-identical JSON.
+
+Each polynomial of a report is printed once, as its "expr" and its "poly",
+both from the decimal strings that Poly.decimal_terms builds from its ints.
+The JSON text is that of json.dumps(report, indent=2), written in one pass
+(see _jsonwriter) by the one call site json.dumps(report, indent=2,
+cls=ReportEncoder).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
+from ._jsonwriter import ReportEncoder
 from .dirichlet import QuadricDomain, boundary_samples, dirichlet_solve, ks_residual, verify_solution
 from .errors import (
     FloatEvaluationError,
@@ -464,7 +471,7 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.output == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        payload = json.dumps(report, indent=2, cls=ReportEncoder) + "\n"
     elif config.output == "text":
         payload = "\n".join(text_lines) + "\n"
     else:

@@ -32,9 +32,7 @@ from .scalars import (
     FIELD_Q,
     FIELD_QI,
     GAUSSIAN_I,
-    GaussianRational,
     as_scalar,
-    format_fraction,
     validate_field,
 )
 
@@ -288,7 +286,7 @@ def _lower(root, arity, field):
         elif isinstance(node, Pow):
             base = values.pop()
             what = "a power of one term"
-            if len(base.terms) > 1:
+            if len(base.integer_form[0]) > 1:
                 _check_expansion(arity, base.degree * node.exponent)
                 what = "a power of a sum"
             _check_bits(what, [base], node.exponent)
@@ -297,7 +295,7 @@ def _lower(root, arity, field):
             right = values.pop()
             left = values.pop()
             if isinstance(node, Mul):
-                if len(left.terms) > 1 and len(right.terms) > 1:
+                if len(left.integer_form[0]) > 1 and len(right.integer_form[0]) > 1:
                     _check_expansion(arity, left.degree + right.degree)
                 _check_bits("a product", [left, right])
             values.append(_BINARY[type(node)](left, right))
@@ -335,52 +333,51 @@ def default_var_names(arity):
     return tuple(f"x{i + 1}" for i in range(arity))
 
 
-def _coeff_pieces(coeff):
-    # -> (negative, factor strings, standalone constant string or None)
-    if isinstance(coeff, GaussianRational):
-        if coeff.im == 0:
-            coeff = coeff.re
-        elif coeff.re == 0:
-            negative = coeff.im < 0
-            magnitude = abs(coeff.im)
-            factors = ["i"] if magnitude == 1 else [format_fraction(magnitude), "i"]
-            return negative, factors, "*".join(factors)
-        else:
-            negative = coeff.re < 0
-            inner = -coeff if negative else coeff
-            imag = "i" if abs(inner.im) == 1 else f"{format_fraction(abs(inner.im))}*i"
-            sign = "+" if inner.im > 0 else "-"
-            text = f"({format_fraction(inner.re)} {sign} {imag})"
-            return negative, [text], text
-    negative = coeff < 0
-    magnitude = abs(coeff)
-    text = format_fraction(magnitude)
-    return negative, [] if magnitude == 1 else [text], text
+def _magnitude(num, den):
+    # "n" or "n/d" for the decimal strings of a nonzero part, without its sign
+    num = num.lstrip("-")
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _coeff_pieces(parts):
+    # the decimal strings of a coefficient -> (negative, the factor to write
+    # before the variables or "" for 1, the text of the coefficient alone)
+    num, den = parts[0]
+    if len(parts) == 2 and parts[1][0] != "0":
+        im_num, im_den = parts[1]
+        im_negative = im_num.startswith("-")
+        im = _magnitude(im_num, im_den)
+        im = "i" if im == "1" else f"{im}*i"
+        if num == "0":
+            return im_negative, im, im
+        # a leading minus negates both parts: (a - b*i) for -a + b*i
+        negative = num.startswith("-")
+        sign = "+" if im_negative == negative else "-"
+        text = f"({_magnitude(num, den)} {sign} {im})"
+        return negative, text, text
+    text = _magnitude(num, den)
+    return num.startswith("-"), "" if text == "1" else text, text
 
 
 def format_polynomial(p, var_names=None):
-    """Deterministic textual form, highest degree first; reparses exactly."""
+    """Deterministic textual form, highest degree first; reparses exactly.
+
+    It reads ``p.decimal_terms``, the strings built once per polynomial and
+    shared with poly_to_json."""
     names = validate_var_names(var_names) if var_names else default_var_names(p.arity)
     if len(names) != p.arity:
         raise ValueError(f"expected {p.arity} variable names, got {len(names)}")
     if not p:
         return "0"
-    ordered = sorted(
-        p.terms.items(), key=lambda item: (-sum(item[0]), tuple(-e for e in item[0]))
-    )
-    pieces = []
-    for exponents, coeff in ordered:
-        negative, factors, constant = _coeff_pieces(coeff)
-        variables = []
-        for name, e in zip(names, exponents):
-            if e == 1:
-                variables.append(name)
-            elif e > 1:
-                variables.append(f"{name}^{e}")
-        body = "*".join(factors + variables) if variables else constant
-        pieces.append((negative, body))
-    negative, body = pieces[0]
-    out = [f"-{body}" if negative else body]
-    for negative, body in pieces[1:]:
-        out.append(f" - {body}" if negative else f" + {body}")
+    out = []
+    # decimal_terms ascends in graded lex order: only the degrees flip
+    for exponents, parts in sorted(p.decimal_terms, key=lambda item: -sum(item[0])):
+        negative, factor, constant = _coeff_pieces(parts)
+        variables = "*".join(name if e == 1 else f"{name}^{e}"
+                             for name, e in zip(names, exponents) if e)
+        body = (f"{factor}*{variables}" if factor else variables) if variables else constant
+        if out:
+            out.append(f" - {body}" if negative else f" + {body}")
+        else:
+            out.append(f"-{body}" if negative else body)
     return "".join(out)

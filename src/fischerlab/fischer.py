@@ -130,7 +130,7 @@ def operator_matrix(op, source, target):
         raise ValueError("basis arity does not match the operator")
     stencil, denominator = op._stencil
     qi = op.field == FIELD_QI
-    psi = tuple(op.psi.terms)
+    psi = tuple(op.psi.integer_form[0])
     rows = [{} for _ in range(len(target))]
     for j, a in enumerate(source.monomials):
         shifted = [tuple(map(add, a, b)) for b in psi]
@@ -200,7 +200,7 @@ def ellipsoidal_form(psi):
     const = psi.coefficient((0,) * d)
     diag = [psi.coefficient([2 * (j == i) for j in range(d)]) for i in range(d)]
     # psi has these d + 1 terms only, with the signs of an ellipsoid
-    if len(psi.terms) != d + 1 or const >= 0 or min(diag) <= 0:
+    if len(psi.integer_form[0]) != d + 1 or const >= 0 or min(diag) <= 0:
         return None
     return tuple(-const / c for c in diag)
 

@@ -4,7 +4,9 @@ A polynomial stores a dict {exponents: n} of its nonzero terms, n an int
 over Q and an (re, im) pair of ints over Qi, and one positive denominator
 den, in canonical form (den and every part have gcd 1): the vector form of
 ExactMatrix rows.  Arithmetic runs on the ints and builds no field scalar;
-``terms`` builds the scalars once, when first read.  Terms keep their
+``terms`` builds the scalars once, when first read, and ``decimal_terms``
+builds the decimal strings of the reports (the printer's and
+poly_to_json's) once, straight from the ints.  Terms keep their
 insertion order (a term that cancels is deleted, and appended again if it
 comes back), and float_terms sums in that order.  The monomial order
 everywhere is graded lexicographic with the first variable dominant: lower
@@ -30,7 +32,6 @@ from .scalars import (
     from_integer,
     integer_form,
     scalar_from_json,
-    scalar_to_json,
     validate_field,
 )
 
@@ -40,6 +41,16 @@ NEG_INF = float("-inf")
 def grlex_key(exponents):
     """Sort key realizing the graded lexicographic order on exponent tuples."""
     return (sum(exponents), tuple(-e for e in exponents))
+
+
+def _decimal(n, den, den_texts):
+    # the decimal strings of n / den in lowest terms; den_texts caches
+    # {g: str(den // g)}, since many terms share a reduced denominator
+    g = gcd(n, den)
+    den_text = den_texts.get(g)
+    if den_text is None:
+        den_text = den_texts[g] = str(den // g)
+    return str(n // g), den_text
 
 
 def _split(value, field):
@@ -96,7 +107,7 @@ class Poly:
     zero coefficients and merges duplicate exponent tuples.
     """
 
-    __slots__ = ("arity", "field", "_ints", "_den", "_scalars", "_floats")
+    __slots__ = ("arity", "field", "_ints", "_den", "_scalars", "_floats", "_decimals")
 
     def __init__(self, arity, field=FIELD_Q, terms=None):
         validate_field(field)
@@ -160,13 +171,35 @@ class Poly:
         return MappingProxyType(scalars)
 
     @property
+    def decimal_terms(self):
+        """((exponents, parts), ...) in ascending graded lex order, parts the
+        (numerator, denominator) decimal strings of the coefficient in lowest
+        terms: one pair over Q, the real and the imaginary part over Qi.
+        Built once, from the ints, with one gcd per part and no scalar."""
+        decimals = getattr(self, "_decimals", None)
+        if decimals is None:
+            den, den_texts = self._den, {}
+            # grlex: the exponents in descending order, then the degrees in
+            # ascending order by a stable sort
+            items = sorted(self._ints.items(), reverse=True)
+            items.sort(key=lambda item: sum(item[0]))
+            if self.field == FIELD_QI:
+                decimals = tuple((m, (_decimal(re, den, den_texts), _decimal(im, den, den_texts)))
+                                 for m, (re, im) in items)
+            else:
+                decimals = tuple((m, (_decimal(n, den, den_texts),)) for m, n in items)
+            object.__setattr__(self, "_decimals", decimals)
+        return decimals
+
+    @property
     def integer_form(self):
         """(ints, den): the stored {exponents: n} and the common denominator."""
         return MappingProxyType(self._ints), self._den
 
     def coefficient(self, exponents):
         """Coefficient of the given monomial (field zero if absent)."""
-        return self.terms.get(tuple(exponents), as_scalar(0, self.field))
+        n = self._ints.get(tuple(exponents))
+        return as_scalar(0, self.field) if n is None else from_integer(n, self._den)
 
     def __bool__(self):
         return bool(self._ints)
@@ -538,16 +571,16 @@ def from_coordinates(coords, basis, field=FIELD_Q):
 def poly_to_json(p):
     """Serialize to the wire schema: exact, with ints as decimal strings.
 
-    It reads the scalars of ``terms``: each coefficient in lowest terms,
-    built once per polynomial and shared with the printer.
+    It reads ``decimal_terms``, the strings built once per polynomial from
+    its ints and shared with the printer, exprs.format_polynomial.
     """
-    return {
-        "arity": p.arity,
-        "field": p.field,
-        "terms": [
-            {"exps": list(m), "coeff": scalar_to_json(c)} for m, c in p.sorted_terms()
-        ],
-    }
+    qi = p.field == FIELD_QI
+    terms = []
+    for m, parts in p.decimal_terms:
+        coeffs = [{"num": num, "den": den} for num, den in parts]
+        terms.append({"exps": list(m),
+                      "coeff": {"re": coeffs[0], "im": coeffs[1]} if qi else coeffs[0]})
+    return {"arity": p.arity, "field": p.field, "terms": terms}
 
 
 def poly_from_json(obj):

@@ -179,13 +179,6 @@ def from_integer(entry, den):
     return GaussianRational(Fraction(entry[0], den), Fraction(entry[1], den))
 
 
-def format_fraction(value):
-    """Decimal string "n" or "n/d" for a Fraction."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _fraction_to_json(value):
     return {"num": str(value.numerator), "den": str(value.denominator)}
 

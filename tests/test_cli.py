@@ -809,3 +809,73 @@ def test_each_polynomial_is_formatted_once(capsys, monkeypatch, argv):
     assert len(formatted) == len(exprs)
     # the text prints the report's polynomials, as the JSON wrote them
     assert all(expr in out for expr in exprs)
+
+
+def test_a_json_run_calls_each_tracer_site(capsys, monkeypatch):
+    # the benchmark's tracer wraps cli.json.dumps and cli.format_polynomial
+    dumps, formatted = [], []
+
+    class CountingJson:
+        def __getattr__(self, name):
+            return getattr(json, name)
+
+        def dumps(self, *args, **kwargs):
+            dumps.append(kwargs)
+            return json.dumps(*args, **kwargs)
+
+    def counting(p, names=None):
+        formatted.append(p)
+        return format_polynomial(p, names)
+
+    monkeypatch.setattr(cli, "json", CountingJson())
+    monkeypatch.setattr(cli, "format_polynomial", counting)
+    code, out, _ = run_cli(capsys, *_PINNED_DECOMPOSE["Qi"][0], "--format", "json")
+    assert code == 0
+    assert dumps == [{"indent": 2, "cls": cli.ReportEncoder}]
+    assert len(formatted) == len(_exprs(json.loads(out))) == 4
+
+
+# Reports whose coefficients reach every branch of the printer: a rational
+# residual, and Qi psi with a leading minus, pure +-i, k*i, (a + b*i),
+# (a - b*i) with a negative real part and an imaginary constant.  Taken
+# before the printer read decimal strings in place of Fractions.
+_PINNED_RENDERINGS = [
+    (
+        ("ks-residual", "--psi", "1/4*x^2+y^2-1", "--vars", "x,y", "--interior", "0,0"),
+        0,
+        {
+            "json": "8059270c0117e974bd5d24c11ffcd2871eb13131167cb1e65ee3cc10eb9ec0ed",
+            "text": "007cd490bf2431179a686f0654ffa02646c64c96419ca74069b9bbd4c0e5be4e",
+        },
+    ),
+    (
+        ("rank-profile", "--psi=-(2-i)*x^3+i*x^2*y-3/2*i*x*y^2+(-1+3*i)*y^3", "--vars",
+         "x,y", "--field", "Qi", "--max-degree", "4", "--mode", "homogeneous"),
+        1,
+        {
+            "json": "2753932714a4fa00cc7919eea1d188ba0e93b20b0984117a3a8caabde25ba69d",
+            "text": "2920939e782b8e028bedcf6883f511c883756c93317ec77dbf12786bca74236e",
+            "csv": "c4da2f8a78cbc9a8e03eac0ce519ee5449fd1685516215357a492caed5bd997f",
+        },
+    ),
+    (
+        ("rank-profile", "--psi=(1-2*i)*x^2-i*x*y+(-3+i)*y^2+(2+i)*x+5/7*i", "--vars",
+         "x,y", "--field", "Qi", "--max-degree", "3"),
+        0,
+        {
+            "json": "109769f1d57b2d8c4727d900864a7a0ea906b15384d0c3e0aa0c4a71da166332",
+            "text": "3c27152bdcf1a7c914ae67096311f5378c17b799582598bf5cab2377a2332a04",
+            "csv": "54d04ecba0b9b64ab4d2911e2c2a960c88bd5d28a22355196ec06f1649ff8e59",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digests", _PINNED_RENDERINGS,
+                         ids=["ks-residual", "rank-profile-homogeneous-Qi",
+                              "rank-profile-filtered-Qi"])
+def test_rendered_reports_are_pinned(capsys, argv, code, digests):
+    for fmt, digest in digests.items():
+        got, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
