@@ -84,6 +84,7 @@ from .dirichlet import (
     ResidualReport,
     VerificationRecord,
     boundary_mismatch,
+    boundary_mismatches,
     boundary_samples,
     dirichlet_solve,
     ks_residual,

@@ -24,7 +24,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from ._jsonwriter import ReportEncoder
@@ -158,7 +158,8 @@ def _profile_json(profile, names):
         "mode": profile.mode,
         "max_target_degree": profile.max_target_degree,
         "slack": profile.slack,
-        "rows": [asdict(row) for row in profile.rows],
+        # shallow copies: every field of the report records is a scalar
+        "rows": [dict(vars(row)) for row in profile.rows],
         "verdicts": [_verdict_json(v, names) for v in profile.verdicts],
     }
 
@@ -280,7 +281,7 @@ def _cmd_dirichlet(config, args):
         "q": _poly_payload(solution.q, names),
         "h": _poly_payload(solution.h, names),
     }
-    checks = asdict(record)
+    checks = dict(vars(record))
     text = [
         f"psi = {result['domain']['psi']['expr']}",
         *(f"{key} = {result[key]['expr']}" for key in ("f", "q", "h")),
@@ -317,7 +318,7 @@ def _cmd_fischer_theorem(config, args):
     all_nonsingular = all(s.nonsingular for s in slices)
     result = {
         "p": _poly_payload(p, names),
-        "slices": [asdict(s) for s in slices],
+        "slices": [dict(vars(s)) for s in slices],
     }
     checks = {"all_nonsingular": all_nonsingular}
     text = [f"p = {result['p']['expr']}"]

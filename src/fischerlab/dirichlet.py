@@ -34,6 +34,7 @@ from .polyring import (
     from_coordinates,
     squared_norm,
 )
+from .polyring import evaluate_columns, float_sums
 from .scalars import FIELD_Q
 
 
@@ -179,7 +180,10 @@ def boundary_samples(domain, count, tol=1e-12, rng=None):
     the ray parameter; its smallest positive root, polished by one Newton
     step, gives the crossing.  Directions failing to hit the boundary are
     redrawn up to a bound, after which NoBoundaryHitError is raised (this is
-    how geometrically empty or unreachable boundaries surface).
+    how geometrically empty or unreachable boundaries surface).  Rays go
+    in rounds of as many as points are missing, each stage of a round one
+    evaluate_columns call: a ray adds at most one point, so no round goes
+    past the last one needed, and draws, points and errors are unchanged.
     """
     if not 1 <= count <= MAX_SAMPLES:
         raise ValueError(f"the sample count must be from 1 to {MAX_SAMPLES}, got {count}")
@@ -199,46 +203,49 @@ def boundary_samples(domain, count, tol=1e-12, rng=None):
                 f"no boundary crossing after {attempts} ray attempts "
                 f"({len(points)}/{count} points found)"
             )
-        attempts += 1
-        direction = [rng.gauss(0.0, 1.0) for _ in range(d)]
-        norm = math.sqrt(sum(v * v for v in direction))
-        if norm < 1e-9:
-            continue
-        direction = [v / norm for v in direction]
-        a = quadratic_part.evaluate(direction)
-        shifted = [o + v for o, v in zip(origin, direction)]
-        b = psi.evaluate(shifted) - c - a
-        t = _ray_boundary_parameter(a, b, c)
-        if t is None:
-            continue
-        slope = 2.0 * a * t + b
-        if slope != 0.0:
-            point = [o + t * v for o, v in zip(origin, direction)]
-            t -= psi.evaluate(point) / slope
-        point = tuple(o + t * v for o, v in zip(origin, direction))
-        if abs(psi.evaluate(point)) < tol:
-            points.append(point)
+        size = min(count - len(points), max_attempts - attempts)
+        attempts += size
+        directions = []
+        for _ in range(size):
+            direction = [rng.gauss(0.0, 1.0) for _ in range(d)]
+            norm = math.sqrt(sum(v * v for v in direction))
+            if norm >= 1e-9:
+                directions.append([v / norm for v in direction])
+        shifted = [[o + v for o, v in zip(origin, w)] for w in directions]
+        rays = []
+        for w, a, value in zip(directions, evaluate_columns(quadratic_part, directions),
+                               evaluate_columns(psi, shifted)):
+            b = value - c - a
+            t = _ray_boundary_parameter(a, b, c)
+            if t is not None:
+                rays.append((w, t, 2.0 * a * t + b))
+        newton = [[o + t * v for o, v in zip(origin, w)] for w, t, slope in rays if slope != 0.0]
+        corrections = iter(evaluate_columns(psi, newton))
+        crossings = []
+        for w, t, slope in rays:
+            if slope != 0.0:
+                t -= next(corrections) / slope
+            crossings.append(tuple(o + t * v for o, v in zip(origin, w)))
+        values = evaluate_columns(psi, crossings)
+        points += [point for point, value in zip(crossings, values) if abs(value) < tol]
     return points
 
 
-def boundary_mismatch(f, h, point):
-    """|f - h| at a point, and the scale that tolerances multiply there.
+def boundary_mismatches(f, h, points):
+    """[(|f - h|, scale)] at each point, the scale that tolerances multiply.
 
     The scale is max(1, sum of |terms of f|, sum of |terms of h|) at the
     point: floating-point evaluation of a polynomial whose terms cancel
-    loses accuracy in proportion to their size, not to the result.  Each
-    polynomial's value and term sum come from one pass over its terms, in
-    the order of evaluate().
+    loses accuracy in proportion to their size, not to the result.  f and h
+    share one power table per point (polyring.float_sums).
     """
-    values, scale = [], 1.0
-    for p in (f, h):
-        value, magnitude = (0j if p.field != FIELD_Q else 0.0), 0.0
-        for term in p.float_terms(point):
-            value += term
-            magnitude += abs(term)
-        values.append(value)
-        scale = max(scale, magnitude)
-    return abs(values[0] - values[1]), scale
+    return [(abs(f_value - h_value), max(1.0, f_size, h_size))
+            for (f_value, f_size), (h_value, h_size) in float_sums((f, h), points)]
+
+
+def boundary_mismatch(f, h, point):
+    """boundary_mismatches at one point."""
+    return boundary_mismatches(f, h, [point])[0]
 
 
 def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
@@ -247,16 +254,16 @@ def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
     The exact checks are recomputed from the stored polynomials, independent
     of how they were produced; the boundary check evaluates f and h
     separately in floating point and records the largest |f - h|.  A sample
-    passes when |f - h| < tol * scale, with the scale of boundary_mismatch.
-    The updated record is stored on the solution and returned.
+    passes when |f - h| < tol * scale, with the scale of boundary_mismatches
+    (rays cast in rounds, one power table per point shared by f and h); the
+    updated record is stored on the solution and returned.
     """
     harmonic_exact = not solution.h.laplacian()
     identity_exact = not (solution.f - solution.h - solution.domain.psi * solution.q)
     points = boundary_samples(solution.domain, count, root_tol, rng)
     max_error = 0.0
     within = True
-    for point in points:
-        error, scale = boundary_mismatch(solution.f, solution.h, point)
+    for error, scale in boundary_mismatches(solution.f, solution.h, points):
         max_error = max(max_error, error)
         within = within and error < tol * scale
     record = VerificationRecord(

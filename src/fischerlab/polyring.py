@@ -8,17 +8,19 @@ ExactMatrix rows.  Arithmetic runs on the ints and builds no field scalar;
 builds the decimal strings of the reports (the printer's and
 poly_to_json's) once, straight from the ints.  Terms keep their
 insertion order (a term that cancels is deleted, and appended again if it
-comes back), and float_terms sums in that order.  The monomial order
-everywhere is graded lexicographic with the first variable dominant: lower
-total degree first, and within a degree x1^n precedes x1^(n-1)*x2 and so
-on.  The zero polynomial stores no terms and has degree NEG_INF.
+comes back), and float evaluation sums in that order, over one table of
+powers per point shared by the polynomials read there (float_sums).  The
+monomial order everywhere is graded lexicographic with the first variable
+dominant: lower total degree first, and within a degree x1^n precedes
+x1^(n-1)*x2 and so on.  The zero polynomial stores no terms and has degree
+NEG_INF.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
@@ -322,54 +324,33 @@ class Poly:
         """The terms c * x^m at a float point, as floats (complex over Qi).
 
         Each term is float(c) times v**e for each nonzero exponent e of m,
-        in axis order, in the term order; float(c) is n / den, correctly
-        rounded by int true division.  The powers come from one table per axis,
-        v**e for e up to the highest exponent on that axis, built once per
-        point, so the floats are bit-identical to term-by-term evaluation.
-        Each table's highest power is one that some term uses, and a lower
-        power overflows only when it does, so FloatEvaluationError is raised
-        on exactly the same inputs: when a coordinate, a coefficient or a
-        used power of a coordinate is beyond the float range.
+        in axis order, in the term order, read through _float_plans from one
+        _power_table per point: bit-identical to term-by-term evaluation, and
+        FloatEvaluationError is raised on exactly the same inputs: when a
+        coordinate, a coefficient or a used power is beyond the float range.
         """
-        if len(point) != self.arity:
-            raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
-        try:
-            values = [float(v) for v in point]
-            prepared = getattr(self, "_floats", None)
-            if prepared is None:  # built once: the polynomial is immutable
-                prepared = self._float_form()
-                object.__setattr__(self, "_floats", prepared)
-            floats, tops = prepared
-            tables = [[v**e for e in range(top + 1)] for v, top in zip(values, tops)]
-            terms = []
-            for term, powers in floats:
-                for axis, e in powers:
-                    term *= tables[axis][e]
-                terms.append(term)
-        except OverflowError:
-            raise FloatEvaluationError(
-                "floating-point evaluation overflowed: a coefficient or a power "
-                "of a coordinate is beyond the float range (about 1.8e308)"
-            ) from None
+        (plan,), tops = _float_plans((self,))
+        table = _power_table(point, tops)
+        terms = []
+        for term, indices in plan:
+            for i in indices:
+                term *= table[i]
+            terms.append(term)
         return terms
 
     def _float_form(self):
-        # ([(float coefficient, ((axis, e) for each e > 0))], highest e per axis)
-        floats, tops, den = [], [0] * self.arity, self._den
-        qi = self.field == FIELD_QI
-        for m, n in self._ints.items():
-            powers = tuple((axis, e) for axis, e in enumerate(m) if e)
-            for axis, e in powers:
-                tops[axis] = max(tops[axis], e)
-            floats.append((complex(n[0] / den, n[1] / den) if qi else n / den, powers))
-        return floats, tops
+        # (plan, tops) over the polynomial's own power table: see _float_plans
+        den, qi = self._den, self.field == FIELD_QI
+        tops = [max(column) for column in zip(*self._ints)] or [0] * self.arity
+        offsets = list(accumulate(tops, lambda i, top: i + top + 1, initial=0))
+        plan = [(complex(n[0] / den, n[1] / den) if qi else n / den,
+                 tuple(offset + e for offset, e in zip(offsets, m) if e))
+                for m, n in self._ints.items()]
+        return plan, tops
 
     def evaluate(self, point):
         """Numeric evaluation at a float point; complex over field Qi."""
-        total = 0j if self.field != FIELD_Q else 0.0
-        for term in self.float_terms(point):
-            total += term
-        return total
+        return float_sums((self,), [point])[0][0][0]
 
     def evaluate_exact(self, point):
         """Exact evaluation at a point of field scalars."""
@@ -392,6 +373,90 @@ class Poly:
     def __repr__(self):
         body = ", ".join(f"{m}: {c}" for m, c in self.sorted_terms())
         return f"Poly(arity={self.arity}, field={self.field!r}, terms={{{body}}})"
+
+
+_OVERFLOW = ("floating-point evaluation overflowed: a coefficient or a power "
+             "of a coordinate is beyond the float range (about 1.8e308)")
+
+
+def _float_plans(polys):
+    """([plan, ...], tops) for polynomials of one arity: per term, in term
+    order, the float coefficient n / den (complex over Qi) and the indices
+    of its powers v**e, e > 0, in axis order, in _power_table(point, tops).
+    tops is the highest exponent per axis over the polynomials.  Each
+    polynomial's plan over its own table is built once."""
+    if len({p.arity for p in polys}) > 1:
+        raise ValueError("the polynomials' arities differ")
+    forms = []
+    try:
+        for p in polys:
+            if getattr(p, "_floats", None) is None:  # built once: p is immutable
+                object.__setattr__(p, "_floats", p._float_form())
+            forms.append(p._floats)
+    except OverflowError:
+        raise FloatEvaluationError(_OVERFLOW) from None
+    tops = [max(column) for column in zip(*(t for _, t in forms))]
+    plans = []
+    for plan, own in forms:
+        if own != tops:  # re-index from the polynomial's own table to the shared one
+            offsets = accumulate(tops, lambda i, top: i + top + 1, initial=0)
+            shared = [offset + e for offset, top in zip(offsets, own) for e in range(top + 1)]
+            plan = [(c, tuple(shared[i] for i in indices)) for c, indices in plan]
+        plans.append(plan)
+    return plans, tops
+
+
+def _power_table(point, tops):
+    """[v**e for each axis, for e from 0 to its top] at a point, flat."""
+    if len(point) != len(tops):
+        raise ValueError(f"point has {len(point)} coordinates, arity is {len(tops)}")
+    try:
+        return [v**e for v, top in zip(map(float, point), tops) for e in range(top + 1)]
+    except OverflowError:
+        raise FloatEvaluationError(_OVERFLOW) from None
+
+
+def float_sums(polys, points):
+    """Per point, [(value, sum of |terms|)] of each of the polynomials, of
+    one arity: the value bit for bit p.evaluate(point), and both summed in
+    one pass over the terms.  The polynomials share one power table per
+    point, and no per-term list is held."""
+    plans, tops = _float_plans(polys)
+    zeros = [0j if p.field != FIELD_Q else 0.0 for p in polys]
+    out = []
+    for point in points:
+        table = _power_table(point, tops)
+        sums = []
+        for plan, value in zip(plans, zeros):
+            magnitude = 0.0
+            for term, indices in plan:
+                for i in indices:
+                    term *= table[i]
+                value += term
+                magnitude += abs(term)
+            sums.append((value, magnitude))
+        out.append(sums)
+    return out
+
+
+def evaluate_columns(p, points):
+    """[p.evaluate(point) for point in points] at float points, bit for bit,
+    with a list per power and per term: for few terms, as in quadrics."""
+    if not points:
+        return []
+    (plan,), tops = _float_plans((p,))
+    try:
+        table = [[v**e for v in column] for column, top in zip(zip(*points), tops)
+                 for e in range(top + 1)]
+    except OverflowError:
+        raise FloatEvaluationError(_OVERFLOW) from None
+    values = [0j if p.field != FIELD_Q else 0.0] * len(points)
+    for c, indices in plan:
+        column = [c] * len(points)
+        for i in indices:
+            column = [t * v for t, v in zip(column, table[i])]
+        values = [s + t for s, t in zip(values, column)]
+    return values
 
 
 def apply_operator(operator_poly, target):

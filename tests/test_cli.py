@@ -1,10 +1,24 @@
 import hashlib
 import json
+import random
 import time
+from dataclasses import asdict, fields
 
 import pytest
 
-from fischerlab import MAX_SLICE_DIMENSION, cli
+from fischerlab import (
+    MAX_SLICE_DIMENSION,
+    BijectivitySlice,
+    Poly,
+    QuadricDomain,
+    RankProfileRow,
+    VerificationRecord,
+    cli,
+    dirichlet_solve,
+    fischer_theorem_check,
+    rank_profile,
+    verify_solution,
+)
 from fischerlab.cli import run
 from fischerlab.exprs import format_polynomial, parse_polynomial
 
@@ -704,6 +718,58 @@ def test_dirichlet_report_is_pinned_for_solve_q_signs(capsys):
             report = json.loads(out)
             assert len(report["result"]["h"]["poly"]["terms"]) == 417
             assert report["checks"]["boundary_max_error"] == 2.3283064365386963e-09
+
+
+# The reports that the sampler's rejected rays reach: most rays from the
+# center of the hyperboloid miss it, and --samples 1000 draws ten rounds'
+# worth of rays on the ellipse.  Taken before the rays were cast in rounds.
+_PINNED_SAMPLERS = [
+    (
+        ("dirichlet", "--psi", "x^2+y^2-z^2-1", "--f", "(x+y*z)^4", "--vars", "x,y,z",
+         "--interior", "0,0,0", "--seed", "6", "--samples", "300"),
+        {
+            "json": "0be8f93d06f2e53ee7b4782a67be9c77f12ca84f0a5aaa2c9726f724bc62739d",
+            "text": "34bb062e11609b09786d4426be8342ecdafb6e9dfd0035d8d3a3caabb5ccfcb3",
+            "csv": "ff68b75fdb5beb43e63c2201ea3e3cf20ea7669ad774204f9e66dd8b2f918d70",
+        },
+    ),
+    (
+        ("dirichlet", "--psi", "1/4*x^2+y^2-1", "--f", "x^3*y+x", "--vars", "x,y",
+         "--interior", "0,0", "--seed", "3", "--samples", "1000"),
+        {
+            "json": "d53625b13e00f284e107d2770e7cf470736902b2831616c5d2ef50daf254f7d2",
+            "text": "685647ae00ff26d7ae448933db411088f4ecd9e3d5daee6f5f3aad44ab6cf564",
+            "csv": "1006078d365b0ad83acea6263449b6c27285d5907cfc065397696913b33878da",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digests", _PINNED_SAMPLERS, ids=["hyperboloid", "ellipse-1000"])
+def test_sampled_reports_are_pinned(capsys, argv, digests):
+    for fmt, digest in digests.items():
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_report_records_hold_only_scalars():
+    # the reports copy these records with dict(vars(record)): shallow, so
+    # equal to dataclasses.asdict only while every field is a scalar
+    x, y = (Poly.variable(2, i) for i in range(2))
+    circle = x * x + y * y - Poly.constant(2, 1)
+    records = [
+        *rank_profile(circle, 3).rows,
+        *fischer_theorem_check(x * x + y * y, 3),
+        verify_solution(dirichlet_solve(QuadricDomain(circle, (0, 0)), x**3),
+                        rng=random.Random(1)),
+    ]
+    for cls in (RankProfileRow, BijectivitySlice, VerificationRecord):
+        assert {field.type for field in fields(cls)} <= {"int", "bool", "float | None"}
+    assert {type(r) for r in records} == {RankProfileRow, BijectivitySlice, VerificationRecord}
+    for record in records:
+        assert dict(vars(record)) == asdict(record)
+        assert all(isinstance(v, (int, float, type(None))) for v in vars(record).values())
 
 
 # The callers of solve off the ellipsoid blocks: a non-diagonal quadric takes

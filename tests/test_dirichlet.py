@@ -1,17 +1,22 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from fischerlab import (
+    FIELD_Q,
     FIELD_QI,
     FischerOperator,
+    FloatEvaluationError,
     InconsistentSystemError,
     NoBoundaryHitError,
     Poly,
     QuadricDomain,
     UnsolvableSliceError,
     boundary_mismatch,
+    boundary_mismatches,
     boundary_samples,
     coordinates,
     dirichlet,
@@ -343,3 +348,165 @@ def test_inconsistent_block_fails_closed(monkeypatch):
     monkeypatch.setattr(fischer, "solve", inconsistent)
     with pytest.raises(UnsolvableSliceError):
         dirichlet_solve(ELLIPSE, X * X)
+
+
+def _sequential_samples(domain, count, tol=1e-12, rng=None):
+    # boundary_samples one ray at a time, each evaluation its own call: the
+    # loop that the rounds replace
+    psi = domain.psi
+    d = domain.arity
+    origin = domain.interior_point
+    c = psi.evaluate(origin)
+    quadratic_part = psi.homogeneous_component(2)
+    points = []
+    attempts = 0
+    max_attempts = max(64 * count, 256)
+    while len(points) < count:
+        if attempts >= max_attempts:
+            raise NoBoundaryHitError(
+                f"no boundary crossing after {attempts} ray attempts "
+                f"({len(points)}/{count} points found)"
+            )
+        attempts += 1
+        direction = [rng.gauss(0.0, 1.0) for _ in range(d)]
+        norm = math.sqrt(sum(v * v for v in direction))
+        if norm < 1e-9:
+            continue
+        direction = [v / norm for v in direction]
+        a = quadratic_part.evaluate(direction)
+        shifted = [o + v for o, v in zip(origin, direction)]
+        b = psi.evaluate(shifted) - c - a
+        t = dirichlet._ray_boundary_parameter(a, b, c)
+        if t is None:
+            continue
+        slope = 2.0 * a * t + b
+        if slope != 0.0:
+            point = [o + t * v for o, v in zip(origin, direction)]
+            t -= psi.evaluate(point) / slope
+        point = tuple(o + t * v for o, v in zip(origin, direction))
+        if abs(psi.evaluate(point)) < tol:
+            points.append(point)
+    return points
+
+
+def _sampled(sampler, domain, count, seed, tol):
+    # the points as hex, or the error and its message; and the rng's state
+    rng = random.Random(seed)
+    try:
+        outcome = [tuple(v.hex() for v in point)
+                   for point in sampler(domain, count, tol, rng)]
+    except (NoBoundaryHitError, FloatEvaluationError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, rng.getstate()
+
+
+def _sampler_domains():
+    rng = random.Random(43)
+    one = Poly.constant(2, 1)
+    for arity in (2, 2, 3, 3):
+        domain = random_ellipsoid(rng, arity)
+        interior = tuple(rng.uniform(-0.3, 0.3) for _ in range(arity))
+        yield domain
+        yield QuadricDomain(domain.psi, interior)
+    for _ in range(3):
+        k = rng.choice((Fraction(1, 3), 1, Fraction(7, 2)))
+        yield QuadricDomain(X * X - (Y * Y).scale(k) - one, (0.0, rng.uniform(-2, 2)))
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    # most rays miss the hyperboloid, then ever fewer do, in rounds of one
+    yield QuadricDomain(x * x + y * y - z * z - Poly.constant(3, 1), (0.0, 0.0, 0.0))
+    # a few points, then NoBoundaryHitError with its count
+    yield QuadricDomain(X * X - (Y * Y).scale(10**6) - one, (0.0, 0.0))
+    yield QuadricDomain((squared_norm(2) + one).scale(-1), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("count", [1, 7, 100])
+def test_rounds_of_rays_match_one_ray_at_a_time(count):
+    for seed, domain in enumerate(_sampler_domains()):
+        for tol in (1e-12, 1e-16):
+            expected = _sampled(_sequential_samples, domain, count, seed, tol)
+            assert _sampled(boundary_samples, domain, count, seed, tol) == expected
+
+
+def test_rounds_of_rays_match_at_the_most_samples():
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    hyperboloid = QuadricDomain(x * x + y * y - z * z - Poly.constant(3, 1), (0.0, 0.0, 0.0))
+    for domain in (ELLIPSE, hyperboloid):
+        expected = _sampled(_sequential_samples, domain, dirichlet.MAX_SAMPLES, 7, 1e-12)
+        assert len(expected[0]) == dirichlet.MAX_SAMPLES
+        assert _sampled(boundary_samples, domain, dirichlet.MAX_SAMPLES, 7, 1e-12) == expected
+
+
+def test_rounds_of_rays_overflow_on_the_same_inputs():
+    # x^2 / 10^310 + y - 1: a ray with y falling and |x| growing crosses
+    # psi = 0 near x = 1e155, where x^2 is beyond the float range
+    psi = X.scale(Fraction(1, 10**310)) * X + Y - Poly.constant(2, 1)
+    domain = QuadricDomain(psi, (0.0, 0.0))
+    raised = 0
+    for count in (1, 7, 100):
+        for seed in range(6):
+            outcome, state = _sampled(_sequential_samples, domain, count, seed, 1e-12)
+            got, got_state = _sampled(boundary_samples, domain, count, seed, 1e-12)
+            assert got == outcome
+            if outcome[0] == "FloatEvaluationError":
+                raised += 1
+            else:
+                assert got_state == state
+    assert 0 < raised < 18
+
+
+def _term_by_term_mismatch(f, h, point):
+    # boundary_mismatch from each term's own float(c) * v**e product, one
+    # polynomial and one point at a time
+    values, scale = [], 1.0
+    for p in (f, h):
+        value, magnitude = (0j if p.field != FIELD_Q else 0.0), 0.0
+        for m, c in p.terms.items():
+            term = float(c)
+            for v, e in zip(point, m):
+                if e:
+                    term *= v**e
+            value += term
+            magnitude += abs(term)
+        values.append(value)
+        scale = max(scale, magnitude)
+    return abs(values[0] - values[1]), scale
+
+
+def test_batched_mismatch_matches_one_point_at_a_time():
+    rng = random.Random(47)
+    for arity in (1, 2, 3):
+        for _ in range(40):
+            f, h = (random_poly(rng, arity, rng.randint(0, 7), max_terms=9) for _ in range(2))
+            if rng.random() < 0.2:
+                f = Poly.zero(arity)
+            elif rng.random() < 0.2:
+                h = Poly.constant(arity, Fraction(rng.randint(-9, 9), 7))
+            points = [tuple(rng.choice((0.0, -0.0, 1e-200, -1e30, rng.uniform(-4, 4)))
+                            for _ in range(arity)) for _ in range(rng.randint(1, 12))]
+            got = boundary_mismatches(f, h, points)
+            expected = [_term_by_term_mismatch(f, h, point) for point in points]
+            assert [(e.hex(), s.hex()) for e, s in got] == \
+                [(e.hex(), s.hex()) for e, s in expected]
+            assert boundary_mismatch(f, h, points[0]) == got[0]
+    # tops that differ per axis: x^5 in f, y^4 in h
+    f, h = X**5 + Y, (Y**4).scale(3) - X
+    points = [(1.5, -0.25), (-3.0, 7.0)]
+    assert boundary_mismatches(f, h, points) == [_term_by_term_mismatch(f, h, p) for p in points]
+
+
+def test_boundary_check_holds_no_columns_of_h():
+    # solve-q with other signs: h has 417 terms.  The peak of 651100 bytes
+    # under tracemalloc (CPython 3.11) is that of the exact checks; holding
+    # the float terms of h over the 100 points would add about a megabyte
+    names = ("x", "y", "z")
+    psi = parse_polynomial("4/9*x^2+y^2+9/25*z^2-1", names)
+    f = parse_polynomial("(-3*x+1*y*z-2)^8", names)
+    solution = dirichlet_solve(QuadricDomain(psi, (0, 0, 0)), f)
+    tracemalloc.start()
+    try:
+        record = verify_solution(solution, rng=random.Random(40321))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.boundary_max_error == 2.3283064365386963e-09
+    assert peak < 651_100 + 64 * 1024
