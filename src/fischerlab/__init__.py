@@ -71,7 +71,6 @@ from .fischer import (
     RankProfileRow,
     SURJECTIVE,
     UNDETERMINED,
-    fischer_apply,
     fischer_decompose,
     fischer_theorem_check,
     khavinson_psi,
@@ -93,7 +92,6 @@ from .dirichlet import (
 from .exprs import (
     default_var_names,
     format_polynomial,
-    parse_expression,
     parse_polynomial,
     parse_scalar,
     validate_var_names,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from ._jsonwriter import ReportEncoder
-from .dirichlet import QuadricDomain, boundary_samples, dirichlet_solve, ks_residual, verify_solution
+from .dirichlet import QuadricDomain, dirichlet_solve, ks_residual, verify_solution
 from .errors import (
     FloatEvaluationError,
     NoBoundaryHitError,
@@ -292,22 +292,19 @@ def _cmd_dirichlet(config, args):
     ]
     csv_text = None
     if config.output == "csv":
-        csv_text = _dirichlet_csv(domain, solution, args.samples, config)
+        csv_text = _dirichlet_csv(solution, config)
     return _report("dirichlet", config, result, checks), (0 if record.passed else 1), text, csv_text
 
 
-def _dirichlet_csv(domain, solution, count, config):
-    points = boundary_samples(
-        domain, count, config.tol_root, random.Random(config.seed)
-    )
+def _dirichlet_csv(solution, config):
+    # the rows are the boundary points that verify_solution sampled
+    psi = solution.domain.psi
     difference = solution.f - solution.h
     out = io.StringIO()
     out.write(",".join(config.var_names) + ",psi,f_minus_h\n")
-    for point in points:
+    for point in solution.boundary_points:
         coords = ",".join(repr(c) for c in point)
-        out.write(
-            f"{coords},{domain.psi.evaluate(point)!r},{difference.evaluate(point)!r}\n"
-        )
+        out.write(f"{coords},{psi.evaluate(point)!r},{difference.evaluate(point)!r}\n")
     return out.getvalue()
 
 

@@ -100,13 +100,16 @@ class VerificationRecord:
 
 @dataclass
 class DirichletSolution:
-    """Harmonic h matching f on the boundary, with quotient q = (f - h)/psi."""
+    """Harmonic h matching f on the boundary, with quotient q = (f - h)/psi.
+
+    boundary_points holds the points that verify_solution last sampled."""
 
     domain: QuadricDomain
     f: Poly
     h: Poly
     q: Poly
     verification: VerificationRecord
+    boundary_points: tuple = ()
 
 
 def dirichlet_solve(domain, f):
@@ -256,7 +259,8 @@ def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
     separately in floating point and records the largest |f - h|.  A sample
     passes when |f - h| < tol * scale, with the scale of boundary_mismatches
     (rays cast in rounds, one power table per point shared by f and h); the
-    updated record is stored on the solution and returned.
+    updated record and the sampled points are stored on the solution, and the
+    record is returned.
     """
     harmonic_exact = not solution.h.laplacian()
     identity_exact = not (solution.f - solution.h - solution.domain.psi * solution.q)
@@ -274,6 +278,7 @@ def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
         passed=harmonic_exact and identity_exact and within,
     )
     solution.verification = record
+    solution.boundary_points = tuple(points)
     return record
 
 

@@ -8,6 +8,11 @@ Grammar (whitespace insensitive, no implicit multiplication):
     atom   := rational | 'i' | varname | '(' expr ')'
     rational := int ('/' uint)?
 
+Integers are ASCII digits.  The recursive-descent parser reads the whole
+text into a postfix program (see _Parser) before any polynomial is
+computed, so malformed input is refused without expansion work; _lower
+then runs that program on a stack of Poly.
+
 Parentheses nest at most MAX_NESTING deep, and no product or power may give
 a coefficient of over MAX_POWER_BITS bits, as bounded by the sizes of its
 factors' coefficients; other input is a ParseError.
@@ -21,9 +26,7 @@ graded lex order and round-trips: parse(format(p)) == p exactly.
 from __future__ import annotations
 
 import math
-import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, SliceTooLargeError, UnknownVariableError
@@ -61,46 +64,9 @@ def validate_var_names(names):
     return names
 
 
-@dataclass(frozen=True)
-class Const:
-    value: object
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
 _TOKEN_SYMBOLS = "+-*/^()"
+# ASCII only: str.isdigit also holds for digits such as "²" and "٣"
+_DIGITS = "0123456789"
 
 
 def _tokenize(text):
@@ -112,9 +78,9 @@ def _tokenize(text):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("number", int(text[start:pos]), start))
             continue
@@ -133,12 +99,17 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent that appends the expression to self.program in
+    postfix order: operands ("const", scalar) and ("var", index), operators
+    "+", "-", "*", "neg" and ("^", exponent)."""
+
     def __init__(self, text, var_names, field):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.field = field
         self.vars = {name: i for i, name in enumerate(var_names)}
+        self.program = []
 
     def _peek(self):
         return self.tokens[self.pos]
@@ -149,49 +120,43 @@ class _Parser:
         return token
 
     def parse(self):
-        node = self._expr()
+        self._expr()
         kind, _, position = self._peek()
         if kind != "end":
             raise ParseError("unexpected trailing input", position)
-        return node
+        return self.program
 
     def _expr(self):
         kind, _, _ = self._peek()
-        negate = False
         if kind in ("+", "-"):
             self._advance()
-            negate = kind == "-"
-        node = self._term()
-        if negate:
-            node = Neg(node)
+        self._term()
+        if kind == "-":
+            self.program.append("neg")
         while True:
             kind, _, _ = self._peek()
-            if kind == "+":
-                self._advance()
-                node = Add(node, self._term())
-            elif kind == "-":
-                self._advance()
-                node = Sub(node, self._term())
-            else:
-                return node
+            if kind not in ("+", "-"):
+                return
+            self._advance()
+            self._term()
+            self.program.append(kind)
 
     def _term(self):
-        node = self._factor()
+        self._factor()
         while self._peek()[0] == "*":
             self._advance()
-            node = Mul(node, self._factor())
-        return node
+            self._factor()
+            self.program.append("*")
 
     def _factor(self):
-        node = self._atom()
+        self._atom()
         if self._peek()[0] == "^":
             self._advance()
             kind, value, position = self._peek()
             if kind != "number":
                 raise ParseError("exponent must be a non-negative integer", position)
             self._advance()
-            node = Pow(node, value)
-        return node
+            self.program.append(("^", value))
 
     def _atom(self):
         kind, value, position = self._advance()
@@ -203,30 +168,28 @@ class _Parser:
                     raise ParseError("denominator must be an integer", dposition)
                 if dvalue == 0:
                     raise ParseError("zero denominator", dposition)
-                return Const(Fraction(value, dvalue))
-            return Const(Fraction(value))
-        if kind == "name":
+                value = Fraction(value, dvalue)
+            self.program.append(("const", as_scalar(value, self.field)))
+        elif kind == "name":
             if value == "i":
                 if self.field != FIELD_QI:
                     raise ParseError("'i' is only available over field Qi", position)
-                return Const(GAUSSIAN_I)
-            if value in self.vars:
-                return Var(self.vars[value])
-            raise UnknownVariableError(value, position)
-        if kind == "(":
+                self.program.append(("const", GAUSSIAN_I))
+            elif value in self.vars:
+                self.program.append(("var", self.vars[value]))
+            else:
+                raise UnknownVariableError(value, position)
+        elif kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", position)
-            node = self._expr()
+            self._expr()
             kind, _, position = self._advance()
             if kind != ")":
                 raise ParseError("expected ')'", position)
             self.depth -= 1
-            return node
-        raise ParseError("expected a number, variable, or '('", position)
-
-
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+        else:
+            raise ParseError("expected a number, variable, or '('", position)
 
 
 def _check_expansion(arity, degree):
@@ -259,71 +222,57 @@ def _check_bits(what, factors, exponent=1):
         raise ParseError(f"{what} could give a coefficient of over {MAX_POWER_BITS} bits")
 
 
-def _lower(root, arity, field):
-    # post-order walk on an explicit stack: a sum or product of k terms
-    # nests k deep, more than recursion allows for long inputs
-    values = []
-    stack = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if isinstance(node, Const):
-            values.append(Poly.constant(arity, as_scalar(node.value, field), field))
-        elif isinstance(node, Var):
-            values.append(Poly.variable(arity, node.index, field))
-        elif not children_done:
-            stack.append((node, True))
-            if isinstance(node, (Add, Sub, Mul)):
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-            elif isinstance(node, Neg):
-                stack.append((node.operand, False))
-            elif isinstance(node, Pow):
-                stack.append((node.base, False))
+def _lower(program, arity, field):
+    # one pass over the postfix program with a stack of Poly
+    stack = []
+    for op in program:
+        if op == "neg":
+            stack.append(-stack.pop())
+        elif op in ("+", "-", "*"):
+            right = stack.pop()
+            left = stack.pop()
+            if op == "+":
+                stack.append(left + right)
+            elif op == "-":
+                stack.append(left - right)
             else:
-                raise TypeError(f"not an expression node: {node!r}")
-        elif isinstance(node, Neg):
-            values.append(-values.pop())
-        elif isinstance(node, Pow):
-            base = values.pop()
-            what = "a power of one term"
-            if len(base.integer_form[0]) > 1:
-                _check_expansion(arity, base.degree * node.exponent)
-                what = "a power of a sum"
-            _check_bits(what, [base], node.exponent)
-            values.append(base ** node.exponent)
-        else:
-            right = values.pop()
-            left = values.pop()
-            if isinstance(node, Mul):
                 if len(left.integer_form[0]) > 1 and len(right.integer_form[0]) > 1:
                     _check_expansion(arity, left.degree + right.degree)
                 _check_bits("a product", [left, right])
-            values.append(_BINARY[type(node)](left, right))
-    return values.pop()
+                stack.append(left * right)
+        else:
+            kind, value = op
+            if kind == "const":
+                stack.append(Poly.constant(arity, value, field))
+            elif kind == "var":
+                stack.append(Poly.variable(arity, value, field))
+            else:
+                base = stack.pop()
+                what = "a power of one term"
+                if len(base.integer_form[0]) > 1:
+                    _check_expansion(arity, base.degree * value)
+                    what = "a power of a sum"
+                _check_bits(what, [base], value)
+                stack.append(base ** value)
+    return stack.pop()
 
 
-def parse_expression(text, var_names, field=FIELD_Q):
-    """Parse to the raw AST without lowering."""
+def _parse(text, var_names, field):
     validate_field(field)
     if not text or not text.strip():
         raise ParseError("empty expression")
-    return _Parser(text, validate_var_names(var_names), field).parse()
+    return _Parser(text, var_names, field).parse()
 
 
 def parse_polynomial(text, var_names, field=FIELD_Q):
     """Parse an expression into a canonical polynomial."""
     names = validate_var_names(var_names)
-    node = parse_expression(text, names, field)
-    return _lower(node, len(names), field)
+    return _lower(_parse(text, names, field), len(names), field)
 
 
 def parse_scalar(text, field=FIELD_Q):
     """Parse a constant expression (no variables) into a field scalar."""
-    validate_field(field)
-    if not text or not text.strip():
-        raise ParseError("empty expression")
-    node = _Parser(text, (), field).parse()
-    poly = _lower(node, 1, field)
+    poly = _lower(_parse(text, (), field), 1, field)
     if poly.degree > 0:
         raise ParseError("expected a constant expression")
     return poly.coefficient((0,))

@@ -108,11 +108,6 @@ class FischerOperator:
         return apply_operator(self.operator, self.psi * q)
 
 
-def fischer_apply(op, q):
-    """Apply the operator to q; equals laplacian(psi * q) for the default."""
-    return op.apply(q)
-
-
 def operator_matrix(op, source, target):
     """Matrix of the operator from one graded slice to another.
 
@@ -592,7 +587,9 @@ def fischer_theorem_check(p, max_degree):
         raise ValueError("p must be homogeneous and non-constant")
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a non-negative int")
-    check_slice_dimension(p.arity, max_degree)
+    # p * q of degree max_degree + deg p is assembled, and with it the
+    # falling factorials of p(D) up to that degree
+    check_slice_dimension(p.arity, max_degree + p.degree)
     op = FischerOperator(psi=p, operator=p)
     slices = []
     for m in range(max_degree + 1):

@@ -13,7 +13,9 @@ from fischerlab import (
     QuadricDomain,
     RankProfileRow,
     VerificationRecord,
+    boundary_samples,
     cli,
+    dirichlet,
     dirichlet_solve,
     fischer_theorem_check,
     rank_profile,
@@ -243,11 +245,14 @@ def test_float_overflow_is_a_usage_error(capsys, argv):
         ["decompose", "--psi", "x^2+y^2-1", "--f", "x^99999999", "--vars", "x,y"],
         ["rank-profile", "--psi", "x^2+y^2-1", "--vars", "x,y", "--max-degree", "99999999"],
         ["fischer-theorem", "--p", "x^2+y^2", "--vars", "x,y", "--max-degree", "99999999"],
+        # p * q has degree max_degree + deg p, past the bound for any max_degree
+        ["fischer-theorem", "--p", "x^3000000", "--vars", "x", "--max-degree", "0"],
         ["khavinson", "--phi", "0,0,1", "--max-degree", "99999999"],
         ["dirichlet", "--psi", "x^2+y^2-1", "--f", "x^99999999", "--vars", "x,y",
          "--interior", "0,0"],
     ],
-    ids=["decompose", "rank-profile", "fischer-theorem", "khavinson", "dirichlet"],
+    ids=["decompose", "rank-profile", "fischer-theorem", "fischer-theorem-p-degree",
+         "khavinson", "dirichlet"],
 )
 def test_oversized_slice_is_a_usage_error(capsys, argv):
     start = time.perf_counter()
@@ -455,6 +460,39 @@ def test_dirichlet_outputs_are_pinned_on_an_ellipse(capsys):
     assert report["result"]["q"]["expr"] == "4/5*x*y"
     assert report["checks"]["boundary_max_error"] == 2.220446049250313e-16
     assert hashlib.sha256(out.encode()).hexdigest() == _ELLIPSE_JSON_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--psi", "x^2+y^2-1", "--f", "x\u00b2", "--vars", "x,y"],
+        ["rank-profile", "--psi", "x^\u00b2+y^2-1", "--vars", "x,y", "--max-degree", "2"],
+        ["fischer-theorem", "--p", "x^\u0663", "--vars", "x", "--max-degree", "2"],
+        ["khavinson", "--phi", "0,\u0661/\u0662", "--max-degree", "2"],
+    ],
+    ids=["superscript-two", "exponent-superscript-two", "arabic-indic-exponent",
+         "arabic-indic-fraction"],
+)
+def test_non_ascii_digits_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unexpected character ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_csv_reuses_the_verified_boundary_points(capsys, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return boundary_samples(*args, **kwargs)
+
+    # in dirichlet, where verify_solution calls it, and in cli, should it call it again
+    monkeypatch.setattr(dirichlet, "boundary_samples", spy)
+    monkeypatch.setattr(cli, "boundary_samples", spy, raising=False)
+    code, out, _ = run_cli(capsys, *_ELLIPSE_DIRICHLET, "--format", "csv")
+    assert (code, out) == (0, _ELLIPSE_CSV)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

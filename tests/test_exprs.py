@@ -98,6 +98,23 @@ def test_parse_rejects_bad_input(text):
         parse_polynomial(text, XY)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("x\u00b2", 1), ("x^\u00b2", 2), ("x^\u0663", 2), ("\u0661/\u0662*x", 0)],
+    ids=["superscript-two", "exponent-superscript-two", "arabic-indic-exponent",
+         "arabic-indic-fraction"],
+)
+def test_non_ascii_digits_are_parse_errors(text, position):
+    # str.isdigit holds for these, but only ASCII digits are numbers
+    for parse in (lambda: parse_polynomial(text, XY), lambda: parse_scalar(text, FIELD_QI)):
+        with pytest.raises(ParseError) as info:
+            parse()
+        assert str(info.value) == (
+            f"unexpected character {text[position]!r} (at position {position})"
+        )
+        assert info.value.position == position
+
+
 def test_nesting_up_to_the_limit_parses():
     assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, XY) == X
     negated = "-(" * MAX_NESTING + "x" + ")" * MAX_NESTING
@@ -114,7 +131,7 @@ def test_nesting_beyond_the_limit_is_a_parse_error(depth):
 
 
 def test_long_sums_and_products_parse():
-    # a k-term sum nests k deep in the syntax tree
+    # a k-term sum or product is one flat run of the postfix program
     assert parse_polynomial("+".join(["x"] * 5000), XY) == X.scale(5000)
     assert parse_polynomial("-".join(["y"] * 5000), XY) == Y.scale(-4998)
     assert parse_polynomial("*".join(["x"] * 3000), XY) == X**3000

@@ -30,7 +30,6 @@ from fischerlab import (
     as_scalar,
     coordinates,
     dirichlet_solve,
-    fischer_apply,
     fischer_decompose,
     fischer_theorem_check,
     filtered_basis,
@@ -71,7 +70,7 @@ def test_apply_xy_to_xy():
 
 def test_apply_circle_to_x():
     # laplacian(x^3 + x*y^2 - x) = 6x + 2x
-    assert fischer_apply(FischerOperator(CIRCLE), X) == X.scale(8)
+    assert FischerOperator(CIRCLE).apply(X) == X.scale(8)
 
 
 def test_apply_matches_direct_laplacian():
