@@ -6,13 +6,7 @@ data f the solver finds q with laplacian(psi*q) == laplacian(f) on the
 square filtered slice and checks the certificate f = psi*q + h of decompose
 (h exactly harmonic, the identity exact) and that |f - h| is small at
 sampled boundary points, relative to the size of the terms of f and h.
-
-For ellipsoidal psi = P2 + c0 (P2 a positive diagonal form, c0 < 0) the
-slice matrix is block-triangular by degree with nonsingular homogeneous
-blocks q_k -> laplacian(P2*q_k) (Fischer), so q is unique, deg h <= deg f,
-and fischer.solve_by_degree, which decompose uses too, finds q one
-homogeneous degree at a time from the top down.  Other quadrics, whose
-blocks can be singular, take one solve on the whole filtered slice.
+q comes from fischer.solve_quotient, as in decompose.
 """
 
 from __future__ import annotations
@@ -23,18 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentSystemError, NoBoundaryHitError, UnsolvableSliceError
-from .fischer import DecompositionCertificate, FischerOperator, operator_matrix
-from .fischer import ellipsoidal_form, solve_by_degree
-from .linalg import solve
-from .polyring import (
-    Poly,
-    check_slice_dimension,
-    coordinates,
-    filtered_basis,
-    from_coordinates,
-    squared_norm,
-)
-from .polyring import evaluate_columns, float_sums
+from .fischer import DecompositionCertificate, ellipsoidal_form, solve_quotient
+# operator_matrix and solve stay importable here: the benchmark's tracer wraps both
+from .fischer import operator_matrix, solve  # noqa: F401
+from .polyring import Poly, evaluate_columns, float_sums, squared_norm
 from .scalars import FIELD_Q
 
 
@@ -115,37 +101,23 @@ class DirichletSolution:
 def dirichlet_solve(domain, f):
     """Construct the polynomial Dirichlet solution for data f.
 
-    Solves laplacian(psi*q) == laplacian(f) with q in the filtered slice of
-    degree deg f - 2; since deg psi = 2 this slice maps to itself.  For
-    ellipsoidal psi the matrix is nonsingular and fischer.solve_by_degree, as
-    in decompose, back-substitutes over homogeneous degrees; other quadrics
-    solve the whole filtered slice at once, with free variables pinned to
-    zero.  h and the exact flags come from DecompositionCertificate.build.
-    Raises UnsolvableSliceError when the system is inconsistent (possible
-    only for non-ellipsoidal quadrics).
+    fischer.solve_quotient finds q in the filtered slice of degree deg f - 2,
+    which the map q -> laplacian(psi*q) sends to itself.  That map is
+    bijective when the quadratic part of psi is semidefinite, as on an
+    ellipsoid, so q is unique and deg h <= deg f.  h and the exact flags come
+    from DecompositionCertificate.build.  Raises UnsolvableSliceError when
+    the system is inconsistent, which needs an indefinite quadratic part.
     """
     psi = domain.psi
     if f.field != FIELD_Q:
         raise ValueError("boundary data must use field Q")
     if f.arity != psi.arity:
         raise ValueError(f"arity mismatch: domain {psi.arity} vs f {f.arity}")
-    q = Poly.zero(f.arity, f.field)
-    lap_f = f.laplacian()
-    if lap_f:
-        # the filtered slice of q, whole or as its homogeneous blocks
-        check_slice_dimension(f.arity, f.degree - 2)
-        try:
-            if domain.ellipsoidal:
-                q = solve_by_degree(psi, lap_f)
-            else:
-                source = filtered_basis(f.arity, f.degree - 2)
-                matrix = operator_matrix(FischerOperator(psi), source, source)
-                x = solve(matrix, coordinates(lap_f, source))
-                q = from_coordinates(x, source, f.field)
-        except InconsistentSystemError:
-            raise UnsolvableSliceError(
-                "the square slice system is inconsistent for this quadric"
-            ) from None
+    try:
+        q = solve_quotient(psi, f, f.degree - 2)
+    except InconsistentSystemError:
+        raise UnsolvableSliceError(
+            "the square slice system is inconsistent for this quadric") from None
     cert = DecompositionCertificate.build(psi, f, q)
     harmonic, identity = cert.h_harmonic_exact, cert.identity_exact
     record = VerificationRecord(harmonic_exact=harmonic, identity_exact=identity,

@@ -5,8 +5,8 @@ to the squared norm so that P(D) is the Laplacian.  This module realizes the
 map as an exact matrix between graded slices, computes quotient/harmonic
 decompositions f = psi*q + h, profiles degree-wise surjectivity with
 machine-checkable verdicts, and checks slice-wise bijectivity for the
-self-paired homogeneous case q -> P(D)(P*q).  On an ellipsoid the
-quotient is unique; solve_by_degree finds it for decompose and dirichlet.
+self-paired homogeneous case q -> P(D)(P*q).  solve_quotient finds q for
+decompose and dirichlet, by degree when psi's top form is semidefinite.
 """
 
 from __future__ import annotations
@@ -200,43 +200,93 @@ def ellipsoidal_form(psi):
     return tuple(-const / c for c in diag)
 
 
-def solve_by_degree(psi, lap_f):
-    """The unique q with laplacian(psi*q) == lap_f for ellipsoidal psi = P2 + c0.
-
-    The degree-k part of laplacian(psi*q) is laplacian(P2*q_k) + c0*laplacian(q_{k+2}),
-    and each block q_k -> laplacian(P2*q_k) is nonsingular (Fischer): q_k is solved
-    for k = deg lap_f down to 0, and any higher q_k is 0.  The parts share no
-    monomial, so q gathers their ints over the lcm of their denominators once,
-    in order of degree: the term order of their sum.
+def has_semidefinite_top_form(psi):
+    """Whether psi is over Q and every term of its top form P is c*x^(2*beta),
+    all c of one sign.  Then P is semidefinite and every block
+    q_j -> laplacian(P*q_j) is injective: on the unit sphere a harmonic P*q
+    is orthogonal to q, whose spherical harmonics have lower degrees, so P*q^2
+    integrates to 0 there and q = 0.  The test is sufficient only: it misses
+    (x + y)^2, and an indefinite P such as x^4 - 6*x^2*y^2 + y^4 loses rank.
     """
-    arity = psi.arity
-    c0 = psi.coefficient((0,) * arity)
-    block = FischerOperator(psi.homogeneous_component(2))
-    zero = Poly.zero(arity, FIELD_Q)
-    parts = [zero] * (lap_f.degree + 3)
-    for k in range(lap_f.degree, -1, -1):
-        basis = homogeneous_basis(arity, k)
-        rhs = lap_f.homogeneous_component(k) - parts[k + 2].laplacian().scale(c0)
-        x = solve(operator_matrix(block, basis, basis), coordinates(rhs, basis))
-        parts[k] = from_coordinates(x, basis, FIELD_Q)
-    forms = [part.integer_form for part in parts]
+    top = [(m, n) for m, n in psi.integer_form[0].items() if sum(m) == psi.degree]
+    return (psi.field == FIELD_Q and psi.degree >= 1 and len({n > 0 for _, n in top}) == 1
+            and not any(e % 2 for m, _ in top for e in m))
+
+
+def solve_by_degree(psi, lap_f):
+    """The unique q with laplacian(psi*q) == lap_f when psi, of degree dp,
+    has a semidefinite top form P.
+
+    The degree-l part of laplacian(psi*q) is laplacian(P*q_j), j = l + 2 - dp,
+    plus laplacian(psi_i*q_k) for the lower components psi_i and k > j.  So
+    q_j is solved on its block for l = deg lap_f down to dp - 2, and each
+    laplacian(psi_i*q_j) is then taken off the rhs of its degree.  Raises
+    InconsistentSystemError, as no q exists, when a block's rhs is outside its
+    image or a rhs below degree dp - 2 is not 0.  The parts share no monomial,
+    so q gathers their ints over one lcm, in order of degree as their sum does.
+    """
+    arity, dp = psi.arity, psi.degree
+    block = FischerOperator(psi.homogeneous_component(dp))
+    lower = [(i, c) for i in range(dp) if (c := psi.homogeneous_component(i))]
+    rhs = [lap_f.homogeneous_component(l) for l in range(lap_f.degree + 1)]
+    forms = []
+    for l in range(lap_f.degree, dp - 3, -1):
+        j = l + 2 - dp
+        target = homogeneous_basis(arity, l)
+        source = target if j == l else homogeneous_basis(arity, j)
+        x = solve(operator_matrix(block, source, target), coordinates(rhs[l], target))
+        part = from_coordinates(x, source, FIELD_Q)
+        for i, c in lower:
+            if j + i >= 2:
+                rhs[j + i - 2] -= c * part.laplacian() if i == 0 else (c * part).laplacian()
+        forms.append(part.integer_form)
+    if any(rhs[: dp - 2]):
+        raise InconsistentSystemError("a part below degree deg psi - 2 is left")
     den = math.lcm(*(d for _, d in forms))
-    merged = {}
-    for ints, d in forms:
-        k = den // d
-        merged.update((m, n * k) for m, n in ints.items())
-    return zero._wrap(merged, den)
+    factors = [(ints, den // d) for ints, d in reversed(forms)]
+    return lap_f._wrap({m: n * k for ints, k in factors for m, n in ints.items()}, den)
+
+
+def solve_quotient(psi, f, source_degree, slack=0):
+    """A q with laplacian(psi*q) == laplacian(f) in filtered(m), m the least of
+    source_degree..source_degree + slack that holds one, source_degree being
+    at least deg f - deg psi; InconsistentSystemError when none does.
+
+    With a semidefinite top form (has_semidefinite_top_form) q is unique and
+    in every such slice, and solve_by_degree finds it, or proves it absent,
+    within filtered(deg f - 2) whatever the slack.  Any other psi takes one
+    solve per filtered(m), free variables pinned to zero.
+    """
+    lap_f = f.laplacian()
+    if not lap_f:
+        return Poly.zero(f.arity, f.field)
+    if has_semidefinite_top_form(psi):
+        check_slice_dimension(f.arity, f.degree - 2)
+        return solve_by_degree(psi, lap_f)
+    top = source_degree + slack
+    # every slice built lies in filtered(top) or filtered(top + deg psi - 2)
+    check_slice_dimension(f.arity, max(top, top + psi.degree - 2))
+    op = FischerOperator(psi)
+    for m in range(max(source_degree, 0), top + 1):
+        source = filtered_basis(f.arity, m)
+        target = filtered_basis(f.arity, max(m + psi.degree - 2, lap_f.degree))
+        try:
+            x = solve(operator_matrix(op, source, target), coordinates(lap_f, target))
+        except InconsistentSystemError:
+            continue
+        return from_coordinates(x, source, f.field)
+    raise InconsistentSystemError(f"no filtered slice up to degree {top} holds a q")
 
 
 def fischer_decompose(psi, f, slack=0):
     """Find q with laplacian(psi*q) == laplacian(f) and return the certificate.
 
-    The quotient is searched in filtered slices of degree
-    deg f - deg psi + 2 + s for s = 0..slack, smallest s first, with free
-    variables pinned to zero.  Failure raises NoDecompositionFoundError and
-    is inconclusive: higher source degrees might still work.  On an
-    ellipsoid the s = 0 slice is bijective; solve_by_degree gives its q,
-    and the slack is not used.
+    solve_quotient searches the filtered slices of degree
+    deg f - deg psi + 2 + s, s = 0..slack.  Failure raises
+    NoDecompositionFoundError.  The slack matters only when the top form of
+    psi is not semidefinite, and there failure is inconclusive.  With a
+    semidefinite top form, failure proves that no polynomial q exists, but it
+    is reported as inconclusive all the same: the report has no certificate.
     """
     if psi.arity != f.arity:
         raise ValueError(f"arity mismatch: psi {psi.arity} vs f {f.arity}")
@@ -246,32 +296,11 @@ def fischer_decompose(psi, f, slack=0):
         raise ValueError("psi must be non-constant")
     if not isinstance(slack, int) or slack < 0:
         raise ValueError(f"slack must be a non-negative int, got {slack!r}")
-    lap_f = f.laplacian()
-    if not lap_f:
-        return DecompositionCertificate.build(psi, f, Poly.zero(f.arity, f.field))
-    if ellipsoidal_form(psi) is not None:
-        # the blocks of solve_by_degree lie in filtered(deg f - 2), whatever the slack
-        check_slice_dimension(f.arity, f.degree - 2)
-        return DecompositionCertificate.build(psi, f, solve_by_degree(psi, lap_f))
-    deg_psi = psi.degree
-    # every slice built lies in filtered(top) or filtered(top + deg_psi - 2)
-    top = f.degree - deg_psi + 2 + slack
-    check_slice_dimension(f.arity, max(top, top + deg_psi - 2))
-    op = FischerOperator(psi)
-    for s in range(slack + 1):
-        m = f.degree - deg_psi + 2 + s
-        if m < 0:
-            continue
-        source = filtered_basis(f.arity, m)
-        target = filtered_basis(f.arity, max(m + deg_psi - 2, lap_f.degree))
-        matrix = operator_matrix(op, source, target)
-        try:
-            x = solve(matrix, coordinates(lap_f, target))
-        except InconsistentSystemError:
-            continue
-        q = from_coordinates(x, source, f.field)
-        return DecompositionCertificate.build(psi, f, q)
-    raise NoDecompositionFoundError(slack)
+    try:
+        q = solve_quotient(psi, f, f.degree - psi.degree + 2, slack)
+    except InconsistentSystemError:
+        raise NoDecompositionFoundError(slack) from None
+    return DecompositionCertificate.build(psi, f, q)
 
 
 @dataclass(frozen=True)
@@ -526,13 +555,11 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     psi = (x3 - phi(x1 + i*x2))^2, phi = a0 + a1*z + ... + a_k*z^k, the
     coordinates (w, u, t) = (x1 + i*x2, x1 - i*x2, x3 - a0) make the
     Laplacian 4*dw*du + dt^2 and psi (t - a1*w - ... - a_k*w^k)^2, both
-    sparse.  For a monomial phi = a0 + a_k*z^k the map also keeps the
-    weight (1, 2k - 1, k) of a monomial, so every echelon row stays inside
-    one weight; with two or more non-constant terms it does not.  The
-    change is a ring isomorphism that keeps degrees and commutes with the
-    Laplacian, so each filtered slice, its image, their ranks and the
-    filtered(n) it covers correspond exactly, and x^a lies in the image iff
-    its expansion does.  Every other psi keeps the original coordinates.
+    sparse.  The change is a ring isomorphism that keeps degrees and
+    commutes with the Laplacian, so each filtered slice, its image, their
+    ranks and the filtered(n) it covers correspond exactly, and x^a lies in
+    the image iff its expansion does.  Every other psi keeps the original
+    coordinates.
     """
     if psi.degree < 1:
         raise ValueError("psi must be non-constant")

@@ -810,10 +810,10 @@ def test_report_records_hold_only_scalars():
         assert all(isinstance(v, (int, float, type(None))) for v in vars(record).values())
 
 
-# The callers of solve off the ellipsoid blocks: a non-diagonal quadric takes
-# one solve of its whole filtered slice, and the filtered decompose slices of
-# x^4+y^2-1 are each refused as inconsistent.  Taken before solve eliminated
-# only the rows that its rhs reaches.
+# A non-diagonal quadric takes one solve of its whole filtered slice.  The
+# filtered decompose slices of x^4+y^2-1 were each refused as inconsistent;
+# its degree blocks now prove that no q exists.  Taken before solve
+# eliminated only the rows that its rhs reaches.
 _PINNED_FILTERED_SOLVES = [
     (
         ("dirichlet", "--psi", "x^2+x*y+2*y^2-1", "--f", "(x+y*y-2)^5", "--vars", "x,y",
@@ -839,6 +839,66 @@ _PINNED_FILTERED_SOLVES = [
 @pytest.mark.parametrize("argv, code, digests", _PINNED_FILTERED_SOLVES,
                          ids=[argv[0] for argv, _, _ in _PINNED_FILTERED_SOLVES])
 def test_filtered_solve_reports_are_pinned(capsys, argv, code, digests):
+    for fmt, digest in digests.items():
+        got, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# Runs whose psi has a semidefinite top form but is no diagonal ellipsoid:
+# taken when they still took the filtered solve, before every such psi went
+# to the degree blocks.
+_PINNED_BLOCK_SOLVES = [
+    (
+        ("decompose", "--psi", "x^4+y^4-1", "--f", "(x^4+y^4-1)*(x^2*y-3*x+1)+x^3-3*x*y^2",
+         "--vars", "x,y"),
+        0,
+        {
+            "json": "8a49cb9258b5387d839dce3d2fbe3ee7d90d0b0c850b169e2c7c46c3bdfc70bb",
+            "text": "55b18dc10c75d1ebdd4c4f3ae34495a346a8bbe23c755234de0e1d36fbfb490a",
+        },
+    ),
+    (
+        ("decompose", "--psi", "x^4+y^4-1", "--f", "x^2+y^2", "--vars", "x,y", "--slack", "6"),
+        3,
+        {
+            "json": "9d366c56927033d4d8305d049117b5d7d774d2ebe056f3a60553700cb84186b0",
+            "text": "3e42923ec946b2b2deca7c5d3e13cf8cce2010531baa4985d723f790bd12302b",
+        },
+    ),
+    (
+        ("decompose", "--psi", "x^2+y^2-1", "--f", "x*z^3+y^2*z-(x+y*z)^4", "--vars", "x,y,z",
+         "--slack", "1"),
+        0,
+        {
+            "json": "a15d156da46220f1f424368ce625f197fb6a7b01d87f5668333dbc3e1f30b88c",
+            "text": "611fadbdbbc205e85dc6c93d05c3f79d536d0e55065837a8a431bdff9742a1a5",
+        },
+    ),
+    (
+        ("dirichlet", "--psi", "x^2-1", "--f", "(x+2*y)^5-y^3", "--vars", "x,y",
+         "--interior", "0,0", "--seed", "1"),
+        0,
+        {
+            "json": "a58cd63997d01239fc6610ed47c919f637a570f5863ec0d68bb0c2d5a9d250da",
+            "csv": "084ed543fca7b7d026f1d74260aeee0615a84edf4e8beb798f752e7d38e1cbcd",
+        },
+    ),
+    (
+        ("dirichlet", "--psi", "x^2+y^2+x-3", "--f", "(x*y+x-1)^3", "--vars", "x,y",
+         "--interior", "0,0", "--seed", "1"),
+        0,
+        {
+            "json": "c598143b6b789d1801074c195024aabf290347ab7e3481a0e48ae32718c764e5",
+            "csv": "ae0f68926ecb19965f2452ce8bdad37f840cb1f7c300aac91bc62e70b4a34c22",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digests", _PINNED_BLOCK_SOLVES,
+                         ids=["quartic", "quartic-none", "cylinder", "strip", "shifted-disk"])
+def test_block_solve_reports_are_pinned(capsys, argv, code, digests):
     for fmt, digest in digests.items():
         got, out, _ = run_cli(capsys, *argv, "--format", fmt)
         assert got == code

@@ -330,7 +330,8 @@ def test_ellipsoids_solve_no_system_larger_than_the_top_slice(monkeypatch):
 
 
 def test_other_quadrics_keep_the_filtered_solve(monkeypatch):
-    sizes = _recording_solve(monkeypatch, dirichlet)
+    # an indefinite quadratic part: fischer.solve_quotient takes one solve
+    sizes = _recording_solve(monkeypatch, fischer)
     # laplacian(x^2 - y^2) = 0: the degree-0 block is singular here
     hyperbola = QuadricDomain(X * X - Y * Y - Poly.constant(2, 1), (0.0, 0.0))
     f = hyperbola.psi * (X * Y + X * X) + X * X * X - (X * Y * Y).scale(3)
@@ -339,6 +340,26 @@ def test_other_quadrics_keep_the_filtered_solve(monkeypatch):
     assert (solution.q, solution.h) == _filtered_solution(hyperbola, f)
     assert solution.verification.harmonic_exact
     assert solution.verification.identity_exact
+
+
+@pytest.mark.parametrize("text, names, interior", [
+    ("1-x^2-y^2", ("x", "y"), (2, 0)),
+    ("x^2-1", ("x", "y"), (0, 0)),
+    ("x^2+y^2+x-3", ("x", "y"), (0, 0)),
+    ("x^2+y^2-1", ("x", "y", "z"), (0, 0, 0)),
+], ids=["outside-a-disk", "strip", "shifted-disk", "cylinder"])
+def test_semidefinite_quadrics_match_the_filtered_solve(monkeypatch, text, names, interior):
+    domain = QuadricDomain(parse_polynomial(text, names), interior)
+    assert fischer.has_semidefinite_top_form(domain.psi) and not domain.ellipsoidal
+    rng = random.Random(len(text) + len(names))
+    for _ in range(6):
+        f = random_poly(rng, len(names), rng.randint(2, 7), nonzero=True)
+        _assert_matches_filtered_solve(domain, f)
+    # one homogeneous block per degree of laplacian(f), the top one first
+    sizes = _recording_solve(monkeypatch, fischer)
+    f = parse_polynomial("(x+2*y-1)^5", names)
+    dirichlet_solve(domain, f)
+    assert sizes == [len(homogeneous_basis(len(names), k)) for k in range(3, -1, -1)]
 
 
 def test_inconsistent_block_fails_closed(monkeypatch):

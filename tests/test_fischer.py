@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -39,6 +40,7 @@ from fischerlab import (
     nullspace_basis,
     operator_matrix,
     parse_polynomial,
+    rank_and_first_missing,
     rank_profile,
     rref,
     solve,
@@ -48,6 +50,7 @@ from helpers import (
     assert_first_unsolvable_unit,
     from_sympy,
     random_ellipsoid,
+    random_fraction,
     random_poly,
     random_scalar,
     to_sympy,
@@ -420,8 +423,8 @@ def test_decompose_validation():
 
 
 def _filtered_slice_decompose(psi, f, slack):
-    # the filtered slack loop that fischer_decompose ran for every psi
-    # before ellipsoids took the block solver: the oracle of the tests below
+    # the filtered slack loop that fischer_decompose ran for every psi before
+    # semidefinite top forms took the block solver: the oracle of the tests below
     lap_f = f.laplacian()
     if not lap_f:
         return DecompositionCertificate.build(psi, f, Poly.zero(f.arity, f.field))
@@ -515,13 +518,6 @@ def test_ellipsoid_blocks_eliminate_only_the_rows_their_rhs_reaches(monkeypatch)
 @pytest.mark.parametrize(
     "psi, f, slack",
     [
-        # a negative multiple of an ellipsoid is not ellipsoidal
-        (Poly.constant(2, 1) - X * X - Y * Y, X**3 * Y + Y**2, 0),
-        (
-            parse_polynomial("x^2+y^2-1", ("x", "y", "z")),
-            parse_polynomial("x*z^3 + y^2*z", ("x", "y", "z")),
-            1,
-        ),
         (
             khavinson_psi([0, 1]),
             parse_polynomial("x1^2*x3 + i*x2^3", ("x1", "x2", "x3"), FIELD_QI),
@@ -533,10 +529,10 @@ def test_ellipsoid_blocks_eliminate_only_the_rows_their_rhs_reaches(monkeypatch)
             1,
         ),
     ],
-    ids=["1-x^2-y^2", "cylinder", "khavinson-z", "circle-over-Qi"],
+    ids=["khavinson-z", "circle-over-Qi"],
 )
 def test_other_psi_keep_the_filtered_slices(monkeypatch, psi, f, slack):
-    assert fischer.ellipsoidal_form(psi) is None
+    assert not fischer.has_semidefinite_top_form(psi)
     shapes = _recording_slices(monkeypatch)
     cert = fischer_decompose(psi, f, slack)
     tried = len(shapes)
@@ -548,11 +544,154 @@ def test_other_psi_keep_the_filtered_slices(monkeypatch, psi, f, slack):
     assert cert.verify() and cert.q == _filtered_slice_decompose(psi, f, slack).q
 
 
+@pytest.mark.parametrize(
+    "psi, f, slack",
+    [
+        # a negative multiple of an ellipsoid: its top form is negative definite
+        (Poly.constant(2, 1) - X * X - Y * Y, X**3 * Y + Y**2, 0),
+        (
+            parse_polynomial("x^2+y^2-1", ("x", "y", "z")),
+            parse_polynomial("x*z^3 + y^2*z", ("x", "y", "z")),
+            1,
+        ),
+        (
+            parse_polynomial("x^4+y^4-1", ("x", "y")),
+            parse_polynomial("(x^4+y^4-1)*(x*y+x) + x^3 - 3*x*y^2", ("x", "y")),
+            2,
+        ),
+    ],
+    ids=["1-x^2-y^2", "cylinder", "x^4+y^4-1"],
+)
+def test_semidefinite_top_forms_solve_homogeneous_blocks_top_first(monkeypatch, psi, f, slack):
+    assert fischer.ellipsoidal_form(psi) is None and fischer.has_semidefinite_top_form(psi)
+    shapes = _recording_slices(monkeypatch)
+    cert = fischer_decompose(psi, f, slack)
+    # one block per degree l of laplacian(f) down to deg psi - 2, from the
+    # degree l + 2 - deg psi part of q to the degree-l part
+    top, d = f.laplacian().degree, psi.degree
+    assert shapes == [(len(homogeneous_basis(f.arity, l)),
+                       len(homogeneous_basis(f.arity, l + 2 - d)))
+                      for l in range(top, d - 3, -1)]
+    assert cert.verify() and cert.q == _filtered_slice_decompose(psi, f, slack).q
+
+
+def _random_harmonic(rng, arity, max_degree):
+    # c * Re((x_a + i*x_b)^k) or c * Im(...), three times: a harmonic sum
+    h = Poly.zero(arity)
+    for _ in range(3):
+        a, b = rng.sample(range(arity), 2)
+        k, odd = rng.randint(1, max_degree), rng.randint(0, 1)
+        terms = {}
+        for r in range(odd, k + 1, 2):
+            exponents = [0] * arity
+            exponents[a], exponents[b] = k - r, r
+            terms[tuple(exponents)] = math.comb(k, r) * (-1) ** (r // 2)
+        h = h + Poly(arity, FIELD_Q, terms).scale(random_fraction(rng))
+    return h
+
+
+def _decompose_outcome(decompose, psi, f, slack):
+    try:
+        cert = decompose(psi, f, slack)
+    except NoDecompositionFoundError as exc:
+        return "none", exc.slack
+    return cert.q, cert.h
+
+
+_SEMIDEFINITE_PSI = [
+    ("x^4+y^4-1", 2),
+    ("x^4+y^2-1", 2),
+    ("(x^2+y^2)^2+x-1", 2),
+    ("x^6+y^6+x*y-1", 2),
+    ("1-x^2-y^2", 2),
+    ("x^2-1", 2),
+    ("x^2+y^2+x-3", 2),
+    ("x^2+y^2-1", 3),
+    ("x^4+x^2*y^2+y^4+z^4+x-1", 3),
+]
+
+
+@pytest.mark.parametrize("text, arity", _SEMIDEFINITE_PSI,
+                         ids=[f"{text}-d{arity}" for text, arity in _SEMIDEFINITE_PSI])
+def test_block_solve_matches_the_filtered_slices(text, arity):
+    # f = psi*g + harmonic has a q; adding a random r usually leaves none
+    # when deg psi > 2, while every f has one for a quadric
+    rng = random.Random(sum(map(ord, text)) + arity)
+    psi = parse_polynomial(text, ("x", "y", "z")[:arity])
+    assert fischer.has_semidefinite_top_form(psi)
+    outcomes = []
+    for trial in range(12):
+        g = random_poly(rng, arity, 3 if arity == 2 else 2)
+        h = _random_harmonic(rng, arity, psi.degree + 2)
+        assert not h.laplacian()
+        f = psi * g + h
+        if trial % 2:
+            f = f + random_poly(rng, arity, psi.degree + 1, nonzero=True)
+        slack = rng.randint(0, 3)
+        outcome = _decompose_outcome(fischer_decompose, psi, f, slack)
+        assert outcome == _decompose_outcome(_filtered_slice_decompose, psi, f, slack)
+        if not trial % 2:
+            assert outcome[0] == g
+        outcomes.append(outcome[0] == "none")
+    assert not all(outcomes)
+    assert any(outcomes) == (psi.degree > 2)
+
+
+def test_the_quartic_baseline_has_no_q_by_its_top_block(monkeypatch):
+    # the filtered slices of this case take tens of seconds; the top block
+    # alone is inconsistent, which proves that no q exists
+    names = ("x", "y", "z")
+    psi = parse_polynomial("x^4+x^2*y^2+y^4+z^4+x-1", names)
+    shapes = _recording_slices(monkeypatch)
+    with pytest.raises(NoDecompositionFoundError):
+        fischer_decompose(psi, parse_polynomial("(x+y*z+1)^11", names), slack=3)
+    assert shapes == [(len(homogeneous_basis(3, 20)), len(homogeneous_basis(3, 18)))]
+
+
+def _block_ranks(top, max_degree=10):
+    op = FischerOperator(top)
+    for m in range(max_degree + 1):
+        source = homogeneous_basis(top.arity, m)
+        target = homogeneous_basis(top.arity, m + top.degree - 2)
+        yield m, len(source), rank_and_first_missing(operator_matrix(op, source, target))[0]
+
+
+@pytest.mark.parametrize("text, arity", [("x^4+y^4", 2), ("x^4", 2), ("(x^2+y^2)^2", 2),
+                                         ("x^2+y^2", 3), ("-x^2-y^2", 2)])
+def test_semidefinite_top_forms_give_injective_blocks(text, arity):
+    top = parse_polynomial(text, ("x", "y", "z")[:arity])
+    assert fischer.has_semidefinite_top_form(top)
+    lower = Poly.variable(arity, 0) - Poly.constant(arity, 1)
+    assert fischer.has_semidefinite_top_form(top + lower)
+    for m, columns, rank in _block_ranks(top):
+        assert rank == columns, m
+
+
+def test_the_predicate_rejects_other_top_forms():
+    names = ("x", "y")
+    indefinite = parse_polynomial("x^4-6*x^2*y^2+y^4", names)
+    lost = [m for m, columns, rank in _block_ranks(indefinite) if rank < columns]
+    assert lost == [0, 4, 8]
+    for text in ("x^4-6*x^2*y^2+y^4", "x^4-6*x^2*y^2+y^4-1", "x*y", "x*y+x^2-1", "x^3",
+                 "x^3+y^2-1", "x^2-y^2-1", "x+y", "3"):
+        assert not fischer.has_semidefinite_top_form(parse_polynomial(text, names)), text
+    for psi in (khavinson_psi([0, 1]), khavinson_psi([1, 2, 3]),
+                parse_polynomial("x^2+y^2-1", names, FIELD_QI),
+                parse_polynomial("x^4+y^4-1", names, FIELD_QI),
+                parse_polynomial("1-x^2-y^2", names, FIELD_QI)):
+        assert not fischer.has_semidefinite_top_form(psi)
+
+
 def test_slack_on_an_ellipsoid_builds_no_larger_slice():
-    # the ellipsoid blocks lie in filtered(deg f - 2) whatever the slack, so
-    # a slack whose filtered slices would pass MAX_SLICE_DIMENSION is unused
+    # the blocks of a semidefinite top form lie in filtered(deg f - 2) whatever
+    # the slack, so a slack whose filtered slices would pass
+    # MAX_SLICE_DIMENSION is unused
     cert = fischer_decompose(CIRCLE, X**3 * Y, slack=100)
     assert cert == fischer_decompose(CIRCLE, X**3 * Y)
+    quartic = X**4 + Y**4 - Poly.constant(2, 1)
+    f = quartic * (X * Y + X) + X**3 - (X * Y * Y).scale(3)
+    cert = fischer_decompose(quartic, f, slack=100)
+    assert cert == fischer_decompose(quartic, f) and cert.q == X * Y + X
     with pytest.raises(SliceTooLargeError):
         fischer_decompose(X * X - Y * Y - Poly.constant(2, 1), X**3 * Y, slack=100)
 
