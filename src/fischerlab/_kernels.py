@@ -1,7 +1,10 @@
 """Row reduction kernel: sparse echelon insertion in primitive integer rows.
 
 A vector is a dict {key: entry} of its nonzero entries, denominators
-cleared: an int over Q, an (re, im) pair of ints over Qi.  An echelon is a
+cleared: an int over Q, an (re, im) pair of ints over Qi.  That integer
+form of an entry is defined here, for the whole package, by the tables Q
+and QI of its operations (scalars.INTEGERS maps field names to them); the
+kernel's own loops are their specialized entries.  An echelon is a
 dict {lead: row}, a row's lead being its lowest key; each row is primitive
 (its ints have gcd 1) with a positive int at its lead.  ``insert`` takes a
 vector v, at its lowest key, to b*v - a*row (a = v[lead] and b = row[lead]
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import add, itemgetter, mul, truediv
 from types import SimpleNamespace
 
 
@@ -79,14 +82,23 @@ def _qi_dot(row, values):
             sum(a * d + b * c for (a, b), (c, d) in pairs))
 
 
-# den: the positive int at a stored row's lead; scale(x, k, g) = x // g * k
+# For entries x, y and ints k, den: add, mul; times(x, k) = x*k; scale(x, k,
+# g) = x // g * k, g dividing x's parts; parts(x), flat(xs): the ints of one
+# and of many entries; residue(x, i): x mod p, i being the image of i mod p;
+# to_float(x, den): x / den, complex over Qi; den(x): the int of a real x.
 Q = SimpleNamespace(
     reduce=_q_reduce, store=lambda v, lead: _q_primitive(v, -1 if v[lead] < 0 else 1),
     dot=lambda row, values: sum(x * values[k] for k, x in row.items() if k in values),
-    den=int, minus_one=-1, parts=lambda x: (x,), scale=lambda x, k, g=1: x // g * k)
+    den=int, zero=0, one=1, minus_one=-1, add=add, mul=mul, times=mul,
+    scale=lambda x, k, g=1: x // g * k, parts=lambda x: (x,), flat=lambda xs: xs,
+    residue=lambda x, i: x, to_float=truediv)
 QI = SimpleNamespace(
-    reduce=_qi_reduce, store=_qi_store, dot=_qi_dot, den=itemgetter(0), minus_one=(-1, 0),
-    parts=lambda x: x, scale=lambda x, k, g=1: (x[0] // g * k, x[1] // g * k))
+    reduce=_qi_reduce, store=_qi_store, dot=_qi_dot, den=itemgetter(0),
+    zero=(0, 0), one=(1, 0), minus_one=(-1, 0), add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    times=lambda x, k: (x[0] * k, x[1] * k), scale=lambda x, k, g=1: (x[0] // g * k, x[1] // g * k),
+    parts=lambda x: x, flat=chain.from_iterable, residue=lambda x, i: x[0] + x[1] * i,
+    to_float=lambda x, den: complex(x[0] / den, x[1] / den))
 
 
 def remainder(field, vector, echelon):

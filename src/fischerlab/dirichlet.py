@@ -2,18 +2,19 @@
 
 A domain is described by a degree-2 defining polynomial psi with the
 convention psi < 0 inside (fixed by a user-supplied interior point).  For
-data f the solver finds q with laplacian(psi*q) == laplacian(f) on the
-square filtered slice and checks the certificate f = psi*q + h of decompose
+data f the solver finds q with laplacian(psi*q) == laplacian(f) of degree
+at most deg f - 2, by fischer.solve_quotient as in decompose: block by
+block when the quadratic part of psi is semidefinite, else by one solve on
+filtered(deg f - 2).  It checks the certificate f = psi*q + h of decompose
 (h exactly harmonic, the identity exact) and that |f - h| is small at
 sampled boundary points, relative to the size of the terms of f and h.
-q comes from fischer.solve_quotient, as in decompose.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InconsistentSystemError, NoBoundaryHitError, UnsolvableSliceError
@@ -35,8 +36,8 @@ class QuadricDomain:
 
     psi: Poly
     interior_point: tuple
-    ellipsoidal: bool = None
-    semi_axes_squared: tuple = None
+    ellipsoidal: bool = field(init=False)
+    semi_axes_squared: tuple = field(init=False)
 
     def __post_init__(self):
         if self.psi.field != FIELD_Q:

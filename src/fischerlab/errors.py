@@ -62,8 +62,9 @@ class NoDecompositionFoundError(FischerlabError):
 
 
 class UnsolvableSliceError(FischerlabError):
-    """Raised when the square slice system of a quadric Dirichlet problem is
-    inconsistent (cannot happen for ellipsoidal boundaries)."""
+    """Raised when no q of degree at most deg f - 2 solves the quadric
+    Dirichlet problem's laplacian(psi*q) == laplacian(f), which needs psi
+    to have an indefinite quadratic part."""
 
 
 class NoBoundaryHitError(FischerlabError):

@@ -35,6 +35,7 @@ from .scalars import (
     FIELD_Q,
     FIELD_QI,
     GAUSSIAN_I,
+    INTEGERS,
     as_scalar,
     validate_field,
 )
@@ -209,10 +210,11 @@ def _check_bits(what, factors, exponent=1):
     bits = 0.0
     for poly in factors:
         ints, den = poly.integer_form
+        parts = INTEGERS[poly.field].parts
         heights = [1]
         for n in ints.values():
             nums, dens = [], []
-            for part in n if poly.field == FIELD_QI else (n,):
+            for part in parts(n):
                 g = math.gcd(part, den)
                 nums.append(abs(part) // g)
                 dens.append(den // g)

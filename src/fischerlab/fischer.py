@@ -25,6 +25,7 @@ from .polyring import (
     FILTERED,
     HOMOGENEOUS,
     Poly,
+    _gather,
     apply_operator,
     basis_dimension,
     check_slice_dimension,
@@ -36,7 +37,7 @@ from .polyring import (
     overflow_error,
     squared_norm,
 )
-from .scalars import FIELD_Q, FIELD_QI, GAUSSIAN_I, as_scalar
+from .scalars import FIELD_Q, FIELD_QI, GAUSSIAN_I, INTEGERS, as_scalar
 
 SURJECTIVE = "surjective"
 UNDETERMINED = "undetermined"
@@ -86,15 +87,12 @@ class FischerOperator:
 
         Each operator term d*D^g gives one entry (g, its axes with g_i > 0
         as (i, g_i) pairs, [C for each psi term c*x^b]), where C = c*d*L is
-        an int over Q and an (re, im) pair of ints over Qi; L is the least
-        common denominator of every product c*d.  Built once per operator.
+        an entry in integer form; L is the least common denominator of every
+        product c*d.  Built once per operator.
         """
         (psi, psi_den), (ops, op_den) = self.psi.integer_form, self.operator.integer_form
-        pairs = [(d, c) for d in ops.values() for c in psi.values()]
-        if self.field == FIELD_QI:
-            products = [(dr * cr - di * ci, dr * ci + di * cr) for (dr, di), (cr, ci) in pairs]
-        else:
-            products = [d * c for d, c in pairs]
+        product = INTEGERS[self.field].mul
+        products = [product(d, c) for d in ops.values() for c in psi.values()]
         ints, den = lowest_terms(dict(enumerate(products)), psi_den * op_den, self.field)
         ints, n = list(ints.values()), len(psi)
         return [(g, [(i, k) for i, k in enumerate(g) if k], ints[r * n : (r + 1) * n])
@@ -124,7 +122,8 @@ def operator_matrix(op, source, target):
     if source.arity != op.arity or target.arity != op.arity:
         raise ValueError("basis arity does not match the operator")
     stencil, denominator = op._stencil
-    qi = op.field == FIELD_QI
+    table = INTEGERS[op.field]
+    times = table.times
     psi = tuple(op.psi.integer_form[0])
     rows = [{} for _ in range(len(target))]
     for j, a in enumerate(source.monomials):
@@ -132,27 +131,15 @@ def operator_matrix(op, source, target):
         # the terms in the order, and with the cancellations, of
         # apply_operator(operator, psi * x^a), so an overflow names the
         # same monomial
-        image = {}
+        pairs = []
         for g, axes, coefficients in stencil:
             for e, c in zip(shifted, coefficients):
                 factor = 1
                 for i, k in axes:
                     factor *= math.perm(e[i], k)
-                if not factor:
-                    continue
-                m = tuple(map(sub, e, g))
-                if qi:
-                    re, im = image.get(m, (0, 0))
-                    value = (re + c[0] * factor, im + c[1] * factor)
-                    nonzero = value[0] or value[1]
-                else:
-                    value = image.get(m, 0) + c * factor
-                    nonzero = value
-                if nonzero:
-                    image[m] = value
-                elif m in image:
-                    del image[m]
-        for m, value in image.items():
+                if factor:
+                    pairs.append((tuple(map(sub, e, g)), times(c, factor)))
+        for m, value in _gather(pairs, table).items():
             try:
                 i = target.index(m)
             except KeyError:
@@ -352,9 +339,6 @@ class RankProfile:
 
     def all_surjective(self):
         return all(v.status == SURJECTIVE for v in self.verdicts)
-
-    def verdict_for(self, target_degree):
-        return self.verdicts[target_degree]
 
 
 def _monomial_poly(arity, exponents, field):

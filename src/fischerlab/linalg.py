@@ -18,7 +18,7 @@ from math import lcm
 
 from . import _kernels
 from .errors import InconsistentSystemError
-from .scalars import FIELD_Q, as_scalar, from_integer, integer_form, validate_field
+from .scalars import FIELD_Q, INTEGERS, as_scalar, from_integer, integer_form, validate_field
 
 
 def _integer_row(entries, cols, field):
@@ -118,7 +118,7 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        scale = _kernel(self.field)[1].scale
+        scale = INTEGERS[self.field].scale
         # rows a / da and b / db are equal when a * db == b * da entrywise
         return (
             self.rows == other.rows
@@ -134,7 +134,7 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
         ints, vec_den = integer_form(vec, self.field)
-        values, dot = dict(enumerate(ints)), _kernel(self.field)[1].dot
+        values, dot = dict(enumerate(ints)), INTEGERS[self.field].dot
         return [from_integer(dot(row, values), den * vec_den) for row, den in self._int_rows]
 
     def __matmul__(self, other):
@@ -151,7 +151,7 @@ class ExactMatrix:
         """Concatenate columns: [self | other]."""
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack needs matching row count and field")
-        scale = _kernel(self.field)[1].scale
+        scale = INTEGERS[self.field].scale
         int_rows = [({**{j: scale(x, db) for j, x in a.items()},
                       **{self.cols + j: scale(x, da) for j, x in b.items()}}, da * db)
                     for (a, da), (b, db) in zip(self._int_rows, other._int_rows)]
@@ -163,9 +163,7 @@ class ExactMatrix:
 
 def _kernel(field):
     # looked up at call time, so a wrapper installed on _kernels sees the call
-    if field == FIELD_Q:
-        return _kernels.rref_q, _kernels.Q
-    return _kernels.rref_qi, _kernels.QI
+    return (_kernels.rref_q if field == FIELD_Q else _kernels.rref_qi), INTEGERS[field]
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,7 @@ class GrowingEchelon:
             return True
         ints, _ = integer_form(entries.values(), self.field)
         vector = {-j: x for j, x in zip(entries, ints)}
-        return not _kernels.remainder(_kernel(self.field)[1], vector, self._echelon)
+        return not _kernels.remainder(INTEGERS[self.field], vector, self._echelon)
 
 
 def _reached(int_rows, seeds):
@@ -361,12 +359,8 @@ def rank_and_first_missing(matrix):
     Any other case, a rank deficit, a witness past e_0 or a prime at which
     the rank drops, is answered by an exact GrowingEchelon.
     """
-    p, i_p = _kernels.P, _kernels.I_P
-    if matrix.field == FIELD_Q:
-        residues = _columns(matrix, lambda x, k: x * k % p)
-    else:
-        residues = _columns(matrix, lambda x, k: (x[0] + x[1] * i_p) * k % p)
-    leads = _kernels.insert_mod_p(residues, {}, p)
+    p, i_p, residue = _kernels.P, _kernels.I_P, INTEGERS[matrix.field].residue
+    leads = _kernels.insert_mod_p(_columns(matrix, lambda x, k: residue(x, i_p) * k % p), {}, p)
     if len(leads) == matrix.rows:
         return matrix.rows, None
     if len(leads) == matrix.cols and 0 not in leads:

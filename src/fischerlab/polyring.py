@@ -1,9 +1,11 @@
 """Sparse exact multivariate polynomials and graded monomial bases.
 
-A polynomial stores a dict {exponents: n} of its nonzero terms, n an int
-over Q and an (re, im) pair of ints over Qi, and one positive denominator
-den, in canonical form (den and every part have gcd 1): the vector form of
-ExactMatrix rows.  Arithmetic runs on the ints and builds no field scalar;
+A polynomial stores a dict {exponents: n} of its nonzero terms, n an
+entry in the integer form of its field, and one positive denominator den,
+in canonical form (den and every part have gcd 1): the vector form of
+ExactMatrix rows.  That form and its arithmetic are defined once, by the
+field's table in scalars.INTEGERS (_kernels.Q and _kernels.QI), which every
+operation here reads.  Arithmetic runs on the ints and builds no field scalar;
 ``terms`` builds the scalars once, when first read, and ``decimal_terms``
 builds the decimal strings of the reports (the printer's and
 poly_to_json's) once, straight from the ints.  Terms keep their
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
@@ -29,6 +32,7 @@ from .errors import BasisOverflowError, FloatEvaluationError, SliceTooLargeError
 from .scalars import (
     FIELD_Q,
     FIELD_QI,
+    INTEGERS,
     GaussianRational,
     as_scalar,
     from_integer,
@@ -66,23 +70,15 @@ def _split(value, field):
     raise ValueError(f"field {field} cannot hold {value!r}")
 
 
-def _times(n, k, qi):
-    return (n[0] * k, n[1] * k) if qi else n * k
-
-
-def _product(a, b, qi):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]) if qi else a * b
-
-
-def _gather(pairs, qi, out=None):
+def _gather(pairs, table, out=None):
     # {m: sum of the values of m} in the term order: a sum that cancels is
     # deleted, and appended again if it comes back
     out = {} if out is None else out
+    plus, zero = table.add, table.zero
     for m, value in pairs:
         if m in out:
-            old = out[m]
-            value = (old[0] + value[0], old[1] + value[1]) if qi else old + value
-        if value[0] or value[1] if qi else value:
+            value = plus(out[m], value)
+        if value != zero:
             out[m] = value
         elif m in out:
             del out[m]
@@ -92,13 +88,12 @@ def _gather(pairs, qi, out=None):
 def lowest_terms(ints, den, field):
     """The dict {key: n} and positive den divided by the gcd of den and
     every part: the canonical form of the scalars n / den."""
-    qi = field == FIELD_QI
-    g = gcd(den, *(chain.from_iterable(ints.values()) if qi else ints.values()))
+    table = INTEGERS[field]
+    g = gcd(den, *table.flat(ints.values()))
     if g == 1:
         return ints, den
-    if qi:
-        return {m: (re // g, im // g) for m, (re, im) in ints.items()}, den // g
-    return {m: n // g for m, n in ints.items()}, den // g
+    scale = table.scale
+    return {m: scale(n, 1, g) for m, n in ints.items()}, den // g
 
 
 class Poly:
@@ -129,8 +124,8 @@ class Poly:
                     raise ValueError(f"exponents must be non-negative ints: {exponents}")
                 split.append((exponents, *_split(coeff, field)))
         den = lcm(*(d for _, _, d in split))
-        qi = field == FIELD_QI
-        ints = _gather(((m, _times(n, den // d, qi)) for m, n, d in split), qi)
+        table = INTEGERS[field]
+        ints = _gather(((m, table.times(n, den // d)) for m, n, d in split), table)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "field", field)
         self._store(*lowest_terms(ints, den, field))
@@ -185,11 +180,9 @@ class Poly:
             # ascending order by a stable sort
             items = sorted(self._ints.items(), reverse=True)
             items.sort(key=lambda item: sum(item[0]))
-            if self.field == FIELD_QI:
-                decimals = tuple((m, (_decimal(re, den, den_texts), _decimal(im, den, den_texts)))
-                                 for m, (re, im) in items)
-            else:
-                decimals = tuple((m, (_decimal(n, den, den_texts),)) for m, n in items)
+            parts = INTEGERS[self.field].parts
+            decimals = tuple((m, tuple([_decimal(x, den, den_texts) for x in parts(n)]))
+                             for m, n in items)
             object.__setattr__(self, "_decimals", decimals)
         return decimals
 
@@ -226,11 +219,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        qi = self.field == FIELD_QI
+        table = INTEGERS[self.field]
+        times = table.times
         den = lcm(self._den, other._den)
         a, b = den // self._den, den // other._den
-        out = {m: _times(n, a, qi) for m, n in self._ints.items()}
-        out = _gather(((m, _times(n, b, qi)) for m, n in other._ints.items()), qi, out)
+        out = {m: times(n, a) for m, n in self._ints.items()}
+        out = _gather(((m, times(n, b)) for m, n in other._ints.items()), table, out)
         return self._wrap(out, den)
 
     def __sub__(self, other):
@@ -239,17 +233,17 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        qi = self.field == FIELD_QI
-        return self._wrap({m: _times(n, -1, qi) for m, n in self._ints.items()}, self._den)
+        times = INTEGERS[self.field].times
+        return self._wrap({m: times(n, -1) for m, n in self._ints.items()}, self._den)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compatible(other)
-        qi = self.field == FIELD_QI
-        right = other._ints.items()
-        out = _gather(((tuple(map(add, ma, mb)), _product(ca, cb, qi))
-                       for ma, ca in self._ints.items() for mb, cb in right), qi)
+        table = INTEGERS[self.field]
+        product, right = table.mul, other._ints.items()
+        out = _gather(((tuple(map(add, ma, mb)), product(ca, cb))
+                       for ma, ca in self._ints.items() for mb, cb in right), table)
         return self._wrap(out, self._den * other._den)
 
     def __rmul__(self, other):
@@ -258,8 +252,7 @@ class Poly:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative int exponents")
-        one = (1, 0) if self.field == FIELD_QI else 1
-        result = self._wrap({(0,) * self.arity: one}, 1)
+        result = self._wrap({(0,) * self.arity: INTEGERS[self.field].one}, 1)
         base = self
         n = exponent
         while n:
@@ -272,11 +265,11 @@ class Poly:
     def scale(self, value):
         """Multiply every coefficient by a field scalar."""
         c, den = _split(value, self.field)
-        qi = self.field == FIELD_QI
-        if not (c[0] or c[1] if qi else c):
+        table = INTEGERS[self.field]
+        if c == table.zero:
             return Poly.zero(self.arity, self.field)
-        return self._wrap({m: _product(n, c, qi) for m, n in self._ints.items()},
-                          self._den * den)
+        product = table.mul
+        return self._wrap({m: product(n, c) for m, n in self._ints.items()}, self._den * den)
 
     def _wrap(self, ints, den):
         # a polynomial of this arity and field holding ints / den
@@ -297,17 +290,19 @@ class Poly:
         """Formal partial derivative along the given 0-based axis."""
         if not 0 <= axis < self.arity:
             raise IndexError(f"axis {axis} out of range for arity {self.arity}")
-        qi = self.field == FIELD_QI
-        out = _gather(((m[:axis] + (m[axis] - 1,) + m[axis + 1 :], _times(n, m[axis], qi))
-                       for m, n in self._ints.items() if m[axis]), qi)
+        table = INTEGERS[self.field]
+        times = table.times
+        out = _gather(((m[:axis] + (m[axis] - 1,) + m[axis + 1 :], times(n, m[axis]))
+                       for m, n in self._ints.items() if m[axis]), table)
         return self._wrap(out, self._den)
 
     def laplacian(self):
         """Sum of second partials along every axis, computed exactly."""
-        qi = self.field == FIELD_QI
-        out = _gather(((m[:axis] + (e - 2,) + m[axis + 1 :], _times(n, e * (e - 1), qi))
+        table = INTEGERS[self.field]
+        times = table.times
+        out = _gather(((m[:axis] + (e - 2,) + m[axis + 1 :], times(n, e * (e - 1)))
                        for m, n in self._ints.items()
-                       for axis, e in enumerate(m) if e >= 2), qi)
+                       for axis, e in enumerate(m) if e >= 2), table)
         return self._wrap(out, self._den)
 
     def homogeneous_component(self, n):
@@ -340,11 +335,10 @@ class Poly:
 
     def _float_form(self):
         # (plan, tops) over the polynomial's own power table: see _float_plans
-        den, qi = self._den, self.field == FIELD_QI
+        den, to_float = self._den, INTEGERS[self.field].to_float
         tops = [max(column) for column in zip(*self._ints)] or [0] * self.arity
         offsets = list(accumulate(tops, lambda i, top: i + top + 1, initial=0))
-        plan = [(complex(n[0] / den, n[1] / den) if qi else n / den,
-                 tuple(offset + e for offset, e in zip(offsets, m) if e))
+        plan = [(to_float(n, den), tuple(offset + e for offset, e in zip(offsets, m) if e))
                 for m, n in self._ints.items()]
         return plan, tops
 
@@ -466,7 +460,8 @@ def apply_operator(operator_poly, target):
     if not isinstance(operator_poly, Poly) or not isinstance(target, Poly):
         raise TypeError("apply_operator expects two Poly arguments")
     operator_poly._check_compatible(target)
-    qi = target.field == FIELD_QI
+    table = INTEGERS[target.field]
+    times, product = table.times, table.mul
     pairs = []
     for beta, c_op in operator_poly._ints.items():
         for alpha, c in target._ints.items():
@@ -477,8 +472,8 @@ def apply_operator(operator_poly, target):
                 for k in range(b):
                     factor *= a - k
             m = tuple(a - b for a, b in zip(alpha, beta))
-            pairs.append((m, _times(_product(c, c_op, qi), factor, qi)))
-    return target._wrap(_gather(pairs, qi), target._den * operator_poly._den)
+            pairs.append((m, times(product(c, c_op), factor)))
+    return target._wrap(_gather(pairs, table), target._den * operator_poly._den)
 
 
 def squared_norm(arity, field=FIELD_Q):
@@ -561,10 +556,14 @@ def monomial_basis(arity, kind, degree):
     return Basis(arity, kind, degree)
 
 
+# Basis is immutable, so one instance serves every caller; typed, so that
+# degree 2.0 is refused as before and not served from degree 2's entry
+@lru_cache(maxsize=128, typed=True)
 def homogeneous_basis(arity, degree):
     return Basis(arity, HOMOGENEOUS, degree)
 
 
+@lru_cache(maxsize=128, typed=True)
 def filtered_basis(arity, degree):
     return Basis(arity, FILTERED, degree)
 

@@ -4,6 +4,10 @@ Field "Q" is served by fractions.Fraction, field "Qi" by GaussianRational,
 a pair of Fractions (re, im).  Floating point never enters coefficient
 arithmetic; floats appear only when callers evaluate polynomials at sampled
 points.  All values are immutable and safe to share across threads.
+
+Polynomials and matrices keep entries as ints over a common denominator:
+the integer form defined once by the tables _kernels.Q and _kernels.QI,
+which INTEGERS maps the field names to (integer_form and from_integer convert).
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from . import _kernels
+
 FIELD_Q = "Q"
 FIELD_QI = "Qi"
 FIELDS = (FIELD_Q, FIELD_QI)
+INTEGERS = {FIELD_Q: _kernels.Q, FIELD_QI: _kernels.QI}
 
 
 def validate_field(field):

@@ -59,6 +59,10 @@ def test_non_ellipsoidal_quadrics_detected():
     assert not cross.ellipsoidal
     strip = QuadricDomain(X * X - Poly.constant(2, 1), (0.0, 0.0))
     assert not strip.ellipsoidal  # misses the y axis term
+    # both are read off psi, never taken from the caller
+    for name in ("ellipsoidal", "semi_axes_squared"):
+        with pytest.raises(TypeError):
+            QuadricDomain(hyperbola.psi, (0.0, 0.0), **{name: ELLIPSE.semi_axes_squared})
 
 
 def test_domain_validation():

@@ -573,6 +573,47 @@ def test_echelon_does_not_depend_on_the_order_of_the_vectors(field):
         assert first.first_missing(rows) == second.first_missing(rows)
 
 
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_solve_does_not_depend_on_the_order_of_the_rows(field):
+    # x is read off the unique reduced form with the free unknowns at 0, so
+    # shuffling the rows and the rhs together gives the same x, or the same
+    # refusal; sparse block systems (some rows reach no rhs) and dense
+    # rank-deficient ones, consistent and not
+    rng = random.Random(15 if field == FIELD_Q else 16)
+    refused = 0
+    for trial in range(40):
+        if trial % 2:
+            blocks = []
+            for _ in range(rng.randint(1, 4)):
+                rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+                dependent = rng.randint(0, rows - 1) if rng.random() < 0.5 else 0
+                kinds = ["span", "span", "zero"] + ["outside"] * (dependent > 0)
+                blocks.append((rows, cols, dependent, rng.choice(kinds)))
+            matrix, rhs, _ = _block_system(rng, field, blocks)
+        else:
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            inner = rng.randint(1, min(rows, cols))
+            matrix = random_matrix(rng, rows, inner, field) @ random_matrix(rng, inner, cols, field)
+            x = [random_scalar(rng, field) for _ in range(cols)]
+            rhs = (matrix.mul_vector(x) if rng.random() < 0.5
+                   else [random_scalar(rng, field) for _ in range(rows)])
+        try:
+            expected = solve(matrix, rhs)
+        except InconsistentSystemError:
+            expected = None
+            refused += 1
+        for _ in range(3):
+            order = list(range(matrix.rows))
+            rng.shuffle(order)
+            shuffled = ExactMatrix.from_rows([matrix.row(i) for i in order], field)
+            if expected is None:
+                with pytest.raises(InconsistentSystemError):
+                    solve(shuffled, [rhs[i] for i in order])
+            else:
+                assert solve(shuffled, [rhs[i] for i in order]) == expected
+    assert 0 < refused < 40
+
+
 def _oracle(field):
     """hypothesis and a converter of rows to sympy's DomainMatrix over QQ or
     QQ_I; skips the test when either package is absent."""

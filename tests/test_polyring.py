@@ -85,6 +85,18 @@ def test_basis_rejects_bad_input():
         monomial_basis(2, "weighted", 2)
 
 
+def test_slice_bases_are_shared_and_still_checked():
+    # one immutable Basis per (arity, degree); a float degree is refused even
+    # once the int degree of equal value is cached
+    for make, kind in ((homogeneous_basis, HOMOGENEOUS), (filtered_basis, "filtered")):
+        assert make(3, 4) is make(3, 4)
+        assert make(3, 4).monomials == monomial_basis(3, kind, 4).monomials
+        with pytest.raises(ValueError):
+            make(3, 4.0)
+        with pytest.raises(ValueError):
+            make(3, -1)
+
+
 def test_difference_of_squares():
     x, y = xy()
     assert (x + y) * (x - y) == x * x - y * y
