@@ -85,18 +85,19 @@ class FischerOperator:
     def _stencil(self):
         """The stencil of the operator and its common denominator L.
 
-        Each operator term d*D^g gives one entry (g, its axes with g_i > 0
-        as (i, g_i) pairs, [C for each psi term c*x^b]), where C = c*d*L is
-        an entry in integer form; L is the least common denominator of every
-        product c*d.  Built once per operator.
+        Each pair of an operator term d*D^g and a psi term c*x^b gives one
+        entry (b - g, the axes with g_i > 0 as (i, b_i, g_i) triples, C),
+        where C = c*d*L is an entry in integer form; L is the least common
+        denominator of every product c*d.  The entries run over the operator
+        terms and, within one, over the psi terms.  Built once per operator.
         """
         (psi, psi_den), (ops, op_den) = self.psi.integer_form, self.operator.integer_form
         product = INTEGERS[self.field].mul
         products = [product(d, c) for d in ops.values() for c in psi.values()]
         ints, den = lowest_terms(dict(enumerate(products)), psi_den * op_den, self.field)
-        ints, n = list(ints.values()), len(psi)
-        return [(g, [(i, k) for i, k in enumerate(g) if k], ints[r * n : (r + 1) * n])
-                for r, g in enumerate(ops)], den
+        pairs = [(g, b) for g in ops for b in psi]
+        return [(tuple(map(sub, b, g)), [(i, b[i], k) for i, k in enumerate(g) if k], c)
+                for (g, b), c in zip(pairs, ints.values())], den
 
     def apply(self, q):
         if q.arity != self.arity:
@@ -123,25 +124,22 @@ def operator_matrix(op, source, target):
         raise ValueError("basis arity does not match the operator")
     stencil, denominator = op._stencil
     table = INTEGERS[op.field]
-    times = table.times
-    psi = tuple(op.psi.integer_form[0])
+    times, positions = table.times, target._positions
     rows = [{} for _ in range(len(target))]
     for j, a in enumerate(source.monomials):
-        shifted = [tuple(map(add, a, b)) for b in psi]
         # the terms in the order, and with the cancellations, of
         # apply_operator(operator, psi * x^a), so an overflow names the
         # same monomial
         pairs = []
-        for g, axes, coefficients in stencil:
-            for e, c in zip(shifted, coefficients):
-                factor = 1
-                for i, k in axes:
-                    factor *= math.perm(e[i], k)
-                if factor:
-                    pairs.append((tuple(map(sub, e, g)), times(c, factor)))
+        for shift, axes, c in stencil:
+            factor = 1
+            for i, b, k in axes:
+                factor *= math.perm(a[i] + b, k)
+            if factor:
+                pairs.append((tuple(map(add, a, shift)), times(c, factor)))
         for m, value in _gather(pairs, table).items():
             try:
-                i = target.index(m)
+                i = positions[m]
             except KeyError:
                 raise overflow_error(m, target) from None
             rows[i][j] = value
