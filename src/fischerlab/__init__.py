@@ -46,7 +46,6 @@ from .polyring import (
     from_coordinates,
     grlex_key,
     homogeneous_basis,
-    monomial_basis,
     poly_from_json,
     poly_to_json,
     squared_norm,
@@ -55,7 +54,6 @@ from .linalg import (
     ExactMatrix,
     GrowingEchelon,
     RrefResult,
-    cokernel_witness,
     nullspace_basis,
     rank_and_first_missing,
     rref,
@@ -82,7 +80,6 @@ from .dirichlet import (
     QuadricDomain,
     ResidualReport,
     VerificationRecord,
-    boundary_mismatch,
     boundary_mismatches,
     boundary_samples,
     dirichlet_solve,

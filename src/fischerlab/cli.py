@@ -360,7 +360,9 @@ def _cmd_ks_residual(config, args):
         "factor": None if report.factor is None else scalar_to_json(report.factor),
     }
     checks = {"proportional_to_psi": report.proportional_to_psi}
-    factor_text = "none" if report.factor is None else str(report.factor)
+    factor = result["factor"]
+    factor_text = ("none" if factor is None else factor["num"] if factor["den"] == "1"
+                   else f"{factor['num']}/{factor['den']}")
     text = [
         f"psi = {result['psi']['expr']}",
         f"residual = {result['residual']['expr']}",
@@ -481,8 +483,12 @@ def run(argv=None):
             return 2
         payload = csv_text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(payload)

@@ -5,9 +5,10 @@ convention psi < 0 inside (fixed by a user-supplied interior point).  For
 data f the solver finds q with laplacian(psi*q) == laplacian(f) of degree
 at most deg f - 2, by fischer.solve_quotient as in decompose: block by
 block when the quadratic part of psi is semidefinite, else by one solve on
-filtered(deg f - 2).  It checks the certificate f = psi*q + h of decompose
-(h exactly harmonic, the identity exact) and that |f - h| is small at
-sampled boundary points, relative to the size of the terms of f and h.
+filtered(deg f - 2), and sets h = f - psi*q.  verify_solution is the one
+check of a solution: it rechecks f = psi*q + h and that h is harmonic,
+exactly, and that |f - h| is small at sampled boundary points, relative to
+the size of the terms of f and h.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InconsistentSystemError, NoBoundaryHitError, UnsolvableSliceError
-from .fischer import DecompositionCertificate, ellipsoidal_form, solve_quotient
+from .fischer import ellipsoidal_form, solve_quotient
 # operator_matrix and solve stay importable here: the benchmark's tracer wraps both
 from .fischer import operator_matrix, solve  # noqa: F401
 from .polyring import Poly, evaluate_columns, float_sums, squared_norm
@@ -89,13 +90,14 @@ class VerificationRecord:
 class DirichletSolution:
     """Harmonic h matching f on the boundary, with quotient q = (f - h)/psi.
 
-    boundary_points holds the points that verify_solution last sampled."""
+    verification and boundary_points hold the record and the points of the
+    last verify_solution run, None and () before the first."""
 
     domain: QuadricDomain
     f: Poly
     h: Poly
     q: Poly
-    verification: VerificationRecord
+    verification: VerificationRecord | None = None
     boundary_points: tuple = ()
 
 
@@ -105,9 +107,11 @@ def dirichlet_solve(domain, f):
     fischer.solve_quotient finds q in the filtered slice of degree deg f - 2,
     which the map q -> laplacian(psi*q) sends to itself.  That map is
     bijective when the quadratic part of psi is semidefinite, as on an
-    ellipsoid, so q is unique and deg h <= deg f.  h and the exact flags come
-    from DecompositionCertificate.build.  Raises UnsolvableSliceError when
-    the system is inconsistent, which needs an indefinite quadratic part.
+    ellipsoid, so q is unique and deg h <= deg f for h = f - psi*q.  Nothing
+    is checked here: the solution's verification is None until
+    verify_solution runs the exact checks and the boundary check.  Raises
+    UnsolvableSliceError when the system is inconsistent, which needs an
+    indefinite quadratic part.
     """
     psi = domain.psi
     if f.field != FIELD_Q:
@@ -119,11 +123,7 @@ def dirichlet_solve(domain, f):
     except InconsistentSystemError:
         raise UnsolvableSliceError(
             "the square slice system is inconsistent for this quadric") from None
-    cert = DecompositionCertificate.build(psi, f, q)
-    harmonic, identity = cert.h_harmonic_exact, cert.identity_exact
-    record = VerificationRecord(harmonic_exact=harmonic, identity_exact=identity,
-                                boundary_max_error=None, samples=0, passed=harmonic and identity)
-    return DirichletSolution(domain=domain, f=f, h=cert.h, q=q, verification=record)
+    return DirichletSolution(domain=domain, f=f, h=f - psi * q, q=q)
 
 
 def _ray_boundary_parameter(a, b, c):
@@ -217,11 +217,6 @@ def boundary_mismatches(f, h, points):
     """
     return [(abs(f_value - h_value), max(1.0, f_size, h_size))
             for (f_value, f_size), (h_value, h_size) in float_sums((f, h), points)]
-
-
-def boundary_mismatch(f, h, point):
-    """boundary_mismatches at one point."""
-    return boundary_mismatches(f, h, [point])[0]
 
 
 def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):

@@ -161,7 +161,7 @@ class DecompositionCertificate:
     @classmethod
     def build(cls, psi, f, q):
         """The certificate of q: h = f - psi*q, so identity_exact is true by
-        construction.  verify() and dirichlet.verify_solution recheck both."""
+        construction.  verify() rechecks both."""
         h = f - psi * q
         return cls(psi=psi, f=f, q=q, h=h, identity_exact=True,
                    h_harmonic_exact=not h.laplacian())

@@ -3,12 +3,12 @@
 ExactMatrix stores each row in the vector form of the elimination kernel,
 fischerlab._kernels, so rows go into its sparse echelon insertion as they
 are, and field scalars are built only when an entry is read.  On top of it
-this module owns reduced row echelon form, solving, nullspaces, cokernel
-witnesses, ranks certified mod a prime and the growing echelon of a
-filtered ladder.  Apart from GrowingEchelon, all operations are pure
-functions.  ``solve`` eliminates only the rows that the right-hand side
-reaches through shared columns; every other unknown is 0, as a free one
-is, and its exact recheck still covers every row.
+this module owns reduced row echelon form, solving, nullspaces, the rank
+and first missing unit vector of a column span, certified mod a prime, and
+the growing echelon of a filtered ladder.  Apart from GrowingEchelon, all
+operations are pure functions.  ``solve`` eliminates only the rows that
+the right-hand side reaches through shared columns; every other unknown is
+0, as a free one is, and its exact recheck still covers every row.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from .errors import InconsistentSystemError
 from .scalars import FIELD_Q, INTEGERS, as_scalar, from_integer, integer_form, validate_field
 
 
-def _integer_row(entries, cols, field):
-    """The stored row (ints, den) of {column: entry}: each column must be
-    below cols and each entry in the field; zero entries are dropped."""
-    if any(not 0 <= j < cols for j in entries):
-        raise IndexError(f"a column index is out of range for {cols} columns")
-    nonzero = {j: v for j, e in entries.items() if (v := as_scalar(e, field))}
+def _integer_row(entries, field):
+    """The stored row (ints, den) of a dense row of field entries; zero
+    entries are dropped."""
+    nonzero = {j: v for j, e in enumerate(entries) if (v := as_scalar(e, field))}
     ints, den = integer_form(nonzero.values(), field)
     return dict(zip(nonzero, ints)), den
 
@@ -37,9 +35,10 @@ class ExactMatrix:
     Row i is stored as (ints, den): ints maps the columns of the nonzero
     entries to den times the entry, an int over Q and an (re, im) pair of
     ints over Qi; den is a positive int, not always the least, so equality
-    compares values.  The constructor takes dense row-major entries,
-    ``from_nonzeros`` one dict {column: entry} per row, and
-    ``from_integer_rows`` the stored rows.
+    compares values.  The constructor takes dense row-major entries and
+    ``from_integer_rows`` the stored rows.  No path in the package calls
+    ``from_columns``, ``hstack`` or ``mul_vector``; they stay while the
+    benchmark's tracer wraps them.
     """
 
     __slots__ = ("rows", "cols", "field", "_int_rows")
@@ -48,8 +47,8 @@ class ExactMatrix:
         entries = list(entries)
         if rows < 0 or len(entries) != rows * cols:
             raise ValueError(f"expected {rows} x {cols} entries, got {len(entries)}")
-        self._store(cols, [_integer_row(dict(enumerate(entries[i * cols : (i + 1) * cols])),
-                                        cols, field) for i in range(rows)], field)
+        self._store(cols, [_integer_row(entries[i * cols : (i + 1) * cols], field)
+                           for i in range(rows)], field)
 
     def _store(self, cols, int_rows, field):
         validate_field(field)
@@ -72,22 +71,6 @@ class ExactMatrix:
         return matrix
 
     @classmethod
-    def from_nonzeros(cls, cols, rows_data, field=FIELD_Q):
-        """The matrix with one row per dict {column: entry}; absent entries
-        are zero, and zero entries are dropped."""
-        int_rows = [_integer_row(row, cols, field) for row in rows_data]
-        return cls.from_integer_rows(cols, int_rows, field)
-
-    @classmethod
-    def from_rows(cls, rows_data, field=FIELD_Q):
-        rows_data = [list(r) for r in rows_data]
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        if any(len(r) != cols for r in rows_data):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, [e for r in rows_data for e in r], field)
-
-    @classmethod
     def from_columns(cls, columns, rows=None, field=FIELD_Q):
         columns = [list(c) for c in columns]
         if rows is None:
@@ -98,10 +81,6 @@ class ExactMatrix:
             raise ValueError("ragged columns")
         entries = [columns[j][i] for i in range(rows) for j in range(len(columns))]
         return cls(rows, len(columns), entries, field)
-
-    @classmethod
-    def identity(cls, n, field=FIELD_Q):
-        return cls.from_nonzeros(n, [{i: 1} for i in range(n)], field)
 
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -136,16 +115,6 @@ class ExactMatrix:
         ints, vec_den = integer_form(vec, self.field)
         values, dot = dict(enumerate(ints)), INTEGERS[self.field].dot
         return [from_integer(dot(row, values), den * vec_den) for row, den in self._int_rows]
-
-    def __matmul__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        columns = [self.mul_vector(other.column(j)) for j in range(other.cols)]
-        return ExactMatrix.from_columns(columns, self.rows, self.field)
 
     def hstack(self, other):
         """Concatenate columns: [self | other]."""
@@ -371,15 +340,3 @@ def rank_and_first_missing(matrix):
     echelon.extend(matrix)
     return echelon.rank, echelon.first_missing(matrix.rows)
 
-
-def cokernel_witness(matrix):
-    """A right-hand side provably outside the column space, or None.
-
-    The witness is e_j for the first j such that matrix @ x == e_j has no
-    solution; every e_i with i < j is solvable.  None means full row rank.
-    j comes from ``rank_and_first_missing``.
-    """
-    j = rank_and_first_missing(matrix)[1]
-    if j is None:
-        return None
-    return [as_scalar(int(i == j), matrix.field) for i in range(matrix.rows)]

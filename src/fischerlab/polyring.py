@@ -35,6 +35,7 @@ from .scalars import (
     INTEGERS,
     GaussianRational,
     as_scalar,
+    decimal_text,
     from_integer,
     integer_form,
     scalar_from_json,
@@ -55,8 +56,8 @@ def _decimal(n, den, den_texts):
     g = gcd(n, den)
     den_text = den_texts.get(g)
     if den_text is None:
-        den_text = den_texts[g] = str(den // g)
-    return str(n // g), den_text
+        den_text = den_texts[g] = decimal_text(den // g)
+    return decimal_text(n // g), den_text
 
 
 def _split(value, field):
@@ -315,24 +316,6 @@ class Poly:
         degrees = {sum(m) for m in self._ints}
         return len(degrees) <= 1
 
-    def float_terms(self, point):
-        """The terms c * x^m at a float point, as floats (complex over Qi).
-
-        Each term is float(c) times v**e for each nonzero exponent e of m,
-        in axis order, in the term order, read through _float_plans from one
-        _power_table per point: bit-identical to term-by-term evaluation, and
-        FloatEvaluationError is raised on exactly the same inputs: when a
-        coordinate, a coefficient or a used power is beyond the float range.
-        """
-        (plan,), tops = _float_plans((self,))
-        table = _power_table(point, tops)
-        terms = []
-        for term, indices in plan:
-            for i in indices:
-                term *= table[i]
-            terms.append(term)
-        return terms
-
     def _float_form(self):
         # (plan, tops) over the polynomial's own power table: see _float_plans
         den, to_float = self._den, INTEGERS[self.field].to_float
@@ -549,11 +532,6 @@ class Basis:
 
     def __repr__(self):
         return f"Basis(arity={self.arity}, kind={self.kind!r}, degree={self.degree})"
-
-
-def monomial_basis(arity, kind, degree):
-    """Enumerate the graded slice basis; see Basis for the ordering."""
-    return Basis(arity, kind, degree)
 
 
 # Basis is immutable, so one instance serves every caller; typed, so that

@@ -12,6 +12,7 @@ which INTEGERS maps the field names to (integer_form and from_integer convert).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -186,8 +187,18 @@ def from_integer(entry, den):
     return GaussianRational(Fraction(entry[0], den), Fraction(entry[1], den))
 
 
+def decimal_text(n):
+    """The decimal string of an int of any size.  str() refuses ints of over
+    4300 digits (CPython's default sys.get_int_max_str_digits()), which an
+    exact result may reach; Decimal converts them with no limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _fraction_to_json(value):
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    return {"num": decimal_text(value.numerator), "den": decimal_text(value.denominator)}
 
 
 def scalar_to_json(value):
@@ -203,7 +214,10 @@ def _json_int(text):
     digits = text[1:] if isinstance(text, str) and text.startswith("-") else text
     if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected a decimal integer string, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # over the digit limit of int(): see decimal_text
+        return int(Decimal(text))
 
 
 def _fraction_from_json(obj):

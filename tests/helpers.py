@@ -57,6 +57,20 @@ def random_matrix(rng, rows, cols, field=FIELD_Q):
     return ExactMatrix(rows, cols, entries, field)
 
 
+def identity(n, field=FIELD_Q):
+    return ExactMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)], field)
+
+
+def matrix_product(a, b):
+    """The exact product a @ b, entry by entry: of rank at most a.cols, so a
+    thin a gives a low-rank matrix."""
+    zero = as_scalar(0, a.field)
+    columns = [b.column(j) for j in range(b.cols)]
+    entries = [sum((x * y for x, y in zip(a.row(i), column)), zero)
+               for i in range(a.rows) for column in columns]
+    return ExactMatrix(a.rows, b.cols, entries, a.field)
+
+
 def random_ellipsoid(rng, arity):
     semi_axes = [
         Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(arity)

@@ -3,10 +3,13 @@ import json
 import random
 import time
 from dataclasses import asdict, fields
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from fischerlab import (
+    FIELD_Q,
     MAX_SLICE_DIMENSION,
     BijectivitySlice,
     Poly,
@@ -17,8 +20,13 @@ from fischerlab import (
     cli,
     dirichlet,
     dirichlet_solve,
+    fischer_decompose,
     fischer_theorem_check,
+    poly_from_json,
+    poly_to_json,
     rank_profile,
+    scalar_from_json,
+    scalar_to_json,
     verify_solution,
 )
 from fischerlab.cli import run
@@ -416,6 +424,41 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert str(target) in err
     report = json.loads(target.read_text())
     assert report["command"] == "decompose"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_out_flag_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, where):
+    target = tmp_path / "no-such-directory" / "report.json" if where == "missing" else tmp_path
+    code, out, err = run_cli(
+        capsys,
+        "decompose", "--psi", "x^2+y^2-1", "--f", "x^2",
+        "--vars", "x,y", "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_coefficients_past_the_int_string_digit_limit(capsys):
+    # 3^20000 has 9543 digits: within the parser's bit bound, past the 4300
+    # digits that str() and int() convert by default
+    names = ["x", "y"]
+    f_text = "3^20000*x^2"
+    code, out, err = run_cli(capsys, "decompose", "--psi", "x^2+y^2-1", "--f", f_text,
+                             "--vars", "x,y")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    cert = fischer_decompose(parse_polynomial("x^2+y^2-1", names), parse_polynomial(f_text, names))
+    for key in ("q", "h"):
+        p = getattr(cert, key)
+        assert poly_from_json(result[key]["poly"]) == p
+        assert poly_from_json(poly_to_json(p)) == p
+    assert result["f"]["expr"] == f"{Decimal(3**20000)}*x^2"
+    code, out, err = run_cli(capsys, "decompose", "--psi", "x^2+y^2-1", "--f", f_text,
+                             "--vars", "x,y", "--format", "text")
+    assert (code, err) == (0, "")
+    big = Fraction(3**20000, 7)
+    assert scalar_from_json(scalar_to_json(big), FIELD_Q) == big
 
 
 def test_help_exits_zero(capsys):

@@ -15,7 +15,6 @@ from fischerlab import (
     Poly,
     QuadricDomain,
     UnsolvableSliceError,
-    boundary_mismatch,
     boundary_mismatches,
     boundary_samples,
     coordinates,
@@ -83,8 +82,10 @@ def test_dirichlet_ellipse_x_squared():
     assert solution.q == Poly.constant(2, Fraction(4, 5))
     expected_h = (X * X - Y * Y + Poly.constant(2, 1)).scale(Fraction(4, 5))
     assert solution.h == expected_h
-    assert solution.verification.harmonic_exact
-    assert solution.verification.identity_exact
+    # dirichlet_solve checks nothing: verify_solution is the one check
+    assert solution.verification is None
+    record = verify_solution(solution, count=10, rng=random.Random(3))
+    assert record.harmonic_exact and record.identity_exact
 
 
 def test_dirichlet_constant_data():
@@ -176,7 +177,7 @@ def test_boundary_check_is_relative_to_the_size_of_the_terms():
     assert record.harmonic_exact and record.identity_exact
     assert record.passed
     points = boundary_samples(domain, 100, rng=random.Random(1))
-    mismatches = [boundary_mismatch(f, solution.h, p) for p in points]
+    mismatches = boundary_mismatches(f, solution.h, points)
     # the report keeps the absolute figure, here above the tolerance itself
     assert record.boundary_max_error == max(error for error, _ in mismatches)
     assert record.boundary_max_error > 1e-9
@@ -184,8 +185,7 @@ def test_boundary_check_is_relative_to_the_size_of_the_terms():
     # an h off by 1e-6 of the scale fails at every sample
     shift = Fraction(max(scale for _, scale in mismatches) * 1e-6)
     shifted = solution.h + Poly.constant(3, shift)
-    for point in points:
-        error, scale = boundary_mismatch(f, shifted, point)
+    for error, scale in boundary_mismatches(f, shifted, points):
         assert not error < 1e-9 * scale
     solution.h = shifted
     assert not verify_solution(solution, count=100, rng=random.Random(1)).passed
@@ -196,16 +196,10 @@ def test_boundary_mismatch_is_evaluate_and_the_term_sums():
     for _ in range(20):
         f, h = random_poly(rng, 3, 5), random_poly(rng, 3, 5)
         point = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
-        sizes = [1.0]
-        for p in (f, h):
-            total = 0.0
-            for term in p.float_terms(point):
-                total += abs(term)
-            sizes.append(total)
         # bit for bit: the same floats summed in the same order
-        assert boundary_mismatch(f, h, point) == (
-            abs(f.evaluate(point) - h.evaluate(point)), max(sizes)
-        )
+        assert boundary_mismatches(f, h, [point]) == [_term_by_term_mismatch(f, h, point)]
+        assert boundary_mismatches(f, h, [point])[0][0] == abs(
+            f.evaluate(point) - h.evaluate(point))
 
 
 def test_verify_solution_exact_zero_error_when_h_equals_f():
@@ -276,8 +270,8 @@ def _assert_matches_filtered_solve(domain, f):
     q, h = _filtered_solution(domain, f)
     assert solution.q == q
     assert solution.h == h
-    assert solution.verification.harmonic_exact
-    assert solution.verification.identity_exact
+    record = verify_solution(solution, count=5, rng=random.Random(2))
+    assert record.harmonic_exact and record.identity_exact
 
 
 @pytest.mark.parametrize("arity", [2, 3])
@@ -342,8 +336,8 @@ def test_other_quadrics_keep_the_filtered_solve(monkeypatch):
     solution = dirichlet_solve(hyperbola, f)
     assert sizes == [len(filtered_basis(2, 2))]
     assert (solution.q, solution.h) == _filtered_solution(hyperbola, f)
-    assert solution.verification.harmonic_exact
-    assert solution.verification.identity_exact
+    record = verify_solution(solution, count=5, rng=random.Random(4))
+    assert record.harmonic_exact and record.identity_exact
 
 
 @pytest.mark.parametrize("text, names, interior", [
@@ -480,7 +474,7 @@ def test_rounds_of_rays_overflow_on_the_same_inputs():
 
 
 def _term_by_term_mismatch(f, h, point):
-    # boundary_mismatch from each term's own float(c) * v**e product, one
+    # boundary_mismatches from each term's own float(c) * v**e product, one
     # polynomial and one point at a time
     values, scale = [], 1.0
     for p in (f, h):
@@ -512,7 +506,6 @@ def test_batched_mismatch_matches_one_point_at_a_time():
             expected = [_term_by_term_mismatch(f, h, point) for point in points]
             assert [(e.hex(), s.hex()) for e, s in got] == \
                 [(e.hex(), s.hex()) for e, s in expected]
-            assert boundary_mismatch(f, h, points[0]) == got[0]
     # tops that differ per axis: x^5 in f, y^4 in h
     f, h = X**5 + Y, (Y**4).scale(3) - X
     points = [(1.5, -0.25), (-3.0, 7.0)]

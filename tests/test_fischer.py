@@ -145,13 +145,13 @@ def test_operator_validation():
 def test_matrix_on_constant_slice():
     op = FischerOperator(squared_norm(2))
     matrix = operator_matrix(op, homogeneous_basis(2, 0), homogeneous_basis(2, 0))
-    assert matrix == ExactMatrix.from_rows([[4]])
+    assert matrix == ExactMatrix(1, 1, [4])
 
 
 def test_matrix_on_linear_slice_is_diag_8():
     op = FischerOperator(squared_norm(2))
     matrix = operator_matrix(op, homogeneous_basis(2, 1), homogeneous_basis(2, 1))
-    assert matrix == ExactMatrix.from_rows([[8, 0], [0, 8]])
+    assert matrix == ExactMatrix(2, 2, [8, 0, 0, 8])
 
 
 def test_circle_filtered_slice_is_invertible_6x6():

@@ -3,7 +3,7 @@
 The oracle below keeps each polynomial as a dict {exponents: Fraction or
 GaussianRational} and runs the loops Poly ran on such dicts.  Poly must give
 the same coefficients, the same term order (a term that cancels is deleted
-and appended again if it comes back) and bit-identical float terms.
+and appended again if it comes back) and bit-identical float sums.
 """
 
 from fractions import Fraction
@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from fischerlab import FIELD_Q, FIELD_QI, GaussianRational, Poly, apply_operator, as_scalar
+from fischerlab.polyring import float_sums
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -100,15 +101,17 @@ def _apply(op, a):
     return out
 
 
-def _float_terms(a, point):
-    terms = []
+def _float_sums(a, point, field):
+    # the value and the sum of |terms|, term by term in the dict's order
+    value, magnitude = (0.0 if field == FIELD_Q else 0j), 0.0
     for m, c in a.items():
         term = complex(c) if isinstance(c, GaussianRational) else float(c)
         for v, e in zip(point, m):
             if e:
                 term *= v**e
-        terms.append(term)
-    return terms
+        value += term
+        magnitude += abs(term)
+    return value, magnitude
 
 
 # small parts, so that sums cancel often and terms come back
@@ -127,8 +130,8 @@ def _pairs(arity, field):
 def _assert_same(p, expected, point):
     assert list(p.terms.items()) == list(expected.items())
     assert p == Poly(p.arity, p.field, expected)
-    got = [repr(t) for t in p.float_terms(point)]
-    assert got == [repr(t) for t in _float_terms(expected, point)]
+    [[got]] = float_sums((p,), [point])
+    assert repr(got) == repr(_float_sums(expected, point, p.field))
 
 
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
