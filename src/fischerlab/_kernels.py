@@ -126,34 +126,45 @@ def insert(field, vectors, echelon):
     return echelon
 
 
-# The prime of ``insert_mod_p``: P = 15 * 2^27 + 1 is 1 mod 4, and I_P,
-# 31 to the power (P - 1) / 4, is a square root of -1 mod P, the image of i.
-P = 2013265921
-I_P = pow(31, (P - 1) // 4, P)
+# The prime of ``insert_mod_p``: P = 479 * 2^21 + 1 is 1 mod 4, and I_P,
+# 3 to the power (P - 1) / 4, is a square root of -1 mod P, the image of i.
+# P < 2^30, so a residue is one CPython digit and a * x stays a small-int product.
+P = 1004535809
+I_P = pow(3, (P - 1) // 4, P)
 
 
 def insert_mod_p(vectors, echelon, p):
     """``insert`` mod the prime p, in place: the vectors' entries are ints,
-    the echelon's rows are monic with entries in [0, p).  A reduction step
-    subtracts a * row and leaves the other entries unreduced, so an entry
-    grows by less than p^2 per step; only a candidate lead is taken mod p,
-    and dropped when it is 0 there."""
-    for vector in vectors:
-        vector = dict(vector)
-        while vector:
-            lead = min(vector)
-            a = vector[lead] % p
-            if not a:
-                del vector[lead]
-                continue
-            row = echelon.get(lead)
-            if row is None:
-                b = pow(a, -1, p)
-                echelon[lead] = {key: y for key, x in vector.items() if (y := x * b % p)}
-                break
-            for key, x in row.items():
-                vector[key] = vector.get(key, 0) - a * x
-            del vector[lead]
+    the echelon's rows are monic with entries in (0, p).  A vector is reduced
+    in a dense list over the call's key range, scanned up from its lowest key
+    (a row's other keys lie above its lead); only a candidate lead is taken
+    mod p.  Within the call a row is a list of (offset, residue) pairs."""
+    keys = [key for vector in chain(vectors, echelon.values()) for key in vector]
+    low = min(keys, default=0)
+    labels = list(range(low, max(keys, default=0) + 1))  # the rows share these keys
+    width = len(labels)
+    rows = [None] * width
+    for lead, row in echelon.items():
+        rows[lead - low] = [(key - low, x) for key, x in row.items() if key != lead]
+    new = []
+    for vector in filter(None, vectors):
+        dense = [0] * width
+        for key, x in vector.items():
+            dense[key - low] = x
+        for i in range(min(vector) - low, width):
+            x = dense[i]
+            if x and (a := x % p):
+                row = rows[i]
+                if row is None:
+                    b = pow(a, -1, p)
+                    rows[i] = [(j, y) for j in range(i + 1, width) if (x := dense[j]) and (y := x * b % p)]
+                    new.append(i)
+                    break
+                for j, x in row:
+                    dense[j] -= a * x
+    for i in new:
+        echelon[labels[i]] = row = {labels[j]: y for j, y in rows[i]}
+        row[labels[i]], rows[i] = 1, None
     return echelon
 
 

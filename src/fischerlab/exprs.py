@@ -13,9 +13,10 @@ text into a postfix program (see _Parser) before any polynomial is
 computed, so malformed input is refused without expansion work; _lower
 then runs that program on a stack of Poly.
 
-Parentheses nest at most MAX_NESTING deep, and no product or power may give
-a coefficient of over MAX_POWER_BITS bits, as bounded by the sizes of its
-factors' coefficients; other input is a ParseError.
+Parentheses nest at most MAX_NESTING deep, a literal has at most
+MAX_LITERAL_DIGITS digits, and no product or power may give a coefficient of
+over MAX_POWER_BITS bits, as bounded by the sizes of its factors'
+coefficients; other input is a ParseError.
 A power or product of sums is expanded only when a polynomial of its degree
 D would pass the slice bound at degree D - 2 (see _check_expansion); a
 larger one is a SliceTooLargeError before any expansion.  'i' is only
@@ -50,6 +51,8 @@ MAX_NESTING = 100
 # hundred factors 3^41000, would take seconds
 MAX_POWER_BITS = 65536
 
+MAX_LITERAL_DIGITS = 4300  # CPython's default bound on int(str)
+
 
 def validate_var_names(names):
     names = tuple(names)
@@ -83,6 +86,8 @@ def _tokenize(text):
             start = pos
             while pos < n and text[pos] in _DIGITS:
                 pos += 1
+            if pos - start > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal of over {MAX_LITERAL_DIGITS} digits", start)
             tokens.append(("number", int(text[start:pos]), start))
             continue
         if ch in _TOKEN_SYMBOLS:

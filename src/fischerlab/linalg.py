@@ -328,7 +328,9 @@ def rank_and_first_missing(matrix):
     With r = cols, e_0 outside the span mod P, the rank of [matrix | e_0]
     mod P is cols + 1: the rank is cols and e_0 is outside the span (0).
     Any other case, a rank deficit, a witness past e_0 or a prime at which
-    the rank drops, is answered by an exact GrowingEchelon.
+    the rank drops, is answered by an exact GrowingEchelon.  The columns go
+    in in their own order: reversed, the 15 slices of x^3+2y^3+3z^3 to
+    degree 15 take 6655 reduction steps and 175k entry updates, not 5002 and 63k.
     """
     p, i_p, residue = _kernels.P, _kernels.I_P, INTEGERS[matrix.field].residue
     leads = _kernels.insert_mod_p(_columns(matrix, lambda x, k: residue(x, i_p) * k % p), {}, p)

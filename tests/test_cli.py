@@ -30,7 +30,7 @@ from fischerlab import (
     verify_solution,
 )
 from fischerlab.cli import run
-from fischerlab.exprs import format_polynomial, parse_polynomial
+from fischerlab.exprs import MAX_LITERAL_DIGITS, format_polynomial, parse_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -459,6 +459,17 @@ def test_coefficients_past_the_int_string_digit_limit(capsys):
     assert (code, err) == (0, "")
     big = Fraction(3**20000, 7)
     assert scalar_from_json(scalar_to_json(big), FIELD_Q) == big
+
+
+def test_an_integer_literal_past_the_digit_bound_is_a_parse_error(capsys):
+    # the parser's own bound, at the literal's position, not CPython's int() text
+    argv = ["decompose", "--psi", "x^2+y^2-1", "--vars", "x,y", "--f"]
+    assert run_cli(capsys, *argv, "7" * MAX_LITERAL_DIGITS + "*x^2")[0] == 0
+    for prefix in ("", "x+"):
+        code, out, err = run_cli(capsys, *argv, prefix + "7" * 5000 + "*x^2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: integer literal of over {MAX_LITERAL_DIGITS} digits"
+                       f" (at position {len(prefix)})\n")
 
 
 def test_help_exits_zero(capsys):

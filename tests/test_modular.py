@@ -46,7 +46,7 @@ def _spy_on_extend(monkeypatch):
 
 def test_the_prime_and_its_square_root_of_minus_one():
     p, i_p = _kernels.P, _kernels.I_P
-    assert p.bit_length() == 31
+    assert p < 2**30  # one CPython digit
     assert all(p % d for d in range(2, int(p**0.5) + 1))
     assert p % 4 == 1
     assert i_p * i_p % p == p - 1
@@ -69,13 +69,16 @@ def _leads_mod(vectors, p):
     return leads
 
 
-@pytest.mark.parametrize("p", [5, 7, _kernels.P])
+# 2013265921 = 15 * 2^27 + 1 is a prime whose residues take two CPython digits
+@pytest.mark.parametrize("p", [5, 7, _kernels.P, 2013265921])
 def test_insert_mod_p_keeps_monic_rows_and_agrees_with_a_dense_reduction(p):
     rng = random.Random(p)
-    for _ in range(40):
-        keys = rng.sample(range(-9, 1), rng.randint(1, 6))
+    # keys in a small window, spread across 0, and far from 0
+    for window in [range(-9, 1)] * 30 + [range(-400, 400, 7)] * 15 + [range(10**12, 10**12 + 30)] * 15:
+        keys = rng.sample(window, rng.randint(1, 6))
         vectors = [{key: x for key in keys if (x := rng.randint(-40, 40)) and rng.random() < 0.6}
                    for _ in range(rng.randint(1, 7))]
+        vectors.insert(rng.randint(0, len(vectors)), {})
         snapshot = [dict(v) for v in vectors]
         echelon = _kernels.insert_mod_p(vectors, {}, p)
         assert vectors == snapshot
@@ -83,6 +86,9 @@ def test_insert_mod_p_keeps_monic_rows_and_agrees_with_a_dense_reduction(p):
         for lead, row in echelon.items():
             assert min(row) == lead and row[lead] == 1
             assert all(0 < x < p for x in row.values())
+        # inserted in two calls, the second into the first's echelon
+        cut = rng.randint(0, len(vectors))
+        assert _kernels.insert_mod_p(vectors[cut:], _kernels.insert_mod_p(vectors[:cut], {}, p), p) == echelon
 
 
 def test_rank_and_first_missing_at_the_edges():
@@ -99,14 +105,16 @@ def _random_homogeneous(rng, arity, degree, field):
 
 
 def _slices(rng, field):
-    """Profile slices and Fischer-theorem slices of seeded random homogeneous
-    psi, after two whose slices need the exact echelon."""
-    fixed = [parse_polynomial(text, ["x", "y", "z"], field) for text in ("x^2-y^2", "x^3")]
-    for psi in fixed + [_random_homogeneous(rng, rng.randint(2, 3), rng.randint(1, 4), field)
-                        for _ in range(12)]:
+    """Profile slices, to target degree 4 or the given top, and Fischer-theorem
+    slices of seeded random homogeneous psi, after two whose slices need the
+    exact echelon and a diagonal cubic whose slices reach 66 rows and fill in."""
+    fixed = [(parse_polynomial(text, ["x", "y", "z"], field), top)
+             for text, top in (("x^2-y^2", 4), ("x^3", 4), ("x^3-2*y^3+3*z^3", 10))]
+    for psi, top in fixed + [(_random_homogeneous(rng, rng.randint(2, 3), rng.randint(1, 4), field), 4)
+                             for _ in range(12)]:
         arity, degree = psi.arity, psi.degree
         op = FischerOperator(psi)
-        for n in range(5):
+        for n in range(top + 1):
             m = n - degree + 2
             if m >= 0:
                 yield operator_matrix(op, homogeneous_basis(arity, m), homogeneous_basis(arity, n))
