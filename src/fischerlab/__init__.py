@@ -54,7 +54,6 @@ from .linalg import (
     ExactMatrix,
     GrowingEchelon,
     RrefResult,
-    nullspace_basis,
     rank_and_first_missing,
     rref,
     solve,

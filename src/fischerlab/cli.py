@@ -56,7 +56,7 @@ _OUTPUT_FORMATS = ("text", "json", "csv")
 @dataclass(frozen=True)
 class RunConfig:
     field: str
-    var_names: tuple
+    vars: tuple
     max_degree: int | None
     slack: int
     tol_root: float
@@ -105,7 +105,7 @@ def _build_config(args):
             raise ValueError("tolerances must be positive and finite")
     return RunConfig(
         field=field,
-        var_names=var_names,
+        vars=var_names,
         max_degree=getattr(args, "max_degree", None),
         slack=slack,
         tol_root=args.tol_root,
@@ -115,24 +115,12 @@ def _build_config(args):
     )
 
 
-def _config_json(config):
-    return {
-        "field": config.field,
-        "vars": list(config.var_names),
-        "max_degree": config.max_degree,
-        "slack": config.slack,
-        "tol_root": config.tol_root,
-        "tol_boundary": config.tol_boundary,
-        "seed": config.seed,
-        "output": config.output,
-    }
-
-
 def _report(command, config, result, checks):
     return {
         "tool_version": __version__,
         "command": command,
-        "config": _config_json(config),
+        # a shallow copy: the fields are scalars and vars, a tuple written as a list
+        "config": dict(vars(config)),
         "result": result,
         "checks": checks,
     }
@@ -208,7 +196,7 @@ def _parse_interior(text, arity):
 
 
 def _cmd_decompose(config, args):
-    names = config.var_names
+    names = config.vars
     psi = parse_polynomial(args.psi, names, config.field)
     f = parse_polynomial(args.f, names, config.field)
     try:
@@ -241,7 +229,7 @@ def _cmd_decompose(config, args):
 
 
 def _cmd_rank_profile(config, args):
-    names = config.var_names
+    names = config.vars
     psi = parse_polynomial(args.psi, names, config.field)
     profile = rank_profile(psi, args.max_degree, config.slack, args.mode)
     result = {"psi": _poly_payload(psi, names), "profile": _profile_json(profile, names)}
@@ -257,7 +245,7 @@ def _cmd_rank_profile(config, args):
 
 
 def _cmd_dirichlet(config, args):
-    names = config.var_names
+    names = config.vars
     if config.field != FIELD_Q:
         raise ValueError("the Dirichlet solver works over field Q")
     psi = parse_polynomial(args.psi, names, config.field)
@@ -301,7 +289,7 @@ def _dirichlet_csv(solution, config):
     psi = solution.domain.psi
     difference = solution.f - solution.h
     out = io.StringIO()
-    out.write(",".join(config.var_names) + ",psi,f_minus_h\n")
+    out.write(",".join(config.vars) + ",psi,f_minus_h\n")
     for point in solution.boundary_points:
         coords = ",".join(repr(c) for c in point)
         out.write(f"{coords},{psi.evaluate(point)!r},{difference.evaluate(point)!r}\n")
@@ -309,7 +297,7 @@ def _dirichlet_csv(solution, config):
 
 
 def _cmd_fischer_theorem(config, args):
-    names = config.var_names
+    names = config.vars
     p = parse_polynomial(args.p, names, config.field)
     slices = fischer_theorem_check(p, args.max_degree)
     all_nonsingular = all(s.nonsingular for s in slices)
@@ -328,7 +316,7 @@ def _cmd_fischer_theorem(config, args):
 
 
 def _cmd_khavinson(config, args):
-    names = config.var_names
+    names = config.vars
     coeffs = [parse_scalar(part, FIELD_QI) for part in args.phi.split(",")]
     psi = khavinson_psi(coeffs)
     profile = rank_profile(psi, args.max_degree, config.slack, FILTERED)
@@ -348,7 +336,7 @@ def _cmd_khavinson(config, args):
 
 
 def _cmd_ks_residual(config, args):
-    names = config.var_names
+    names = config.vars
     if config.field != FIELD_Q:
         raise ValueError("the residual check works over field Q")
     psi = parse_polynomial(args.psi, names, config.field)

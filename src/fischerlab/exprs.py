@@ -13,15 +13,16 @@ text into a postfix program (see _Parser) before any polynomial is
 computed, so malformed input is refused without expansion work; _lower
 then runs that program on a stack of Poly.
 
-Parentheses nest at most MAX_NESTING deep, a literal has at most
-MAX_LITERAL_DIGITS digits, and no product or power may give a coefficient of
-over MAX_POWER_BITS bits, as bounded by the sizes of its factors'
-coefficients; other input is a ParseError.
+Parentheses nest at most MAX_NESTING deep, a literal has at most the
+digits of a MAX_POWER_BITS-bit int, and no product or power may give a
+coefficient of over MAX_POWER_BITS bits, as bounded by the sizes of its
+factors' coefficients; other input is a ParseError.
 A power or product of sums is expanded only when a polynomial of its degree
 D would pass the slice bound at degree D - 2 (see _check_expansion); a
 larger one is a SliceTooLargeError before any expansion.  'i' is only
 available over field Qi.  The printer emits terms in degree-descending
-graded lex order and round-trips: parse(format(p)) == p exactly.
+graded lex order and round-trips: parse(format(p)) == p exactly, for
+coefficients within the MAX_POWER_BITS bound.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .scalars import (
     GAUSSIAN_I,
     INTEGERS,
     as_scalar,
+    decimal_int,
     validate_field,
 )
 
@@ -50,8 +52,8 @@ MAX_NESTING = 100
 # (2*x*y)^9999 has a 9999-bit coefficient; 3^40000000, or a product of a
 # hundred factors 3^41000, would take seconds
 MAX_POWER_BITS = 65536
-
-MAX_LITERAL_DIGITS = 4300  # CPython's default bound on int(str)
+# the digits of 2^MAX_POWER_BITS - 1, the largest int of MAX_POWER_BITS bits
+_LITERAL_DIGITS = int(MAX_POWER_BITS * math.log10(2)) + 1
 
 
 def validate_var_names(names):
@@ -86,9 +88,10 @@ def _tokenize(text):
             start = pos
             while pos < n and text[pos] in _DIGITS:
                 pos += 1
-            if pos - start > MAX_LITERAL_DIGITS:
-                raise ParseError(f"integer literal of over {MAX_LITERAL_DIGITS} digits", start)
-            tokens.append(("number", int(text[start:pos]), start))
+            if pos - start > _LITERAL_DIGITS:
+                raise ParseError(f"integer literal of over {_LITERAL_DIGITS} digits, the most"
+                                 f" that a {MAX_POWER_BITS}-bit int has", start)
+            tokens.append(("number", decimal_int(text[start:pos]), start))
             continue
         if ch in _TOKEN_SYMBOLS:
             tokens.append((ch, ch, pos))

@@ -143,8 +143,7 @@ def operator_matrix(op, source, target):
             except KeyError:
                 raise overflow_error(m, target) from None
             rows[i][j] = value
-    return ExactMatrix.from_integer_rows(len(source), [(row, denominator) for row in rows],
-                                         op.field)
+    return ExactMatrix.from_integer_rows(len(source), rows, denominator, op.field)
 
 
 @dataclass(frozen=True)
@@ -339,10 +338,6 @@ class RankProfile:
         return all(v.status == SURJECTIVE for v in self.verdicts)
 
 
-def _monomial_poly(arity, exponents, field):
-    return Poly.monomial(arity, exponents, 1, field)
-
-
 def _homogeneous_profile(psi, max_target_degree):
     op = FischerOperator(psi)
     deg_psi = psi.degree
@@ -354,7 +349,7 @@ def _homogeneous_profile(psi, max_target_degree):
         if m < 0:
             # no homogeneous slice maps into degree n; conclusively missed
             rows.append(RankProfileRow(n, m, 0, len(target), 0, False))
-            witness = _monomial_poly(psi.arity, target.monomials[0], psi.field)
+            witness = Poly.monomial(psi.arity, target.monomials[0], 1, psi.field)
             verdicts.append(DegreeVerdict(n, NOT_SURJECTIVE, witness=witness))
             continue
         source = homogeneous_basis(psi.arity, m)
@@ -364,7 +359,7 @@ def _homogeneous_profile(psi, max_target_degree):
         if surjective:
             verdicts.append(DegreeVerdict(n, SURJECTIVE, slack=0))
         else:
-            witness = _monomial_poly(psi.arity, target.monomials[missed], psi.field)
+            witness = Poly.monomial(psi.arity, target.monomials[missed], 1, psi.field)
             verdicts.append(DegreeVerdict(n, NOT_SURJECTIVE, witness=witness))
     return rows, verdicts
 
@@ -436,7 +431,8 @@ class _LadderImage:
         image = Poly.constant(self.operator.arity, 1, self.operator.field)
         for p, e in zip(self.change, exponents):
             image = image * p**e
-        return self.echelon.contains({self.target.index(e): c for e, c in image.terms.items()})
+        return self.echelon.contains({self.target.index(e): n
+                                      for e, n in image.integer_form[0].items()})
 
 
 def _original_coordinates(psi):
@@ -509,7 +505,7 @@ def _filtered_profile(psi, max_target_degree, slack, image):
                 exponents = next(e for e in filtered_basis(psi.arity, n)
                                  if not image.contains(e))
             verdict = DegreeVerdict(n, UNDETERMINED,
-                                    witness=_monomial_poly(psi.arity, exponents, psi.field))
+                                    witness=Poly.monomial(psi.arity, exponents, 1, psi.field))
         verdicts.append(verdict)
     return rows, verdicts
 

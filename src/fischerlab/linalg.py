@@ -1,11 +1,11 @@
 """Exact linear algebra over the coefficient fields.
 
-ExactMatrix stores each row in the vector form of the elimination kernel,
-fischerlab._kernels, so rows go into its sparse echelon insertion as they
-are, and field scalars are built only when an entry is read.  On top of it
-this module owns reduced row echelon form, solving, nullspaces, the rank
-and first missing unit vector of a column span, certified mod a prime, and
-the growing echelon of a filtered ladder.  Apart from GrowingEchelon, all
+ExactMatrix is stored as a Poly is, its rows vectors of the elimination
+kernel, fischerlab._kernels, over one denominator: they go into its sparse
+echelon insertion as they are, and scalars are built only when an entry is
+read.  On top of it this module owns reduced row echelon form, solving, the
+rank and first missing unit vector of a column span, certified mod a prime,
+and the growing echelon of a filtered ladder.  Apart from GrowingEchelon, all
 operations are pure functions.  ``solve`` eliminates only the rows that
 the right-hand side reaches through shared columns; every other unknown is
 0, as a free one is, and its exact recheck still covers every row.
@@ -21,53 +21,50 @@ from .errors import InconsistentSystemError
 from .scalars import FIELD_Q, INTEGERS, as_scalar, from_integer, integer_form, validate_field
 
 
-def _integer_row(entries, field):
-    """The stored row (ints, den) of a dense row of field entries; zero
-    entries are dropped."""
-    nonzero = {j: v for j, e in enumerate(entries) if (v := as_scalar(e, field))}
-    ints, den = integer_form(nonzero.values(), field)
-    return dict(zip(nonzero, ints)), den
-
-
 class ExactMatrix:
     """Immutable matrix of exact field scalars.
 
-    Row i is stored as (ints, den): ints maps the columns of the nonzero
-    entries to den times the entry, an int over Q and an (re, im) pair of
-    ints over Qi; den is a positive int, not always the least, so equality
-    compares values.  The constructor takes dense row-major entries and
-    ``from_integer_rows`` the stored rows.  No path in the package calls
-    ``from_columns``, ``hstack`` or ``mul_vector``; they stay while the
-    benchmark's tracer wraps them.
+    As in a Poly, the entries are ints over one positive int den: row i is a
+    dict mapping the columns of its nonzero entries to den times the entry,
+    an int over Q and an (re, im) pair of ints over Qi.  den is not always
+    the least, so equality compares values.  The constructor takes dense
+    row-major entries, ``from_integer_rows`` the rows and den.  No path in
+    the package calls ``from_columns``, ``hstack`` or ``mul_vector``; they
+    stay while the benchmark's tracer wraps them.
     """
 
-    __slots__ = ("rows", "cols", "field", "_int_rows")
+    __slots__ = ("rows", "cols", "field", "_rows", "_den")
 
     def __init__(self, rows, cols, entries, field=FIELD_Q):
         entries = list(entries)
         if rows < 0 or len(entries) != rows * cols:
             raise ValueError(f"expected {rows} x {cols} entries, got {len(entries)}")
-        self._store(cols, [_integer_row(entries[i * cols : (i + 1) * cols], field)
-                           for i in range(rows)], field)
+        nonzero = {k: v for k, e in enumerate(entries) if (v := as_scalar(e, field))}
+        ints, den = integer_form(nonzero.values(), field)
+        int_rows = [{} for _ in range(rows)]
+        for k, x in zip(nonzero, ints):
+            int_rows[k // cols][k % cols] = x
+        self._store(cols, int_rows, den, field)
 
-    def _store(self, cols, int_rows, field):
+    def _store(self, cols, int_rows, den, field):
         validate_field(field)
         if cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         object.__setattr__(self, "rows", len(int_rows))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_int_rows", tuple(int_rows))
+        object.__setattr__(self, "_rows", tuple(int_rows))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def from_integer_rows(cls, cols, int_rows, field=FIELD_Q):
-        """The matrix of the given stored rows (ints, den), taken as they
-        are: no entry is checked or converted."""
+    def from_integer_rows(cls, cols, int_rows, den, field=FIELD_Q):
+        """The matrix of the given stored rows over the positive int den,
+        taken as they are: no entry is checked or converted."""
         matrix = cls.__new__(cls)
-        matrix._store(cols, int_rows, field)
+        matrix._store(cols, int_rows, den, field)
         return matrix
 
     @classmethod
@@ -85,8 +82,8 @@ class ExactMatrix:
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range")
-        ints, den = self._int_rows[i]
-        return from_integer(ints[j], den) if j in ints else as_scalar(0, self.field)
+        ints = self._rows[i]
+        return from_integer(ints[j], self._den) if j in ints else as_scalar(0, self.field)
 
     def row(self, i):
         return tuple(self.entry(i, j) for j in range(self.cols))
@@ -97,14 +94,14 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        scale = INTEGERS[self.field].scale
-        # rows a / da and b / db are equal when a * db == b * da entrywise
+        times, da, db = INTEGERS[self.field].times, self._den, other._den
+        # a / da and b / db are equal when a * db == b * da entrywise
         return (
             self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and all(a.keys() == b.keys() and all(scale(a[j], db) == scale(b[j], da) for j in a)
-                    for (a, da), (b, db) in zip(self._int_rows, other._int_rows))
+            and all(a.keys() == b.keys() and all(times(a[j], db) == times(b[j], da) for j in a)
+                    for a, b in zip(self._rows, other._rows))
         )
 
     def mul_vector(self, vec):
@@ -113,18 +110,18 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
         ints, vec_den = integer_form(vec, self.field)
-        values, dot = dict(enumerate(ints)), INTEGERS[self.field].dot
-        return [from_integer(dot(row, values), den * vec_den) for row, den in self._int_rows]
+        values, dot, den = dict(enumerate(ints)), INTEGERS[self.field].dot, self._den * vec_den
+        return [from_integer(dot(row, values), den) for row in self._rows]
 
     def hstack(self, other):
         """Concatenate columns: [self | other]."""
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack needs matching row count and field")
-        scale = INTEGERS[self.field].scale
-        int_rows = [({**{j: scale(x, db) for j, x in a.items()},
-                      **{self.cols + j: scale(x, da) for j, x in b.items()}}, da * db)
-                    for (a, da), (b, db) in zip(self._int_rows, other._int_rows)]
-        return ExactMatrix.from_integer_rows(self.cols + other.cols, int_rows, self.field)
+        times, da, db = INTEGERS[self.field].times, self._den, other._den
+        int_rows = [{**{j: times(x, db) for j, x in a.items()},
+                     **{self.cols + j: times(x, da) for j, x in b.items()}}
+                    for a, b in zip(self._rows, other._rows)]
+        return ExactMatrix.from_integer_rows(self.cols + other.cols, int_rows, da * db, self.field)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, field={self.field!r})"
@@ -151,26 +148,26 @@ class RrefResult:
 
 def rref(matrix):
     """Reduced row echelon form: the rows go into one echelon, then
-    back-substitution clears every pivot column."""
+    back-substitution clears every pivot column; the reduced rows go over
+    the lcm of their leads."""
     kernel, field = _kernel(matrix.field)
-    reduced = _kernels.back_substitute(field, kernel([row for row, _ in matrix._int_rows], {}))
+    reduced = _kernels.back_substitute(field, kernel(matrix._rows, {}))
     pivots = tuple(sorted(reduced))
-    int_rows = [reduced[pc] for pc in pivots] + [({}, 1)] * (matrix.rows - len(pivots))
-    reduced_matrix = ExactMatrix.from_integer_rows(matrix.cols, int_rows, matrix.field)
-    return RrefResult(rref=reduced_matrix, rank=len(pivots), pivot_cols=pivots)
+    den = lcm(*(lead for _, lead in reduced.values()))
+    int_rows = [{j: field.times(x, den // lead) for j, x in row.items()}
+                for row, lead in map(reduced.get, pivots)] + [{}] * (matrix.rows - len(pivots))
+    return RrefResult(ExactMatrix.from_integer_rows(matrix.cols, int_rows, den, matrix.field),
+                      len(pivots), pivots)
 
 
-def _columns(matrix, entry):
-    """The columns of the matrix as kernel vectors, coordinate i keyed by -i.
-    Row i, stored as (ints, den), is scaled by k = lcm / den, so the columns
-    are those of lcm times the matrix; entry(x, k) is the vector entry of a
-    stored x."""
-    common = lcm(*(den for _, den in matrix._int_rows))
+def _columns(matrix, entry=None):
+    """The columns of the matrix as kernel vectors, coordinate i keyed by -i:
+    those of den times the matrix, its stored ints, or entry(x) of each
+    stored x when entry is given."""
     columns = [{} for _ in range(matrix.cols)]
-    for i, (row, den) in enumerate(matrix._int_rows):
-        k = common // den
+    for i, row in enumerate(matrix._rows):
         for j, x in row.items():
-            columns[j][-i] = entry(x, k)
+            columns[j][-i] = x if entry is None else entry(x)
     return columns
 
 
@@ -205,9 +202,8 @@ class GrowingEchelon:
             raise ValueError(f"field mismatch: {self.field} vs {matrix.field}")
         if matrix.rows < self.width:
             raise ValueError("a later matrix cannot have fewer rows than an earlier one")
-        kernel, field = _kernel(self.field)
-        scale = field.scale
-        kernel(_columns(matrix, lambda x, k: x if k == 1 else scale(x, k)), self._echelon)
+        kernel, _ = _kernel(self.field)
+        kernel(_columns(matrix), self._echelon)
         self.width = matrix.rows
         self.rank = len(self._echelon)
         self.leading = frozenset(-lead for lead in self._echelon)
@@ -223,13 +219,13 @@ class GrowingEchelon:
         return self.covered if self.covered < count else None
 
     def contains(self, entries):
-        """Whether the vector {coordinate: entry} lies in the span.
+        """Whether the vector {coordinate: n} lies in the span, each n a
+        nonzero entry in integer form (the vector times any denominator).
 
         A vector whose highest coordinate leads no row is outside, and one
         whose highest coordinate lies below ``covered`` is inside; any other
         vector is reduced by the echelon, which is left as it is.
         """
-        entries = {j: v for j, e in entries.items() if (v := as_scalar(e, self.field))}
         if not entries:
             return True
         top = max(entries)
@@ -237,8 +233,7 @@ class GrowingEchelon:
             return False
         if top < self.covered:
             return True
-        ints, _ = integer_form(entries.values(), self.field)
-        vector = {-j: x for j, x in zip(entries, ints)}
+        vector = {-j: x for j, x in entries.items()}
         return not _kernels.remainder(INTEGERS[self.field], vector, self._echelon)
 
 
@@ -247,12 +242,12 @@ def _reached(int_rows, seeds):
     rows that share a column, the seeds included: one pass over the
     nonzeros to index rows by column, then a search from the seeds."""
     rows_of = {}
-    for i, (row, _) in enumerate(int_rows):
+    for i, row in enumerate(int_rows):
         for j in row:
             rows_of.setdefault(j, []).append(i)
     reached, stack = set(seeds), list(seeds)
     while stack:
-        for j in int_rows[stack.pop()][0]:
+        for j in int_rows[stack.pop()]:
             for i in rows_of.pop(j, ()):
                 if i not in reached:
                     reached.add(i)
@@ -264,7 +259,7 @@ def solve(matrix, rhs):
     """One exact solution of matrix @ x == rhs, free variables pinned to zero.
 
     The rhs is written as ints b over one common denominator, so the stored
-    row (a, den) and rhs entry b / common give the row [a | b * den]: the
+    row a / den and rhs entry b / common give the row [a | b * den]: the
     stored ints go into the echelon as they are, and the unknowns are y =
     x * common.  Only the rows that a row with a nonzero rhs entry reaches
     through shared columns (Gilbert & Peierls 1988, SIAM J. Sci. Stat.
@@ -285,34 +280,21 @@ def solve(matrix, rhs):
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
     kernel, field = _kernel(matrix.field)
-    cols, scale, int_rows = matrix.cols, field.scale, matrix._int_rows
+    cols, den, times, int_rows = matrix.cols, matrix._den, field.times, matrix._rows
     rhs_ints, common = integer_form(rhs, matrix.field)
     augmented = []
     # the seeds test the scalar: over Qi a zero b is (0, 0), which is truthy
     for i in reversed(_reached(int_rows, [i for i, v in enumerate(rhs) if v])):
-        row, den = int_rows[i]
-        augmented.append({**row, cols: scale(rhs_ints[i], den)} if rhs[i] else row)
+        row = int_rows[i]
+        augmented.append({**row, cols: times(rhs_ints[i], den)} if rhs[i] else row)
     echelon = kernel(augmented, {})
     if cols in echelon:
         raise InconsistentSystemError("right-hand side is outside the column space")
     values, d = _kernels.solution(field, echelon, cols)
-    if any(field.dot(row, values) != scale(b, d * den)
-           for (row, den), b in zip(int_rows, rhs_ints)):
+    if any(field.dot(row, values) != times(b, d * den) for row, b in zip(int_rows, rhs_ints)):
         raise AssertionError("internal error: solution failed the exact recheck")
     zero, d = as_scalar(0, matrix.field), d * common
     return [from_integer(values[j], d) if j in values else zero for j in range(cols)]
-
-
-def nullspace_basis(matrix):
-    """Linearly independent exact vectors spanning the kernel."""
-    result = rref(matrix)
-    basis = []
-    for free_col in sorted(set(range(matrix.cols)) - set(result.pivot_cols)):
-        v = [as_scalar(int(j == free_col), matrix.field) for j in range(matrix.cols)]
-        for r, pc in enumerate(result.pivot_cols):
-            v[pc] = -result.rref.entry(r, free_col)
-        basis.append(v)
-    return basis
 
 
 def rank_and_first_missing(matrix):
@@ -333,7 +315,7 @@ def rank_and_first_missing(matrix):
     degree 15 take 6655 reduction steps and 175k entry updates, not 5002 and 63k.
     """
     p, i_p, residue = _kernels.P, _kernels.I_P, INTEGERS[matrix.field].residue
-    leads = _kernels.insert_mod_p(_columns(matrix, lambda x, k: residue(x, i_p) * k % p), {}, p)
+    leads = _kernels.insert_mod_p(_columns(matrix, lambda x: residue(x, i_p) % p), {}, p)
     if len(leads) == matrix.rows:
         return matrix.rows, None
     if len(leads) == matrix.cols and 0 not in leads:

@@ -2,10 +2,10 @@
 
 A polynomial stores a dict {exponents: n} of its nonzero terms, n an
 entry in the integer form of its field, and one positive denominator den,
-in canonical form (den and every part have gcd 1): the vector form of
-ExactMatrix rows.  That form and its arithmetic are defined once, by the
-field's table in scalars.INTEGERS (_kernels.Q and _kernels.QI), which every
-operation here reads.  Arithmetic runs on the ints and builds no field scalar;
+in canonical form (den and every part have gcd 1), as an ExactMatrix
+stores its rows over one den.  That form and its arithmetic are defined once,
+by the field's table in scalars.INTEGERS (_kernels.Q and _kernels.QI), which
+every operation here reads.  Arithmetic runs on the ints and builds no scalar;
 ``terms`` builds the scalars once, when first read, and ``decimal_terms``
 builds the decimal strings of the reports (the printer's and
 poly_to_json's) once, straight from the ints.  Terms keep their
@@ -287,16 +287,6 @@ class Poly:
             return NEG_INF
         return max(sum(m) for m in self._ints)
 
-    def diff(self, axis):
-        """Formal partial derivative along the given 0-based axis."""
-        if not 0 <= axis < self.arity:
-            raise IndexError(f"axis {axis} out of range for arity {self.arity}")
-        table = INTEGERS[self.field]
-        times = table.times
-        out = _gather(((m[:axis] + (m[axis] - 1,) + m[axis + 1 :], times(n, m[axis]))
-                       for m, n in self._ints.items() if m[axis]), table)
-        return self._wrap(out, self._den)
-
     def laplacian(self):
         """Sum of second partials along every axis, computed exactly."""
         table = INTEGERS[self.field]
@@ -328,20 +318,6 @@ class Poly:
     def evaluate(self, point):
         """Numeric evaluation at a float point; complex over field Qi."""
         return float_sums((self,), [point])[0][0][0]
-
-    def evaluate_exact(self, point):
-        """Exact evaluation at a point of field scalars."""
-        if len(point) != self.arity:
-            raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
-        values = [as_scalar(v, self.field) for v in point]
-        total = as_scalar(0, self.field)
-        for m, c in self.terms.items():
-            term = c
-            for v, e in zip(values, m):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
 
     def sorted_terms(self):
         """Terms in ascending graded lex order (deterministic)."""

@@ -210,14 +210,20 @@ def scalar_to_json(value):
     raise ValueError(f"not a scalar: {value!r}")
 
 
+def decimal_int(text):
+    """The int of a decimal string of any length: int() refuses one of over
+    4300 digits (see decimal_text), which Decimal reads with no limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
+
+
 def _json_int(text):
     digits = text[1:] if isinstance(text, str) and text.startswith("-") else text
     if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected a decimal integer string, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # over the digit limit of int(): see decimal_text
-        return int(Decimal(text))
+    return decimal_int(text)
 
 
 def _fraction_from_json(obj):

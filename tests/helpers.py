@@ -71,6 +71,25 @@ def matrix_product(a, b):
     return ExactMatrix(a.rows, b.cols, entries, a.field)
 
 
+def reference_rank(matrix):
+    """The rank of the matrix by Gauss-Jordan elimination over the field
+    scalars of its rows, read through ExactMatrix.row: no fischerlab kernel."""
+    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
+    rank = 0
+    for j in range(matrix.cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank]
+        for r, row in enumerate(rows):
+            if r != rank and row[j]:
+                factor = row[j] / head[j]
+                rows[r] = [a - factor * b for a, b in zip(row, head)]
+        rank += 1
+    return rank
+
+
 def random_ellipsoid(rng, arity):
     semi_axes = [
         Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(arity)

@@ -18,3 +18,11 @@ def test_every_benchmark_tracer_site_exists():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_benchmarks_own_tests_pass():
+    # the benchmark's counters read what the wrapped calls return (solve's
+    # scalars, rref's rank), so a change there fails its tests, not the sites'
+    proc = subprocess.run([sys.executable, "-m", "pytest", "perfbench", "-q"],
+                          capture_output=True, text=True, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

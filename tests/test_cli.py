@@ -30,7 +30,7 @@ from fischerlab import (
     verify_solution,
 )
 from fischerlab.cli import run
-from fischerlab.exprs import MAX_LITERAL_DIGITS, format_polynomial, parse_polynomial
+from fischerlab.exprs import MAX_POWER_BITS, format_polynomial, parse_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -462,14 +462,30 @@ def test_coefficients_past_the_int_string_digit_limit(capsys):
 
 
 def test_an_integer_literal_past_the_digit_bound_is_a_parse_error(capsys):
-    # the parser's own bound, at the literal's position, not CPython's int() text
+    # the parser's one bound, at the literal's position: no literal may have
+    # more digits than the largest MAX_POWER_BITS-bit int, 19729; one past
+    # the 4300 digits of CPython's int() is read all the same
     argv = ["decompose", "--psi", "x^2+y^2-1", "--vars", "x,y", "--f"]
-    assert run_cli(capsys, *argv, "7" * MAX_LITERAL_DIGITS + "*x^2")[0] == 0
+    assert run_cli(capsys, *argv, "7" * 5000 + "*x^2")[0] == 0
+    largest = 2**MAX_POWER_BITS - 1
+    assert parse_polynomial(str(Decimal(largest)), ["x"]) == Poly.constant(1, largest)
     for prefix in ("", "x+"):
-        code, out, err = run_cli(capsys, *argv, prefix + "7" * 5000 + "*x^2")
+        code, out, err = run_cli(capsys, *argv, prefix + "7" * 19730 + "*x^2")
         assert (code, out) == (2, "")
-        assert err == (f"error: integer literal of over {MAX_LITERAL_DIGITS} digits"
-                       f" (at position {len(prefix)})\n")
+        assert err == (f"error: integer literal of over 19729 digits, the most that a"
+                       f" {MAX_POWER_BITS}-bit int has (at position {len(prefix)})\n")
+
+
+def test_a_coefficient_past_the_int_string_digit_limit_reparses(capsys):
+    # the printed text of a 9543-digit coefficient is a valid --f
+    names = ["x", "y"]
+    p = parse_polynomial("3^20000*x^2", names)
+    text = format_polynomial(p, names)
+    assert parse_polynomial(text, names) == p
+    code, out, err = run_cli(capsys, "decompose", "--psi", "x^2+y^2-1", "--f", text,
+                             "--vars", "x,y")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["f"]["expr"] == text
 
 
 def test_help_exits_zero(capsys):

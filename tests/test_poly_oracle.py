@@ -66,14 +66,6 @@ def _scale(a, c):
     return {m: coeff * c for m, coeff in a.items()} if c else {}
 
 
-def _diff(a, axis):
-    out = {}
-    for m, c in a.items():
-        if m[axis]:
-            _merge(out, m[:axis] + (m[axis] - 1,) + m[axis + 1 :], c * m[axis])
-    return out
-
-
 def _laplacian(a):
     out = {}
     for m, c in a.items():
@@ -141,8 +133,7 @@ def test_integer_arithmetic_matches_the_fraction_dicts(field):
     def check(data):
         arity = data.draw(st.integers(1, 3))
         pairs, other = data.draw(_pairs(arity, field)), data.draw(_pairs(arity, field))
-        c, n, axis = data.draw(_scalars(field)), data.draw(st.integers(0, 4)), data.draw(
-            st.integers(0, arity - 1))
+        c, n = data.draw(_scalars(field)), data.draw(st.integers(0, 4))
         point = data.draw(st.tuples(*[st.floats(-2.0, 2.0)] * arity))
         p, q = Poly(arity, field, pairs), Poly(arity, field, other)
         x, y = _init(pairs, field), _init(other, field)
@@ -154,7 +145,6 @@ def test_integer_arithmetic_matches_the_fraction_dicts(field):
             (p * q, _mul(x, y)),
             (p**n, _pow(x, n, arity, field)),
             (p.scale(c), _scale(x, c)),
-            (p.diff(axis), _diff(x, axis)),
             (p.laplacian(), _laplacian(x)),
             (p.homogeneous_component(n), _component(x, n)),
             (apply_operator(q, p), _apply(y, x)),

@@ -34,7 +34,7 @@ from fischerlab.dirichlet import boundary_mismatches
 from fischerlab.exprs import parse_polynomial
 from fischerlab.fischer import solve_by_degree
 from fischerlab.polyring import check_slice_dimension, float_sums
-from helpers import random_poly, random_scalar
+from helpers import random_poly
 
 
 def xy(arity=2):
@@ -137,22 +137,6 @@ def test_canonical_form_identical_term_maps():
     assert a == b
     assert dict(a.terms) == dict(b.terms)
     assert all(c for c in a.terms.values())
-
-
-def test_partial_derivative_examples():
-    x, y = xy()
-    cubic = Poly.monomial(2, (3, 1))
-    assert cubic.diff(0) == Poly.monomial(2, (2, 1), 3)
-    assert Poly.monomial(2, (3, 0)).diff(1) == Poly.zero(2)
-    assert Poly.monomial(2, (2, 0), Fraction(1, 2)).diff(0) == x
-
-
-def test_partial_derivative_axis_range():
-    p = Poly.variable(2, 0)
-    with pytest.raises(IndexError):
-        p.diff(2)
-    with pytest.raises(IndexError):
-        p.diff(-1)
 
 
 def test_laplacian_examples():
@@ -315,28 +299,6 @@ def test_slice_dimension_limit():
         rank_profile(x * x, MAX_SLICE_DIMENSION, mode=HOMOGENEOUS)
     with pytest.raises(SliceTooLargeError):
         fischer_theorem_check(x * x, MAX_SLICE_DIMENSION)
-
-
-def test_evaluate_at_origin_is_constant_term():
-    rng = random.Random(37)
-    for _ in range(10):
-        p = random_poly(rng, 3, 4)
-        assert p.evaluate_exact((0, 0, 0)) == p.coefficient((0, 0, 0))
-
-
-def test_exact_evaluation_is_ring_homomorphism():
-    rng = random.Random(41)
-    for field in (FIELD_Q, FIELD_QI):
-        for _ in range(20):
-            p = random_poly(rng, 2, 3, field)
-            q = random_poly(rng, 2, 3, field)
-            point = [random_scalar(rng, field) for _ in range(2)]
-            assert (p * q).evaluate_exact(point) == p.evaluate_exact(
-                point
-            ) * q.evaluate_exact(point)
-            assert (p + q).evaluate_exact(point) == p.evaluate_exact(
-                point
-            ) + q.evaluate_exact(point)
 
 
 def test_evaluate_dimension_mismatch():
