@@ -24,7 +24,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from ._jsonwriter import ReportEncoder
@@ -53,16 +53,8 @@ from .scalars import FIELD_Q, FIELD_QI, scalar_to_json
 _OUTPUT_FORMATS = ("text", "json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    field: str
-    vars: tuple
-    max_degree: int | None
-    slack: int
-    tol_root: float
-    tol_boundary: float
-    seed: int
-    output: str
+RunConfig = namedtuple(
+    "RunConfig", "field vars max_degree slack tol_root tol_boundary seed output")
 
 
 def _resolve_seed(args):
@@ -120,7 +112,7 @@ def _report(command, config, result, checks):
         "tool_version": __version__,
         "command": command,
         # a shallow copy: the fields are scalars and vars, a tuple written as a list
-        "config": dict(vars(config)),
+        "config": config._asdict(),
         "result": result,
         "checks": checks,
     }
@@ -147,7 +139,7 @@ def _profile_json(profile, names):
         "max_target_degree": profile.max_target_degree,
         "slack": profile.slack,
         # shallow copies: every field of the report records is a scalar
-        "rows": [dict(vars(row)) for row in profile.rows],
+        "rows": [row._asdict() for row in profile.rows],
         "verdicts": [_verdict_json(v, names) for v in profile.verdicts],
     }
 
@@ -269,7 +261,7 @@ def _cmd_dirichlet(config, args):
         "q": _poly_payload(solution.q, names),
         "h": _poly_payload(solution.h, names),
     }
-    checks = dict(vars(record))
+    checks = record._asdict()
     text = [
         f"psi = {result['domain']['psi']['expr']}",
         *(f"{key} = {result[key]['expr']}" for key in ("f", "q", "h")),
@@ -303,7 +295,7 @@ def _cmd_fischer_theorem(config, args):
     all_nonsingular = all(s.nonsingular for s in slices)
     result = {
         "p": _poly_payload(p, names),
-        "slices": [dict(vars(s)) for s in slices],
+        "slices": [s._asdict() for s in slices],
     }
     checks = {"all_nonsingular": all_nonsingular}
     text = [f"p = {result['p']['expr']}"]

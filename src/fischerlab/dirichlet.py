@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InconsistentSystemError, NoBoundaryHitError, UnsolvableSliceError
@@ -26,36 +26,29 @@ from .polyring import Poly, evaluate_columns, float_sums, squared_norm
 from .scalars import FIELD_Q
 
 
-@dataclass(frozen=True)
 class QuadricDomain:
     """Region bounded by the zero set of a degree-2 polynomial.
 
     The interior point both orients the domain (psi < 0 inside) and anchors
     the boundary ray sampler.  ellipsoidal is detected from psi: a diagonal
-    positive quadratic form minus a positive constant, up to positive scale.
+    positive quadratic form minus a positive constant, up to positive scale;
+    semi_axes_squared holds the squared semi-axes then, else None.
     """
 
-    psi: Poly
-    interior_point: tuple
-    ellipsoidal: bool = field(init=False)
-    semi_axes_squared: tuple = field(init=False)
-
-    def __post_init__(self):
-        if self.psi.field != FIELD_Q:
+    def __init__(self, psi, interior_point):
+        if psi.field != FIELD_Q:
             raise ValueError("quadric domains use real (field Q) coefficients")
-        if self.psi.degree != 2:
-            raise ValueError(f"defining polynomial must have degree 2, got {self.psi.degree}")
-        point = tuple(float(v) for v in self.interior_point)
-        if len(point) != self.psi.arity:
-            raise ValueError(
-                f"interior point has {len(point)} coordinates, arity is {self.psi.arity}"
-            )
-        if not self.psi.evaluate(point) < 0:
+        if psi.degree != 2:
+            raise ValueError(f"defining polynomial must have degree 2, got {psi.degree}")
+        point = tuple(float(v) for v in interior_point)
+        if len(point) != psi.arity:
+            raise ValueError(f"interior point has {len(point)} coordinates, arity is {psi.arity}")
+        if not psi.evaluate(point) < 0:
             raise ValueError("interior point must satisfy psi < 0")
-        axes = ellipsoidal_form(self.psi)
-        object.__setattr__(self, "interior_point", point)
-        object.__setattr__(self, "ellipsoidal", axes is not None)
-        object.__setattr__(self, "semi_axes_squared", axes)
+        self.psi = psi
+        self.interior_point = point
+        self.semi_axes_squared = ellipsoidal_form(psi)
+        self.ellipsoidal = self.semi_axes_squared is not None
 
     @property
     def arity(self):
@@ -77,28 +70,23 @@ class QuadricDomain:
         return cls(Poly(arity, FIELD_Q, terms), (0.0,) * arity)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    harmonic_exact: bool
-    identity_exact: bool
-    boundary_max_error: float | None
-    samples: int
-    passed: bool
+VerificationRecord = namedtuple(
+    "VerificationRecord", "harmonic_exact identity_exact boundary_max_error samples passed")
 
 
-@dataclass
 class DirichletSolution:
     """Harmonic h matching f on the boundary, with quotient q = (f - h)/psi.
 
     verification and boundary_points hold the record and the points of the
     last verify_solution run, None and () before the first."""
 
-    domain: QuadricDomain
-    f: Poly
-    h: Poly
-    q: Poly
-    verification: VerificationRecord | None = None
-    boundary_points: tuple = ()
+    def __init__(self, domain, f, h, q):
+        self.domain = domain
+        self.f = f
+        self.h = h
+        self.q = q
+        self.verification = None
+        self.boundary_points = ()
 
 
 def dirichlet_solve(domain, f):
@@ -250,13 +238,10 @@ def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
     return record
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport", "residual proportional_to_psi factor")):
     """Outcome of the squared-norm residual check on an ellipsoidal domain."""
 
-    residual: Poly
-    proportional_to_psi: bool
-    factor: Fraction | None
+    __slots__ = ()
 
 
 def ks_residual(domain):

@@ -14,15 +14,18 @@ computed, so malformed input is refused without expansion work; _lower
 then runs that program on a stack of Poly.
 
 Parentheses nest at most MAX_NESTING deep, a literal has at most the
-digits of a MAX_POWER_BITS-bit int, and no product or power may give a
-coefficient of over MAX_POWER_BITS bits, as bounded by the sizes of its
-factors' coefficients; other input is a ParseError.
+digits of a MAX_POWER_BITS-bit int, and no product or power may give
+stored ints or a common denominator (Poly.integer_form) of over
+MAX_POWER_BITS bits, as bounded by its factors' own; other input is a
+ParseError.
 A power or product of sums is expanded only when a polynomial of its degree
 D would pass the slice bound at degree D - 2 (see _check_expansion); a
 larger one is a SliceTooLargeError before any expansion.  'i' is only
 available over field Qi.  The printer emits terms in degree-descending
-graded lex order and round-trips: parse(format(p)) == p exactly, for
-coefficients within the MAX_POWER_BITS bound.
+graded lex order and round-trips: parse(format(p)) == p exactly when the
+integer form of each coefficient alone, its least denominator and its
+parts over it, is at most 2**MAX_POWER_BITS, an int over Qi sized
+|re| + |im|.
 """
 
 from __future__ import annotations
@@ -212,22 +215,17 @@ def _check_expansion(arity, degree):
 
 
 def _check_bits(what, factors, exponent=1):
-    # log2 of a coefficient's height bounds its bits: a product's (or power's)
-    # have about the sum over the factors' largest, plus log2 of the terms summed.
-    # The height is sum |num| * prod den over the parts num / den in lowest terms.
+    # a product's (or power's) stored ints are sums of products of its
+    # factors' stored ints, and its common denominator divides the product of
+    # theirs: so the bits of both are about the sum over the factors of log2
+    # of the larger of the denominator and the largest stored int, sized
+    # |re| + |im| over Qi, plus log2 of the terms summed
     bits = 0.0
     for poly in factors:
         ints, den = poly.integer_form
         parts = INTEGERS[poly.field].parts
-        heights = [1]
-        for n in ints.values():
-            nums, dens = [], []
-            for part in parts(n):
-                g = math.gcd(part, den)
-                nums.append(abs(part) // g)
-                dens.append(den // g)
-            heights.append(sum(nums) * math.prod(dens))
-        bits += exponent * math.log2(max(heights))
+        sizes = [sum(map(abs, parts(n))) for n in ints.values()]
+        bits += exponent * math.log2(max([den, *sizes]))
     if bits > MAX_POWER_BITS:
         raise ParseError(f"{what} could give a coefficient of over {MAX_POWER_BITS} bits")
 

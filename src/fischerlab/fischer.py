@@ -12,7 +12,7 @@ decompose and dirichlet, by degree when psi's top form is semidefinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from operator import add, sub
@@ -44,34 +44,32 @@ UNDETERMINED = "undetermined"
 NOT_SURJECTIVE = "not_surjective"
 
 
-@dataclass(frozen=True)
 class FischerOperator:
     """The linear map q -> operator(D)(psi * q) on polynomials.
 
     ``operator`` defaults to the squared norm, in which case the map is
     q -> laplacian(psi * q).  Both psi and operator must be non-constant.
+    Two operators are equal when their psi and operator are.
     """
 
-    psi: Poly
-    operator: Poly = None
-
-    def __post_init__(self):
-        if self.operator is None:
-            object.__setattr__(
-                self, "operator", squared_norm(self.psi.arity, self.psi.field)
-            )
-        if self.psi.degree < 1:
+    def __init__(self, psi, operator=None):
+        if operator is None:
+            operator = squared_norm(psi.arity, psi.field)
+        if psi.degree < 1:
             raise ValueError("psi must be non-constant")
-        if self.operator.degree < 1:
+        if operator.degree < 1:
             raise ValueError("the differential operator polynomial must be non-constant")
-        if self.operator.arity != self.psi.arity:
-            raise ValueError(
-                f"arity mismatch: psi {self.psi.arity} vs operator {self.operator.arity}"
-            )
-        if self.operator.field != self.psi.field:
-            raise ValueError(
-                f"field mismatch: psi {self.psi.field} vs operator {self.operator.field}"
-            )
+        if operator.arity != psi.arity:
+            raise ValueError(f"arity mismatch: psi {psi.arity} vs operator {operator.arity}")
+        if operator.field != psi.field:
+            raise ValueError(f"field mismatch: psi {psi.field} vs operator {operator.field}")
+        self.psi = psi
+        self.operator = operator
+
+    def __eq__(self, other):
+        if not isinstance(other, FischerOperator):
+            return NotImplemented
+        return self.psi == other.psi and self.operator == other.operator
 
     @property
     def arity(self):
@@ -146,16 +144,11 @@ def operator_matrix(op, source, target):
     return ExactMatrix.from_integer_rows(len(source), rows, denominator, op.field)
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(namedtuple(
+        "DecompositionCertificate", "psi f q h identity_exact h_harmonic_exact")):
     """The triple f = psi*q + h with its exactness flags."""
 
-    psi: Poly
-    f: Poly
-    q: Poly
-    h: Poly
-    identity_exact: bool
-    h_harmonic_exact: bool
+    __slots__ = ()
 
     @classmethod
     def build(cls, psi, f, q):
@@ -287,8 +280,8 @@ def fischer_decompose(psi, f, slack=0):
     return DecompositionCertificate.build(psi, f, q)
 
 
-@dataclass(frozen=True)
-class RankProfileRow:
+class RankProfileRow(namedtuple(
+        "RankProfileRow", "target_degree source_degree dim_source dim_target rank surjective")):
     """One tested (target degree, source degree) pair.
 
     dim_target and rank describe the operator on the source slice: its
@@ -297,16 +290,11 @@ class RankProfileRow:
     records whether the image covers the degree-n slice under test.
     """
 
-    target_degree: int
-    source_degree: int
-    dim_source: int
-    dim_target: int
-    rank: int
-    surjective: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
+class DegreeVerdict(namedtuple("DegreeVerdict", "target_degree status slack witness",
+                               defaults=(None, None))):
     """Per-target-degree outcome.
 
     status "surjective" carries the smallest successful slack;
@@ -319,20 +307,11 @@ class DegreeVerdict:
     onto or the witness is its first monomial, else by an exact echelon.
     """
 
-    target_degree: int
-    status: str
-    slack: int | None = None
-    witness: Poly | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    psi: Poly
-    mode: str
-    max_target_degree: int
-    slack: int
-    rows: tuple
-    verdicts: tuple
+class RankProfile(namedtuple("RankProfile", "psi mode max_target_degree slack rows verdicts")):
+    __slots__ = ()
 
     def all_surjective(self):
         return all(v.status == SURJECTIVE for v in self.verdicts)
@@ -571,12 +550,7 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     )
 
 
-@dataclass(frozen=True)
-class BijectivitySlice:
-    degree: int
-    dimension: int
-    rank: int
-    nonsingular: bool
+BijectivitySlice = namedtuple("BijectivitySlice", "degree dimension rank nonsingular")
 
 
 def fischer_theorem_check(p, max_degree):

@@ -13,7 +13,7 @@ the right-hand side reaches through shared columns; every other unknown is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from . import _kernels
@@ -132,8 +132,7 @@ def _kernel(field):
     return (_kernels.rref_q if field == FIELD_Q else _kernels.rref_qi), INTEGERS[field]
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(namedtuple("RrefResult", "rref rank pivot_cols")):
     """Reduced row echelon form of a matrix.
 
     rref has the row space of the original, its nonzero rows first;
@@ -141,9 +140,7 @@ class RrefResult:
     form is unique, so neither depends on the order of the rows.
     """
 
-    rref: ExactMatrix
-    rank: int
-    pivot_cols: tuple
+    __slots__ = ()
 
 
 def rref(matrix):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
-from dataclasses import asdict, fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -862,8 +864,8 @@ def test_sampled_reports_are_pinned(capsys, argv, digests):
 
 
 def test_report_records_hold_only_scalars():
-    # the reports copy these records with dict(vars(record)): shallow, so
-    # equal to dataclasses.asdict only while every field is a scalar
+    # the reports copy these named tuples with record._asdict(): shallow, so
+    # a safe copy only while every field is a scalar
     x, y = (Poly.variable(2, i) for i in range(2))
     circle = x * x + y * y - Poly.constant(2, 1)
     records = [
@@ -872,12 +874,27 @@ def test_report_records_hold_only_scalars():
         verify_solution(dirichlet_solve(QuadricDomain(circle, (0, 0)), x**3),
                         rng=random.Random(1)),
     ]
-    for cls in (RankProfileRow, BijectivitySlice, VerificationRecord):
-        assert {field.type for field in fields(cls)} <= {"int", "bool", "float | None"}
     assert {type(r) for r in records} == {RankProfileRow, BijectivitySlice, VerificationRecord}
     for record in records:
-        assert dict(vars(record)) == asdict(record)
-        assert all(isinstance(v, (int, float, type(None))) for v in vars(record).values())
+        copy = record._asdict()
+        # the report keys are the fields, in their order
+        assert tuple(copy) == type(record)._fields
+        assert tuple(copy.values()) == tuple(record)
+        assert all(isinstance(v, (int, float, type(None))) for v in copy.values())
+
+
+def test_start_up_loads_no_introspection_modules():
+    # every CLI call imports the package: dataclasses would pull in inspect,
+    # ast, dis and tokenize, and build each class through exec.  -S keeps
+    # site's own imports out of sys.modules.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, fischerlab, fischerlab.cli; fischerlab.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # A non-diagonal quadric takes one solve of its whole filtered slice.  The

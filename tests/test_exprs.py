@@ -225,6 +225,18 @@ def test_round_trip_with_custom_names():
         assert parse_polynomial(text, XYZ, FIELD_QI) == p
 
 
+def test_round_trip_bounds_the_parts_not_their_product():
+    # numerator and denominator each of about 40000 bits, their product over
+    # MAX_POWER_BITS: the printed a/b*x^2 reparses, as the constant a/b does
+    den = 2**40000 + 1
+    for p, field in (
+        (Poly(2, FIELD_Q, {(2, 0): Fraction(3**25000, den)}), FIELD_Q),
+        (Poly(2, FIELD_QI, {(1, 1): GaussianRational(Fraction(3**25000, den),
+                                                     Fraction(-1, den))}), FIELD_QI),
+    ):
+        assert parse_polynomial(format_polynomial(p, XY), XY, field) == p
+
+
 def test_parse_scalar():
     assert parse_scalar("3/2") == Fraction(3, 2)
     assert parse_scalar("-(1 - 2*i)", FIELD_QI) == GaussianRational(-1, 2)

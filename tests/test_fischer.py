@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -363,7 +362,7 @@ def test_certificate_verify_rejects_a_changed_q_or_h():
     cert = fischer_decompose(CIRCLE, X * X)
     one = Poly.constant(2, 1)
     # each changes one coefficient; the changed h stays harmonic
-    for changed in (replace(cert, q=cert.q + one), replace(cert, h=cert.h + one)):
+    for changed in (cert._replace(q=cert.q + one), cert._replace(h=cert.h + one)):
         assert changed.identity_exact and changed.h_harmonic_exact
         assert not changed.verify()
 
