@@ -201,10 +201,11 @@ def boundary_mismatches(f, h, points):
     The scale is max(1, sum of |terms of f|, sum of |terms of h|) at the
     point: floating-point evaluation of a polynomial whose terms cancel
     loses accuracy in proportion to their size, not to the result.  f and h
-    share one power table per point (polyring.float_sums).
+    are each evaluated over their own power table (polyring.float_sums).
     """
     return [(abs(f_value - h_value), max(1.0, f_size, h_size))
-            for (f_value, f_size), (h_value, h_size) in float_sums((f, h), points)]
+            for (f_value, f_size), (h_value, h_size)
+            in zip(float_sums(f, points), float_sums(h, points))]
 
 
 def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
@@ -214,9 +215,9 @@ def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
     of how they were produced; the boundary check evaluates f and h
     separately in floating point and records the largest |f - h|.  A sample
     passes when |f - h| < tol * scale, with the scale of boundary_mismatches
-    (rays cast in rounds, one power table per point shared by f and h); the
-    updated record and the sampled points are stored on the solution, and the
-    record is returned.
+    (rays cast in rounds, f and h each over its own power table, with no
+    cache); the updated record and the sampled points are stored on the
+    solution, and the record is returned.
     """
     harmonic_exact = not solution.h.laplacian()
     identity_exact = not (solution.f - solution.h - solution.domain.psi * solution.q)

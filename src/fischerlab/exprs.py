@@ -16,8 +16,8 @@ then runs that program on a stack of Poly.
 Parentheses nest at most MAX_NESTING deep, a literal has at most the
 digits of a MAX_POWER_BITS-bit int, and no product or power may give
 stored ints or a common denominator (Poly.integer_form) of over
-MAX_POWER_BITS bits, as bounded by its factors' own; other input is a
-ParseError.
+MAX_POWER_BITS bits, as bounded by each factor's denominator and the sum of
+its stored ints; other input is a ParseError.
 A power or product of sums is expanded only when a polynomial of its degree
 D would pass the slice bound at degree D - 2 (see _check_expansion); a
 larger one is a SliceTooLargeError before any expansion.  'i' is only
@@ -217,15 +217,15 @@ def _check_expansion(arity, degree):
 def _check_bits(what, factors, exponent=1):
     # a product's (or power's) stored ints are sums of products of its
     # factors' stored ints, and its common denominator divides the product of
-    # theirs: so the bits of both are about the sum over the factors of log2
-    # of the larger of the denominator and the largest stored int, sized
-    # |re| + |im| over Qi, plus log2 of the terms summed
+    # theirs: so both are at most the product over the factors of the larger
+    # of the denominator and the sum of the stored ints, each int sized
+    # |re| + |im| over Qi, and their bits at most the sum of its log2
     bits = 0.0
     for poly in factors:
         ints, den = poly.integer_form
         parts = INTEGERS[poly.field].parts
-        sizes = [sum(map(abs, parts(n))) for n in ints.values()]
-        bits += exponent * math.log2(max([den, *sizes]))
+        size = sum(sum(map(abs, parts(n))) for n in ints.values())
+        bits += exponent * math.log2(max(den, size))
     if bits > MAX_POWER_BITS:
         raise ParseError(f"{what} could give a coefficient of over {MAX_POWER_BITS} bits")
 

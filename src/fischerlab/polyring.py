@@ -6,12 +6,12 @@ in canonical form (den and every part have gcd 1), as an ExactMatrix
 stores its rows over one den.  That form and its arithmetic are defined once,
 by the field's table in scalars.INTEGERS (_kernels.Q and _kernels.QI), which
 every operation here reads.  Arithmetic runs on the ints and builds no scalar;
-``terms`` builds the scalars once, when first read, and ``decimal_terms``
+``terms`` builds the scalars each time it is read, and ``decimal_terms``
 builds the decimal strings of the reports (the printer's and
 poly_to_json's) once, straight from the ints.  Terms keep their
 insertion order (a term that cancels is deleted, and appended again if it
-comes back), and float evaluation sums in that order, over one table of
-powers per point shared by the polynomials read there (float_sums).  The
+comes back), and float evaluation sums in that order, each polynomial over
+its own table of powers per point, with no cache (float_sums).  The
 monomial order everywhere is graded lexicographic with the first variable
 dominant: lower total degree first, and within a degree x1^n precedes
 x1^(n-1)*x2 and so on.  The zero polynomial stores no terms and has degree
@@ -105,7 +105,7 @@ class Poly:
     zero coefficients and merges duplicate exponent tuples.
     """
 
-    __slots__ = ("arity", "field", "_ints", "_den", "_scalars", "_floats", "_decimals")
+    __slots__ = ("arity", "field", "_ints", "_den", "_decimals")
 
     def __init__(self, arity, field=FIELD_Q, terms=None):
         validate_field(field)
@@ -160,13 +160,9 @@ class Poly:
 
     @property
     def terms(self):
-        """{exponents: field scalar}, in term order; built on first read."""
-        scalars = getattr(self, "_scalars", None)
-        if scalars is None:
-            den = self._den
-            scalars = {m: from_integer(n, den) for m, n in self._ints.items()}
-            object.__setattr__(self, "_scalars", scalars)
-        return MappingProxyType(scalars)
+        """{exponents: field scalar}, in term order; built when read."""
+        den = self._den
+        return MappingProxyType({m: from_integer(n, den) for m, n in self._ints.items()})
 
     @property
     def decimal_terms(self):
@@ -306,18 +302,9 @@ class Poly:
         degrees = {sum(m) for m in self._ints}
         return len(degrees) <= 1
 
-    def _float_form(self):
-        # (plan, tops) over the polynomial's own power table: see _float_plans
-        den, to_float = self._den, INTEGERS[self.field].to_float
-        tops = [max(column) for column in zip(*self._ints)] or [0] * self.arity
-        offsets = list(accumulate(tops, lambda i, top: i + top + 1, initial=0))
-        plan = [(to_float(n, den), tuple(offset + e for offset, e in zip(offsets, m) if e))
-                for m, n in self._ints.items()]
-        return plan, tops
-
     def evaluate(self, point):
         """Numeric evaluation at a float point; complex over field Qi."""
-        return float_sums((self,), [point])[0][0][0]
+        return float_sums(self, [point])[0][0]
 
     def sorted_terms(self):
         """Terms in ascending graded lex order (deterministic)."""
@@ -332,31 +319,20 @@ _OVERFLOW = ("floating-point evaluation overflowed: a coefficient or a power "
              "of a coordinate is beyond the float range (about 1.8e308)")
 
 
-def _float_plans(polys):
-    """([plan, ...], tops) for polynomials of one arity: per term, in term
-    order, the float coefficient n / den (complex over Qi) and the indices
-    of its powers v**e, e > 0, in axis order, in _power_table(point, tops).
-    tops is the highest exponent per axis over the polynomials.  Each
-    polynomial's plan over its own table is built once."""
-    if len({p.arity for p in polys}) > 1:
-        raise ValueError("the polynomials' arities differ")
-    forms = []
+def _float_plan(p):
+    """(plan, tops): per term, in term order, the float coefficient n / den
+    (complex over Qi) and the indices of its powers v**e, e > 0, in axis
+    order, in _power_table(point, tops); tops is the highest exponent per
+    axis."""
+    den, to_float = p._den, INTEGERS[p.field].to_float
+    tops = [max(column) for column in zip(*p._ints)] or [0] * p.arity
+    offsets = list(accumulate(tops, lambda i, top: i + top + 1, initial=0))
     try:
-        for p in polys:
-            if getattr(p, "_floats", None) is None:  # built once: p is immutable
-                object.__setattr__(p, "_floats", p._float_form())
-            forms.append(p._floats)
+        plan = [(to_float(n, den), tuple(offset + e for offset, e in zip(offsets, m) if e))
+                for m, n in p._ints.items()]
     except OverflowError:
         raise FloatEvaluationError(_OVERFLOW) from None
-    tops = [max(column) for column in zip(*(t for _, t in forms))]
-    plans = []
-    for plan, own in forms:
-        if own != tops:  # re-index from the polynomial's own table to the shared one
-            offsets = accumulate(tops, lambda i, top: i + top + 1, initial=0)
-            shared = [offset + e for offset, top in zip(offsets, own) for e in range(top + 1)]
-            plan = [(c, tuple(shared[i] for i in indices)) for c, indices in plan]
-        plans.append(plan)
-    return plans, tops
+    return plan, tops
 
 
 def _power_table(point, tops):
@@ -369,26 +345,22 @@ def _power_table(point, tops):
         raise FloatEvaluationError(_OVERFLOW) from None
 
 
-def float_sums(polys, points):
-    """Per point, [(value, sum of |terms|)] of each of the polynomials, of
-    one arity: the value bit for bit p.evaluate(point), and both summed in
-    one pass over the terms.  The polynomials share one power table per
-    point, and no per-term list is held."""
-    plans, tops = _float_plans(polys)
-    zeros = [0j if p.field != FIELD_Q else 0.0 for p in polys]
+def float_sums(p, points):
+    """[(value, sum of |terms|)] of p at each point: the value bit for bit
+    p.evaluate(point), and both summed in one pass over the terms, from p's
+    own power table per point, with no per-term list."""
+    plan, tops = _float_plan(p)
+    zero = 0j if p.field != FIELD_Q else 0.0
     out = []
     for point in points:
         table = _power_table(point, tops)
-        sums = []
-        for plan, value in zip(plans, zeros):
-            magnitude = 0.0
-            for term, indices in plan:
-                for i in indices:
-                    term *= table[i]
-                value += term
-                magnitude += abs(term)
-            sums.append((value, magnitude))
-        out.append(sums)
+        value, magnitude = zero, 0.0
+        for term, indices in plan:
+            for i in indices:
+                term *= table[i]
+            value += term
+            magnitude += abs(term)
+        out.append((value, magnitude))
     return out
 
 
@@ -397,7 +369,7 @@ def evaluate_columns(p, points):
     with a list per power and per term: for few terms, as in quadrics."""
     if not points:
         return []
-    (plan,), tops = _float_plans((p,))
+    plan, tops = _float_plan(p)
     try:
         table = [[v**e for v in column] for column, top in zip(zip(*points), tops)
                  for e in range(top + 1)]

@@ -577,6 +577,29 @@ def test_dirichlet_csv_rows_are_built_only_for_csv(capsys, monkeypatch, fmt):
     assert code == 0
 
 
+def test_csv_rows_are_the_per_point_evaluations(capsys):
+    # f is harmonic, so q = 0 and f - h is the zero polynomial, with no term
+    # to evaluate; each row holds psi and f - h as Poly.evaluate gives them
+    psi_text, f_text = "1/4*x^2+y^2+1/9*z^2-1", "x^2-y^2+3*x*y*z+z"
+    code, out, _ = run_cli(
+        capsys, "dirichlet", "--psi", psi_text, "--f", f_text, "--vars", "x,y,z",
+        "--interior", "0,0,0", "--format", "csv", "--samples", "9", "--seed", "17",
+    )
+    assert code == 0
+    psi, f = (parse_polynomial(text, ("x", "y", "z")) for text in (psi_text, f_text))
+    solution = dirichlet_solve(QuadricDomain(psi, (0, 0, 0)), f)
+    difference = solution.f - solution.h
+    assert not solution.q and not difference
+    header, *rows = out.splitlines()
+    assert header == "x,y,z,psi,f_minus_h" and len(rows) == 9
+    for row in rows:
+        *coords, psi_value, difference_value = row.split(",")
+        point = tuple(float(c) for c in coords)
+        assert ",".join(map(repr, point)) == ",".join(coords)
+        assert psi_value == repr(psi.evaluate(point))
+        assert difference_value == repr(difference.evaluate(point)) == "0.0"
+
+
 @pytest.mark.parametrize("flag", ["--tol-boundary", "--tol-root"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_tolerances_are_usage_errors(capsys, flag, value):

@@ -18,6 +18,7 @@ from fischerlab import (
     validate_var_names,
 )
 from fischerlab.exprs import MAX_NESTING, MAX_POWER_BITS
+from fischerlab.scalars import decimal_text
 from helpers import random_poly
 
 XY = ("x", "y")
@@ -235,6 +236,60 @@ def test_round_trip_bounds_the_parts_not_their_product():
                                                      Fraction(-1, den))}), FIELD_QI),
     ):
         assert parse_polynomial(format_polynomial(p, XY), XY, field) == p
+
+
+def test_a_power_of_a_sum_counts_the_terms_summed():
+    # the x*y coefficient of (2^32768*x+2^32768*y)^2 is 2^65537: sized by its
+    # largest stored int alone, the sum parsed and its printed form did not
+    with pytest.raises(ParseError, match=f"over {MAX_POWER_BITS} bits"):
+        parse_polynomial("(2^32768*x+2^32768*y)^2", XY)
+    p = parse_polynomial("(2^32767*x+2^32767*y)^2", XY)
+    assert p.coefficient((1, 1)) == 2**MAX_POWER_BITS // 2
+    assert parse_polynomial(format_polynomial(p, XY), XY) == p
+
+
+_MONOMIALS = ("1", "x", "y", "x*y", "x^2", "y^2")
+
+
+def _sum_text(rng, bits, field):
+    # two or three terms with coefficients of `bits` bits, over distinct
+    # monomials, sometimes over one shared denominator
+    def coefficient():
+        return decimal_text(rng.getrandbits(bits) | 1 << (bits - 1))
+
+    count = rng.randint(2, 3)
+    den = f"/{coefficient()}" if rng.random() < 0.3 else ""
+    terms = []
+    for monomial in rng.sample(_MONOMIALS, count):
+        c = f"{coefficient()}{den}"
+        if field == FIELD_QI:
+            c = f"({c}+{coefficient()}{den}*i)"
+        terms.append(f"{rng.choice('+-')}{c}*{monomial}")
+    return "".join(terms)
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_accepted_products_and_powers_of_sums_near_the_bound_round_trip(field):
+    rng = random.Random(79)
+    accepted = refused = 0
+    for _ in range(10):
+        if rng.random() < 0.5:
+            k = rng.randint(2, 3)
+            text = f"({_sum_text(rng, MAX_POWER_BITS // k + rng.randint(-4, 1), field)})^{k}"
+        else:
+            left = rng.randint(MAX_POWER_BITS // 4, MAX_POWER_BITS // 2)
+            right = MAX_POWER_BITS - left + rng.randint(-6, 0)
+            text = (f"({_sum_text(rng, left, field)})"
+                    f"*({_sum_text(rng, right, field)})")
+        try:
+            p = parse_polynomial(text, XY, field)
+        except ParseError as exc:
+            assert f"over {MAX_POWER_BITS} bits" in str(exc)
+            refused += 1
+            continue
+        accepted += 1
+        assert parse_polynomial(format_polynomial(p, XY), XY, field) == p
+    assert accepted >= 3 and refused >= 3
 
 
 def test_parse_scalar():

@@ -122,7 +122,7 @@ def _pairs(arity, field):
 def _assert_same(p, expected, point):
     assert list(p.terms.items()) == list(expected.items())
     assert p == Poly(p.arity, p.field, expected)
-    [[got]] = float_sums((p,), [point])
+    [got] = float_sums(p, [point])
     assert repr(got) == repr(_float_sums(expected, point, p.field))
 
 

@@ -33,7 +33,7 @@ from fischerlab import polyring
 from fischerlab.dirichlet import boundary_mismatches
 from fischerlab.exprs import parse_polynomial
 from fischerlab.fischer import solve_by_degree
-from fischerlab.polyring import check_slice_dimension, float_sums
+from fischerlab.polyring import check_slice_dimension, evaluate_columns, float_sums
 from helpers import random_poly
 
 
@@ -223,9 +223,9 @@ def test_float_evaluation_is_bit_identical_to_term_by_term(field):
         h = random_poly(rng, 3, rng.randint(0, 6), field, max_terms=8)
         if rng.random() < 0.1:
             f = f.scale(Fraction(10**rng.randint(300, 320)))
-        for _ in range(4):
-            point = tuple(rng.choice(_ODD_COORDINATES) if rng.random() < 0.5
-                          else rng.uniform(-3.0, 3.0) for _ in range(3))
+        points = [tuple(rng.choice(_ODD_COORDINATES) if rng.random() < 0.5
+                        else rng.uniform(-3.0, 3.0) for _ in range(3)) for _ in range(4)]
+        for point in points:
             finite = 0
             for p in (f, h):
                 try:
@@ -233,9 +233,9 @@ def test_float_evaluation_is_bit_identical_to_term_by_term(field):
                 except OverflowError:
                     overflowed += 1
                     with pytest.raises(FloatEvaluationError):
-                        float_sums((p,), [point])
+                        float_sums(p, [point])
                     continue
-                [[(got_value, got_magnitude)]] = float_sums((p,), [point])
+                [(got_value, got_magnitude)] = float_sums(p, [point])
                 assert _bits(got_value) == _bits(value)
                 assert _bits(got_magnitude) == _bits(magnitude)
                 assert _bits(p.evaluate(point)) == _bits(value)
@@ -248,6 +248,19 @@ def test_float_evaluation_is_bit_identical_to_term_by_term(field):
             [(error, scale)] = boundary_mismatches(f, h, [point])
             assert _bits(error) == _bits(abs(f_value - h_value))
             assert _bits(scale) == _bits(max(1.0, f_size, h_size))
+        # all four points in one call, and through the column evaluator
+        for p in (f, h):
+            try:
+                expected = [_reference_sums(p, point) for point in points]
+            except OverflowError:
+                for evaluate in (float_sums, evaluate_columns):
+                    with pytest.raises(FloatEvaluationError):
+                        evaluate(p, points)
+                continue
+            assert ([(_bits(value), _bits(magnitude)) for value, magnitude in float_sums(p, points)]
+                    == [(_bits(value), _bits(magnitude)) for value, magnitude in expected])
+            assert ([_bits(value) for value in evaluate_columns(p, points)]
+                    == [_bits(value) for value, _ in expected])
     assert 0 < overflowed < 2400
 
 
@@ -255,30 +268,11 @@ def test_float_evaluation_computes_no_power_that_no_term_uses():
     x, y = xy()
     p = x * x * x + y + Poly.constant(2, 1)
     # y^2 would overflow at y = 1e300, and no term of p uses it
-    assert float_sums((p,), [(2.0, 1e300)]) == [[_reference_sums(p, (2.0, 1e300))]]
+    assert float_sums(p, [(2.0, 1e300)]) == [_reference_sums(p, (2.0, 1e300))]
     with pytest.raises(FloatEvaluationError):
-        float_sums((p + y * y,), [(2.0, 1e300)])
+        float_sums(p + y * y, [(2.0, 1e300)])
     with pytest.raises(OverflowError):
         _reference_sums(p + y * y, (2.0, 1e300))
-
-
-def test_float_form_is_built_once_per_polynomial(monkeypatch):
-    built = []
-    prepare = Poly._float_form
-
-    def counting(self):
-        built.append(self)
-        return prepare(self)
-
-    monkeypatch.setattr(Poly, "_float_form", counting)
-    rng = random.Random(29)
-    p, q = (random_poly(rng, 3, 4, FIELD_QI, nonzero=True) for _ in range(2))
-    for _ in range(20):
-        point = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
-        p.evaluate(point)
-        float_sums((q, p), [point])
-    assert len(built) == 2
-    assert built[0] is p and built[1] is q
 
 
 def test_slice_dimension_limit():

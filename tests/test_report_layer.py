@@ -31,6 +31,7 @@ from fischerlab import (
     poly_to_json,
     scalar_to_json,
 )
+from fischerlab import polyring
 from fischerlab._jsonwriter import ReportEncoder
 from fischerlab.fischer import ellipsoidal_form
 from fischerlab.polyring import grlex_key
@@ -173,19 +174,27 @@ def test_the_solve_q_solution_renders_as_the_fraction_printer():
         _assert_rendered_as_the_oracle(p, XYZ)
 
 
-def test_rendering_builds_no_scalar():
-    for field in (FIELD_Q, FIELD_QI):
-        p = random_poly(random.Random(7), 3, 4, field, max_terms=8)
+def test_rendering_builds_no_scalar(monkeypatch):
+    polys = [random_poly(random.Random(7), 3, 4, field, max_terms=8)
+             for field in (FIELD_Q, FIELD_QI)]
+    psi = parse_polynomial("2*x^2+3*y^2-1", XY)
+    assert ellipsoidal_form(psi) == (Fraction(1, 2), Fraction(1, 3))
+
+    def refuse(*args):
+        raise AssertionError("a field scalar was built")
+
+    # with polyring's scalar constructors refused, the printer, poly_to_json,
+    # the parser, which counts the terms of each factor, and the operator's
+    # stencil, which reads psi's exponents, still run
+    for name in ("from_integer", "as_scalar"):
+        monkeypatch.setattr(polyring, name, refuse)
+    polys.append(parse_polynomial("(x+y)^3*(x-2*y+1)^2-(x*y-1)^2", XYZ))
+    for p in polys:
         format_polynomial(p, XYZ)
         poly_to_json(p)
-        assert getattr(p, "_scalars", None) is None
-    # counting the terms of a factor, or reading psi's exponents, builds none
-    p = parse_polynomial("(x+y)^3*(x-2*y+1)^2-(x*y-1)^2", XY)
-    psi = parse_polynomial("2*x^2+3*y^2-1", XY)
     operator_matrix(FischerOperator(psi), filtered_basis(2, 2), filtered_basis(2, 2))
-    assert ellipsoidal_form(psi) == (Fraction(1, 2), Fraction(1, 3))
-    assert getattr(p, "_scalars", None) is None
-    assert getattr(psi, "_scalars", None) is None
+    with pytest.raises(AssertionError, match="scalar was built"):
+        polys[0].terms
 
 
 # --- the one-pass writer against json.dumps(obj, indent=2) ---
