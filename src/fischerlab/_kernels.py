@@ -9,11 +9,12 @@ dict {lead: row}, a row's lead being its lowest key; each row is primitive
 (its ints have gcd 1) with a positive int at its lead.  ``insert`` takes a
 vector v, at its lowest key, to b*v - a*row (a = v[lead] and b = row[lead]
 over their gcd), then divides it by the gcd of its parts: no gcd runs per
-entry, and Bareiss (1968, Math. Comp. 22) bounds the growth.  Leads, the
-reduced form and the solution values are unique.  Callers look ``rref_q``
-and ``rref_qi`` up here at call time, so a wrapper installed on them (a
-tracer) sees every exact elimination.  ``insert_mod_p`` runs the same
-insertion on residues mod a prime, whose leads bound ranks from below.
+entry, and Bareiss (1968, Math. Comp. 22) bounds the growth.  ``solution``
+is the one back-substitution: linalg reads solve's x and each column of the
+reduced form off it.  Its values and the leads are unique.  Callers look
+``rref_q`` and ``rref_qi`` up here at call time, so a wrapper installed on
+them (a tracer) sees every exact elimination.  ``insert_mod_p`` runs the
+same insertion on residues mod a prime, whose leads bound ranks from below.
 """
 
 from __future__ import annotations
@@ -176,18 +177,6 @@ def rref_q(vectors, echelon):
 def rref_qi(vectors, echelon):
     """``insert`` over the Gaussian rationals."""
     return insert(QI, vectors, echelon)
-
-
-def back_substitute(field, echelon):
-    """The reduced form of an echelon as {lead: (row, den)}: the row cleared
-    at every other lead, in integers, and den the positive int at its lead."""
-    reduced = {}
-    for lead in sorted(echelon, reverse=True):
-        row = dict(echelon[lead])
-        for key in [key for key in row if key in reduced]:
-            row = field.reduce(row, reduced[key], key)
-        reduced[lead] = row
-    return {lead: (row, field.den(row[lead])) for lead, row in reduced.items()}
 
 
 def solution(field, echelon, column):

@@ -92,8 +92,8 @@ class DirichletSolution:
 def dirichlet_solve(domain, f):
     """Construct the polynomial Dirichlet solution for data f.
 
-    fischer.solve_quotient finds q in the filtered slice of degree deg f - 2,
-    which the map q -> laplacian(psi*q) sends to itself.  That map is
+    fischer.solve_quotient finds q in filtered(deg f - 2), where decompose
+    starts too; the map q -> laplacian(psi*q) sends it to itself, and is
     bijective when the quadratic part of psi is semidefinite, as on an
     ellipsoid, so q is unique and deg h <= deg f for h = f - psi*q.  Nothing
     is checked here: the solution's verification is None until
@@ -107,7 +107,7 @@ def dirichlet_solve(domain, f):
     if f.arity != psi.arity:
         raise ValueError(f"arity mismatch: domain {psi.arity} vs f {f.arity}")
     try:
-        q = solve_quotient(psi, f, f.degree - 2)
+        q = solve_quotient(psi, f)
     except InconsistentSystemError:
         raise UnsolvableSliceError(
             "the square slice system is inconsistent for this quadric") from None

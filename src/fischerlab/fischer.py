@@ -224,10 +224,11 @@ def solve_by_degree(psi, lap_f):
     return lap_f._wrap({m: n * k for ints, k in factors for m, n in ints.items()}, den)
 
 
-def solve_quotient(psi, f, source_degree, slack=0):
+def solve_quotient(psi, f, slack=0):
     """A q with laplacian(psi*q) == laplacian(f) in filtered(m), m the least of
-    source_degree..source_degree + slack that holds one, source_degree being
-    at least deg f - deg psi; InconsistentSystemError when none does.
+    deg f - deg psi..deg f - deg psi + slack that holds one, the first being
+    the least m whose image reaches deg f - 2; InconsistentSystemError when
+    none does.  A q in filtered(m) lies in every higher slice too.
 
     With a semidefinite top form (has_semidefinite_top_form) q is unique and
     in every such slice, and solve_by_degree finds it, or proves it absent,
@@ -240,11 +241,11 @@ def solve_quotient(psi, f, source_degree, slack=0):
     if has_semidefinite_top_form(psi):
         check_slice_dimension(f.arity, f.degree - 2)
         return solve_by_degree(psi, lap_f)
-    top = source_degree + slack
-    # every slice built lies in filtered(top) or filtered(top + deg psi - 2)
-    check_slice_dimension(f.arity, max(top, top + psi.degree - 2))
+    start = f.degree - psi.degree
+    # every slice built lies in filtered(start + slack) or filtered(deg f + slack - 2)
+    check_slice_dimension(f.arity, max(start + slack, f.degree + slack - 2))
     op = FischerOperator(psi)
-    for m in range(max(source_degree, 0), top + 1):
+    for m in range(max(start, 0), start + slack + 1):
         source = filtered_basis(f.arity, m)
         target = filtered_basis(f.arity, max(m + psi.degree - 2, lap_f.degree))
         try:
@@ -252,14 +253,14 @@ def solve_quotient(psi, f, source_degree, slack=0):
         except InconsistentSystemError:
             continue
         return from_coordinates(x, source, f.field)
-    raise InconsistentSystemError(f"no filtered slice up to degree {top} holds a q")
+    raise InconsistentSystemError(f"no filtered slice up to degree {start + slack} holds a q")
 
 
 def fischer_decompose(psi, f, slack=0):
     """Find q with laplacian(psi*q) == laplacian(f) and return the certificate.
 
-    solve_quotient searches the filtered slices of degree
-    deg f - deg psi + 2 + s, s = 0..slack.  Failure raises
+    solve_quotient searches the filtered slices of degree deg f - deg psi + s,
+    s = 0..slack + 2, from the one dirichlet solves on.  Failure raises
     NoDecompositionFoundError.  The slack matters only when the top form of
     psi is not semidefinite, and there failure is inconclusive.  With a
     semidefinite top form, failure proves that no polynomial q exists, but it
@@ -274,7 +275,7 @@ def fischer_decompose(psi, f, slack=0):
     if not isinstance(slack, int) or slack < 0:
         raise ValueError(f"slack must be a non-negative int, got {slack!r}")
     try:
-        q = solve_quotient(psi, f, f.degree - psi.degree + 2, slack)
+        q = solve_quotient(psi, f, slack + 2)
     except InconsistentSystemError:
         raise NoDecompositionFoundError(slack) from None
     return DecompositionCertificate.build(psi, f, q)
@@ -317,28 +318,28 @@ class RankProfile(namedtuple("RankProfile", "psi mode max_target_degree slack ro
         return all(v.status == SURJECTIVE for v in self.verdicts)
 
 
-def _homogeneous_profile(psi, max_target_degree):
-    op = FischerOperator(psi)
-    deg_psi = psi.degree
+def _homogeneous_profile(op, max_target_degree):
+    """Rows and verdicts of op's homogeneous slices, target degrees 0..max_target_degree."""
+    arity, field = op.arity, op.field
     rows = []
     verdicts = []
     for n in range(max_target_degree + 1):
-        target = homogeneous_basis(psi.arity, n)
-        m = n - deg_psi + 2
+        target = homogeneous_basis(arity, n)
+        m = n - op.psi.degree + op.operator.degree
         if m < 0:
             # no homogeneous slice maps into degree n; conclusively missed
             rows.append(RankProfileRow(n, m, 0, len(target), 0, False))
-            witness = Poly.monomial(psi.arity, target.monomials[0], 1, psi.field)
+            witness = Poly.monomial(arity, target.monomials[0], 1, field)
             verdicts.append(DegreeVerdict(n, NOT_SURJECTIVE, witness=witness))
             continue
-        source = homogeneous_basis(psi.arity, m)
+        source = homogeneous_basis(arity, m)
         rank, missed = rank_and_first_missing(operator_matrix(op, source, target))
         surjective = missed is None
         rows.append(RankProfileRow(n, m, len(source), len(target), rank, surjective))
         if surjective:
             verdicts.append(DegreeVerdict(n, SURJECTIVE, slack=0))
         else:
-            witness = Poly.monomial(psi.arity, target.monomials[missed], 1, psi.field)
+            witness = Poly.monomial(arity, target.monomials[missed], 1, field)
             verdicts.append(DegreeVerdict(n, NOT_SURJECTIVE, witness=witness))
     return rows, verdicts
 
@@ -533,7 +534,7 @@ def rank_profile(psi, max_target_degree, slack=0, mode=FILTERED):
     top = max_target_degree - psi.degree + 2 + (slack if mode == FILTERED else 0)
     check_slice_dimension(psi.arity, max(top, top + psi.degree - 2))
     if mode == HOMOGENEOUS:
-        rows, verdicts = _homogeneous_profile(psi, max_target_degree)
+        rows, verdicts = _homogeneous_profile(FischerOperator(psi), max_target_degree)
     else:
         # psi is read for a change of coordinates only if a slice gets
         # built; the check above then bounds its degree by top + 2
@@ -558,9 +559,10 @@ def fischer_theorem_check(p, max_degree):
 
     For every m <= max_degree the map sends the homogeneous slice of degree m
     to itself; the rank of each slice matrix is reported.  Expected outcome:
-    nonsingular at every degree.  The ranks come from
-    linalg.rank_and_first_missing: full rank mod a prime proves a slice
-    nonsingular, and any other slice is reduced exactly.
+    nonsingular at every degree.  The slices are the rows of rank_profile's
+    homogeneous loop, whose ranks come from linalg.rank_and_first_missing:
+    full rank mod a prime proves a slice nonsingular, and any other slice is
+    reduced exactly.
     """
     if not p.is_homogeneous() or p.degree < 1:
         raise ValueError("p must be homogeneous and non-constant")
@@ -569,13 +571,8 @@ def fischer_theorem_check(p, max_degree):
     # p * q of degree max_degree + deg p is assembled, and with it the
     # falling factorials of p(D) up to that degree
     check_slice_dimension(p.arity, max_degree + p.degree)
-    op = FischerOperator(psi=p, operator=p)
-    slices = []
-    for m in range(max_degree + 1):
-        basis = homogeneous_basis(p.arity, m)
-        rank = rank_and_first_missing(operator_matrix(op, basis, basis))[0]
-        slices.append(BijectivitySlice(m, len(basis), rank, rank == len(basis)))
-    return tuple(slices)
+    return tuple(BijectivitySlice(row.source_degree, row.dim_source, row.rank, row.surjective)
+                 for row in _homogeneous_profile(FischerOperator(p, p), max_degree)[0])
 
 
 def khavinson_psi(phi_coeffs):

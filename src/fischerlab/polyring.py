@@ -255,8 +255,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # square only while exponent bits remain
+                base = base * base
         return result
 
     def scale(self, value):

@@ -12,8 +12,10 @@ import pytest
 
 from fischerlab import (
     FIELD_Q,
+    FIELD_QI,
     MAX_SLICE_DIMENSION,
     BijectivitySlice,
+    FischerOperator,
     Poly,
     QuadricDomain,
     RankProfileRow,
@@ -24,6 +26,8 @@ from fischerlab import (
     dirichlet_solve,
     fischer_decompose,
     fischer_theorem_check,
+    homogeneous_basis,
+    operator_matrix,
     poly_from_json,
     poly_to_json,
     rank_profile,
@@ -33,6 +37,7 @@ from fischerlab import (
 )
 from fischerlab.cli import run
 from fischerlab.exprs import MAX_POWER_BITS, format_polynomial, parse_polynomial
+from helpers import reference_rank
 
 
 def run_cli(capsys, *argv):
@@ -634,6 +639,43 @@ def test_decompose_reports_are_pinned(capsys, field):
     assert code == 0
     assert json.loads(out)["result"]["q"]["expr"] == q
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the json and text reports of two decompose runs whose psi has no
+# semidefinite top form, so q is searched slice by filtered slice: one that
+# finds q and one that exhausts its slack
+_PINNED_FILTERED_DECOMPOSE = [
+    (("decompose", "--psi", "x^2+3*x*y+y^2-1", "--f", "(2*x-y+1)^4", "--vars", "x,y"), 0,
+     {"json": "2d03e9c1ddc81a8a0dfd38115cc9d9ff4b3335e1ab37d3274b11999bcbafebdb",
+      "text": "9a69965b2ad976e9872ff1ea31307fef70396398d0a2c5889f88b34762e7d070"}),
+    (("decompose", "--psi", "x^2-y^2-1", "--f", "x^4+y^3*x-2*y", "--vars", "x,y",
+      "--slack", "3"), 3,
+     {"json": "4743ff1dfc41876a697c1ae25461881b7c79db27ac6019746b0ed7324eed0240",
+      "text": "881981be59bb4ae149abb9f1b2cb7e9a827a952eb4db27b4aa8533765eb72eac"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, digests", _PINNED_FILTERED_DECOMPOSE,
+                         ids=["found", "exhausted"])
+def test_filtered_decompose_reports_are_pinned(capsys, argv, code, digests):
+    for fmt, digest in digests.items():
+        got, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert got == code, fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_fischer_theorem_reports_singular_slices(capsys):
+    # over Qi, p(D) = dx + i*dy sends p = x + i*y to 0, so each slice loses rank
+    code, out, _ = run_cli(capsys, "fischer-theorem", "--p", "x+i*y", "--vars", "x,y",
+                           "--field", "Qi", "--max-degree", "3", "--format", "text")
+    assert code == 1
+    assert out.splitlines()[1:] == [f"degree {m}: rank {m}/{m + 1} SINGULAR" for m in range(4)] + [
+        "all_nonsingular = False"]
+    p = parse_polynomial("x+i*y", ("x", "y"), FIELD_QI)
+    op = FischerOperator(p, p)
+    for m in range(4):
+        basis = homogeneous_basis(2, m)
+        assert reference_rank(operator_matrix(op, basis, basis)) == m
 
 
 _FISCHER_THEOREM = (

@@ -529,10 +529,39 @@ def test_other_psi_keep_the_filtered_slices(monkeypatch, psi, f, slack):
     tried = len(shapes)
     expected = [
         (len(filtered_basis(f.arity, m + psi.degree - 2)), len(filtered_basis(f.arity, m)))
-        for m in range(f.degree - psi.degree + 2, f.degree - psi.degree + 3 + slack)
+        for m in range(f.degree - psi.degree, f.degree - psi.degree + 3 + slack)
     ]
     assert 1 <= tried and shapes == expected[:tried]
     assert cert.verify() and cert.q == _filtered_slice_decompose(psi, f, slack).q
+
+
+_NON_TERM_TEST_QUADRICS = ("x^2+x*y+2*y^2-1", "x^2+3*x*y+y^2-1", "x^2-2*y^2+x-3")
+
+
+@pytest.mark.parametrize("psi_text", _NON_TERM_TEST_QUADRICS)
+def test_decompose_finds_the_q_of_dirichlet(psi_text):
+    # decompose starts at filtered(deg f - 2), the one slice dirichlet solves on
+    psi = parse_polynomial(psi_text, ("x", "y"))
+    assert not fischer.has_semidefinite_top_form(psi)
+    domain = QuadricDomain(psi, (0, 0))
+    for text in ("x^3*y+2*y^2", "(2*x-y+1)^4", "x^5-3*x*y^2+y", "x^2"):
+        f = parse_polynomial(text, ("x", "y"))
+        cert = fischer_decompose(psi, f, 0)
+        assert cert.verify() and cert.q == dirichlet_solve(domain, f).q
+
+
+@pytest.mark.parametrize("psi_text", [*_NON_TERM_TEST_QUADRICS, "x^3+y^3-1", "x*y-1"])
+def test_decompose_assembles_the_least_reaching_slice_first(monkeypatch, psi_text):
+    psi = parse_polynomial(psi_text, ("x", "y"))
+    f = parse_polynomial("x^4+y^3*x-2*y", ("x", "y"))
+    shapes = _recording_slices(monkeypatch)
+    try:
+        fischer_decompose(psi, f, 1)
+    except NoDecompositionFoundError:
+        pass
+    # filtered(deg f - deg psi) is the least source whose image reaches deg f - 2
+    assert shapes[0] == (len(filtered_basis(2, f.degree - 2)),
+                         len(filtered_basis(2, f.degree - psi.degree)))
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,29 @@ def test_ring_axioms_on_random_triples():
             assert p * q == q * p
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 91])
+def test_power_multiplies_nothing_above_its_degree(monkeypatch, n):
+    x = Poly.variable(1, 0)
+    p = x * x.scale(3) - x + Poly.constant(1, 2)
+    expected = Poly.constant(1, 1)
+    for _ in range(n):
+        expected = expected * p
+    degrees = []
+    mul = Poly.__mul__
+
+    def spy(a, b):
+        product = mul(a, b)
+        degrees.append(product.degree)
+        return product
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    power = p**n
+    monkeypatch.undo()
+    # the square of the base after the last exponent bit would pass n * deg p
+    assert degrees and max(degrees) == n * p.degree
+    assert power == expected and list(power.terms) == list(expected.terms)
+
+
 def test_canonical_form_identical_term_maps():
     x, y = xy()
     a = (x + y) * (x + y)
