@@ -6,8 +6,6 @@ float, bool and None that appends to one list of chunks: each scalar with
 the separator and key before it, and each list of scalars in one join.
 """
 
-from __future__ import annotations
-
 import json
 from json.encoder import encode_basestring_ascii as _json_string
 

@@ -17,8 +17,6 @@ them (a tracer) sees every exact elimination.  ``insert_mod_p`` runs the
 same insertion on residues mod a prime, whose leads bound ranks from below.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter, mul, truediv

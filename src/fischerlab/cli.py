@@ -7,14 +7,17 @@ rendering).  Exit codes: 0 success or verified, 1 verification failure,
 the seed comes from --seed, else FISCHERLAB_SEED, else 0, and identical
 argv plus seed yield byte-identical JSON.
 
+Each subparser carries its handler.  A handler returns the parts of its
+report: (result, checks, exit code, text lines, csv text or None); run
+alone assembles the envelope, for json output only, and renders the
+chosen format.
+
 Each polynomial of a report is printed once, as its "expr" and its "poly",
 both from the decimal strings that Poly.decimal_terms builds from its ints.
 The JSON text is that of json.dumps(report, indent=2), written in one pass
 (see _jsonwriter) by the one call site json.dumps(report, indent=2,
 cls=ReportEncoder).
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
@@ -142,29 +145,21 @@ def _profile_json(profile, names):
     }
 
 
-def _profile_exit_code(profile):
-    statuses = {v.status for v in profile.verdicts}
-    if NOT_SURJECTIVE in statuses:
-        return 1
-    if UNDETERMINED in statuses:
-        return 3
-    return 0
-
-
-def _verdict_text(profile, profile_json):
+def _profile_parts(profile, result, text, names):
+    """The parts of a rank-profile or khavinson run: result gains the profile,
+    text its verdict lines."""
+    result["profile"] = profile_json = _profile_json(profile, names)
     # the witnesses' text is the "expr" that _profile_json formatted
-    lines = []
     for v, payload in zip(profile.verdicts, profile_json["verdicts"]):
         if v.status == SURJECTIVE:
-            lines.append(f"degree {v.target_degree}: surjective (slack {v.slack})")
+            text.append(f"degree {v.target_degree}: surjective (slack {v.slack})")
         else:
             witness = payload["witness"]["expr"] if v.witness else "?"
-            lines.append(f"degree {v.target_degree}: {v.status} (witness: {witness})")
-    lines.append(f"all_surjective = {profile.all_surjective()}")
-    return lines
-
-
-def _profile_csv(profile):
+            text.append(f"degree {v.target_degree}: {v.status} (witness: {witness})")
+    all_surjective = profile.all_surjective()
+    text.append(f"all_surjective = {all_surjective}")
+    statuses = {v.status for v in profile.verdicts}
+    code = 1 if NOT_SURJECTIVE in statuses else 3 if UNDETERMINED in statuses else 0
     out = io.StringIO()
     out.write("target_degree,source_degree,dim_source,dim_target,rank,surjective\n")
     for row in profile.rows:
@@ -172,7 +167,7 @@ def _profile_csv(profile):
             f"{row.target_degree},{row.source_degree},{row.dim_source},"
             f"{row.dim_target},{row.rank},{row.surjective}\n"
         )
-    return out.getvalue()
+    return result, {"all_surjective": all_surjective}, code, text, out.getvalue()
 
 
 def _parse_interior(text, arity):
@@ -200,7 +195,7 @@ def _cmd_decompose(config, args):
         }
         checks = {"identity_exact": None, "h_harmonic_exact": None}
         text = [f"no decomposition found with slack up to {exc.slack} (inconclusive)"]
-        return _report("decompose", config, result, checks), 3, text, None
+        return result, checks, 3, text, None
     result = {
         "found": True,
         "psi": _poly_payload(cert.psi, names),
@@ -215,23 +210,16 @@ def _cmd_decompose(config, args):
         f"identity_exact = {cert.identity_exact}",
         f"h_harmonic_exact = {cert.h_harmonic_exact}",
     ]
-    return _report("decompose", config, result, checks), code, text, None
+    return result, checks, code, text, None
 
 
 def _cmd_rank_profile(config, args):
     names = config.vars
     psi = parse_polynomial(args.psi, names, config.field)
     profile = rank_profile(psi, args.max_degree, config.slack, args.mode)
-    result = {"psi": _poly_payload(psi, names), "profile": _profile_json(profile, names)}
-    checks = {"all_surjective": profile.all_surjective()}
-    text = [f"psi = {result['psi']['expr']}", f"mode = {profile.mode}",
-            *_verdict_text(profile, result["profile"])]
-    return (
-        _report("rank-profile", config, result, checks),
-        _profile_exit_code(profile),
-        text,
-        _profile_csv(profile),
-    )
+    result = {"psi": _poly_payload(psi, names)}
+    text = [f"psi = {result['psi']['expr']}", f"mode = {profile.mode}"]
+    return _profile_parts(profile, result, text, names)
 
 
 def _cmd_dirichlet(config, args):
@@ -271,7 +259,7 @@ def _cmd_dirichlet(config, args):
     csv_text = None
     if config.output == "csv":
         csv_text = _dirichlet_csv(solution, config)
-    return _report("dirichlet", config, result, checks), (0 if record.passed else 1), text, csv_text
+    return result, checks, (0 if record.passed else 1), text, csv_text
 
 
 def _dirichlet_csv(solution, config):
@@ -303,7 +291,7 @@ def _cmd_fischer_theorem(config, args):
         text.append(f"degree {s.degree}: rank {s.rank}/{s.dimension} {status}")
     text.append(f"all_nonsingular = {all_nonsingular}")
     code = 0 if all_nonsingular else 1
-    return _report("fischer-theorem", config, result, checks), code, text, None
+    return result, checks, code, text, None
 
 
 def _cmd_khavinson(config, args):
@@ -314,16 +302,8 @@ def _cmd_khavinson(config, args):
     result = {
         "phi_coefficients": [scalar_to_json(c) for c in coeffs],
         "psi": _poly_payload(psi, names),
-        "profile": _profile_json(profile, names),
     }
-    checks = {"all_surjective": profile.all_surjective()}
-    text = [f"psi = {result['psi']['expr']}", *_verdict_text(profile, result["profile"])]
-    return (
-        _report("khavinson", config, result, checks),
-        _profile_exit_code(profile),
-        text,
-        _profile_csv(profile),
-    )
+    return _profile_parts(profile, result, [f"psi = {result['psi']['expr']}"], names)
 
 
 def _cmd_ks_residual(config, args):
@@ -349,17 +329,7 @@ def _cmd_ks_residual(config, args):
         f"factor = {factor_text}",
     ]
     code = 0 if report.proportional_to_psi else 1
-    return _report("ks-residual", config, result, checks), code, text, None
-
-
-_HANDLERS = {
-    "decompose": _cmd_decompose,
-    "rank-profile": _cmd_rank_profile,
-    "dirichlet": _cmd_dirichlet,
-    "fischer-theorem": _cmd_fischer_theorem,
-    "khavinson": _cmd_khavinson,
-    "ks-residual": _cmd_ks_residual,
-}
+    return result, checks, code, text, None
 
 
 @functools.cache
@@ -392,6 +362,7 @@ def build_parser():
     p = sub.add_parser("decompose", parents=[common], help="f = psi*q + h with h harmonic")
     p.add_argument("--psi", required=True)
     p.add_argument("--f", required=True)
+    p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser(
         "rank-profile", parents=[common], help="degree-wise surjectivity evidence"
@@ -399,6 +370,7 @@ def build_parser():
     p.add_argument("--psi", required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--mode", choices=[HOMOGENEOUS, FILTERED], default=FILTERED)
+    p.set_defaults(handler=_cmd_rank_profile)
 
     p = sub.add_parser(
         "dirichlet", parents=[common], help="polynomial Dirichlet solution on a quadric"
@@ -407,6 +379,7 @@ def build_parser():
     p.add_argument("--f", required=True)
     p.add_argument("--interior", required=True, help="interior point, e.g. 0,0")
     p.add_argument("--samples", type=int, default=100)
+    p.set_defaults(handler=_cmd_dirichlet)
 
     p = sub.add_parser(
         "fischer-theorem",
@@ -415,6 +388,7 @@ def build_parser():
     )
     p.add_argument("--p", required=True)
     p.add_argument("--max-degree", type=int, required=True)
+    p.set_defaults(handler=_cmd_fischer_theorem)
 
     p = sub.add_parser(
         "khavinson",
@@ -423,12 +397,14 @@ def build_parser():
     )
     p.add_argument("--phi", required=True, help="comma-separated coefficients a0,a1,...")
     p.add_argument("--max-degree", type=int, required=True)
+    p.set_defaults(handler=_cmd_khavinson)
 
     p = sub.add_parser(
         "ks-residual", parents=[common], help="residual check |x|^2 - h against psi"
     )
     p.add_argument("--psi", required=True)
     p.add_argument("--interior", required=True)
+    p.set_defaults(handler=_cmd_ks_residual)
 
     return parser
 
@@ -442,7 +418,7 @@ def run(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = _build_config(args)
-        report, code, text_lines, csv_text = _HANDLERS[args.command](config, args)
+        result, checks, code, text_lines, csv_text = args.handler(config, args)
     except (ParseError, FloatEvaluationError, SliceTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -450,6 +426,7 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.output == "json":
+        report = _report(args.command, config, result, checks)
         payload = json.dumps(report, indent=2, cls=ReportEncoder) + "\n"
     elif config.output == "text":
         payload = "\n".join(text_lines) + "\n"

@@ -11,8 +11,6 @@ exactly, and that |f - h| is small at sampled boundary points, relative to
 the size of the terms of f and h.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from collections import namedtuple

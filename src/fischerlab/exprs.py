@@ -28,8 +28,6 @@ parts over it, is at most 2**MAX_POWER_BITS, an int over Qi sized
 |re| + |im|.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction

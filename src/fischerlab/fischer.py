@@ -9,8 +9,6 @@ self-paired homogeneous case q -> P(D)(P*q).  solve_quotient finds q for
 decompose and dirichlet, by degree when psi's top form is semidefinite.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property

@@ -11,8 +11,6 @@ the right-hand side reaches through shared columns; every other unknown is
 0, as a free one is, and its exact recheck still covers every row.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import lcm
 

@@ -18,8 +18,6 @@ x1^(n-1)*x2 and so on.  The zero polynomial stores no terms and has degree
 NEG_INF.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from functools import lru_cache

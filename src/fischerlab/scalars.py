@@ -10,8 +10,6 @@ the integer form defined once by the tables _kernels.Q and _kernels.QI,
 which INTEGERS maps the field names to (integer_form and from_integer convert).
 """
 
-from __future__ import annotations
-
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm

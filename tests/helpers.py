@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and kernel-free reference oracles shared by the
+test modules."""
 
 from fractions import Fraction
 
@@ -71,12 +72,13 @@ def matrix_product(a, b):
     return ExactMatrix(a.rows, b.cols, entries, a.field)
 
 
-def reference_rank(matrix):
-    """The rank of the matrix by Gauss-Jordan elimination over the field
-    scalars of its rows, read through ExactMatrix.row: no fischerlab kernel."""
-    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
-    rank = 0
-    for j in range(matrix.cols):
+def reference_pivots(rows):
+    """The pivot columns of dense rows of field scalars, such as
+    ExactMatrix.row reads, by Gauss-Jordan elimination: no fischerlab kernel."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for j in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][j]), None)
         if pivot is None:
             continue
@@ -85,9 +87,22 @@ def reference_rank(matrix):
         for r, row in enumerate(rows):
             if r != rank and row[j]:
                 factor = row[j] / head[j]
-                rows[r] = [a - factor * b for a, b in zip(row, head)]
-        rank += 1
-    return rank
+                rows[r] = [a - factor * b if b else a for a, b in zip(row, head)]
+        pivots.append(j)
+    return pivots
+
+
+def reference_rank(matrix):
+    """The rank of the matrix, read through ExactMatrix.row, by reference_pivots."""
+    return len(reference_pivots(matrix.row(i) for i in range(matrix.rows)))
+
+
+def matrix_vector(matrix, vector):
+    """The exact product matrix @ vector, read through ExactMatrix.row: no
+    fischerlab kernel."""
+    zero = as_scalar(0, matrix.field)
+    return [sum((a * x for a, x in zip(matrix.row(i), vector)), zero)
+            for i in range(matrix.rows)]
 
 
 def random_ellipsoid(rng, arity):

@@ -31,6 +31,7 @@ from fischerlab import (
 )
 from fischerlab.fischer import SURJECTIVE
 from helpers import (
+    matrix_vector,
     random_ellipsoid,
     random_matrix,
     random_poly,
@@ -62,7 +63,7 @@ def test_ellipsoid_bijectivity():
                 checked += 1
                 if matrix.rows != matrix.cols:
                     failures.append((arity, m, "not square"))
-                elif rref(matrix).rank != len(basis):
+                elif reference_rank(matrix) != len(basis):
                     failures.append((arity, m, "singular"))
     elapsed = time.perf_counter() - started
     passed = not failures and elapsed < 60.0
@@ -271,8 +272,8 @@ def test_linear_algebra_self_verification():
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         matrix = random_matrix(rng, rows, cols, field)
         x0 = [random_scalar(rng, field) for _ in range(cols)]
-        b = matrix.mul_vector(x0)
-        if matrix.mul_vector(solve(matrix, b)) != b:
+        b = matrix_vector(matrix, x0)
+        if matrix_vector(matrix, solve(matrix, b)) != b:
             solve_failures += 1
     rank_failures = 0
     for i in range(100):

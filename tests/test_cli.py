@@ -1195,3 +1195,47 @@ def test_rendered_reports_are_pinned(capsys, argv, code, digests):
         got, out, _ = run_cli(capsys, *argv, "--format", fmt)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_only_json_runs_build_the_report_envelope(capsys, monkeypatch):
+    # handlers return their parts; run alone builds the envelope, once, for json
+    calls = []
+    envelope = cli._report
+
+    def spy(command, *rest):
+        calls.append(command)
+        return envelope(command, *rest)
+
+    monkeypatch.setattr(cli, "_report", spy)
+    rank_profile_argv = ("rank-profile", "--psi", "x^2+y^2-1", "--vars", "x,y",
+                         "--max-degree", "3")
+    for argv in (_PINNED_DECOMPOSE["Q"][0], rank_profile_argv, _ELLIPSE_DIRICHLET,
+                 _FISCHER_THEOREM, _PINNED_LADDERS[0][0], _PINNED_RENDERINGS[0][0]):
+        calls.clear()
+        code, _, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert calls == [argv[0]]
+    for argv in (rank_profile_argv, _ELLIPSE_DIRICHLET):
+        for fmt in ("text", "csv"):
+            calls.clear()
+            code, _, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0, err
+            assert calls == [], fmt
+
+
+def test_the_same_bytes_corpus_covers_every_subcommand_in_every_format():
+    # tests/cli_corpus.py is run by hand against two checkouts; build its
+    # argvs here, without running them
+    import argparse
+
+    import cli_corpus
+
+    def fmt(argv):
+        return argv[len(argv) - argv[::-1].index("--format")] if "--format" in argv else "json"
+
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli_corpus.COMMANDS)
+    argvs = cli_corpus.corpus()
+    assert {(argv[0], fmt(argv)) for argv in argvs} == {
+        (command, f) for command in cli_corpus.COMMANDS for f in cli_corpus.FORMATS}
