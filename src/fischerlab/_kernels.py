@@ -14,7 +14,8 @@ is the one back-substitution: linalg reads solve's x and each column of the
 reduced form off it.  Its values and the leads are unique.  Callers look
 ``rref_q`` and ``rref_qi`` up here at call time, so a wrapper installed on
 them (a tracer) sees every exact elimination.  ``insert_mod_p`` runs the
-same insertion on residues mod a prime, whose leads bound ranks from below.
+same insertion on residues mod a prime and returns only its leads, whose
+count bounds the rank from below.
 """
 
 from itertools import chain
@@ -132,20 +133,16 @@ P = 1004535809
 I_P = pow(3, (P - 1) // 4, P)
 
 
-def insert_mod_p(vectors, echelon, p):
-    """``insert`` mod the prime p, in place: the vectors' entries are ints,
-    the echelon's rows are monic with entries in (0, p).  A vector is reduced
-    in a dense list over the call's key range, scanned up from its lowest key
-    (a row's other keys lie above its lead); only a candidate lead is taken
-    mod p.  Within the call a row is a list of (offset, residue) pairs."""
-    keys = [key for vector in chain(vectors, echelon.values()) for key in vector]
+def insert_mod_p(vectors, p):
+    """The set of leads of ``insert`` mod the prime p, the vectors' entries
+    being ints: its size is their rank mod p.  A vector is reduced in a dense
+    list over the key range, scanned up from its lowest key (a row's other
+    keys lie above its lead); only a candidate lead is taken mod p.  A row is
+    monic, kept as the (offset, residue) pairs past its lead."""
+    keys = [key for vector in vectors for key in vector]
     low = min(keys, default=0)
-    labels = list(range(low, max(keys, default=0) + 1))  # the rows share these keys
-    width = len(labels)
+    width = max(keys, default=0) + 1 - low
     rows = [None] * width
-    for lead, row in echelon.items():
-        rows[lead - low] = [(key - low, x) for key, x in row.items() if key != lead]
-    new = []
     for vector in filter(None, vectors):
         dense = [0] * width
         for key, x in vector.items():
@@ -157,14 +154,10 @@ def insert_mod_p(vectors, echelon, p):
                 if row is None:
                     b = pow(a, -1, p)
                     rows[i] = [(j, y) for j in range(i + 1, width) if (x := dense[j]) and (y := x * b % p)]
-                    new.append(i)
                     break
                 for j, x in row:
                     dense[j] -= a * x
-    for i in new:
-        echelon[labels[i]] = row = {labels[j]: y for j, y in rows[i]}
-        row[labels[i]], rows[i] = 1, None
-    return echelon
+    return {low + i for i, row in enumerate(rows) if row is not None}
 
 
 def rref_q(vectors, echelon):

@@ -241,9 +241,6 @@ class Poly:
                        for ma, ca in self._ints.items() for mb, cb in right), table)
         return self._wrap(out, self._den * other._den)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative int exponents")
@@ -467,12 +464,6 @@ class Basis:
 
     def __iter__(self):
         return iter(self.monomials)
-
-    def __getitem__(self, i):
-        return self.monomials[i]
-
-    def __contains__(self, exponents):
-        return tuple(exponents) in self._positions
 
     def index(self, exponents):
         return self._positions[tuple(exponents)]

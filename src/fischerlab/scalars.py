@@ -1,9 +1,11 @@
 """Exact coefficient fields: rationals and Gaussian rationals.
 
 Field "Q" is served by fractions.Fraction, field "Qi" by GaussianRational,
-a pair of Fractions (re, im).  Floating point never enters coefficient
-arithmetic; floats appear only when callers evaluate polynomials at sampled
-points.  All values are immutable and safe to share across threads.
+a pair of Fractions (re, im) with + - * / and unary minus: the scalars of
+the API edge, and the exact reference that tests hold the integer tables
+and Poly to.  Floating point never enters coefficient arithmetic; floats
+appear only when callers evaluate polynomials at sampled points.  All
+values are immutable and safe to share across threads.
 
 Polynomials and matrices keep entries as ints over a common denominator:
 the integer form defined once by the tables _kernels.Q and _kernels.QI,
@@ -30,8 +32,9 @@ def validate_field(field):
 class GaussianRational:
     """An element a + b*i of the Gaussian rationals, with exact a and b.
 
-    Arithmetic accepts int and Fraction operands (the natural subfield
-    action); equality with anything but another GaussianRational is False.
+    + - * / accept int and Fraction operands (the natural subfield action),
+    on the right of any operator and on the left of + and * only; equality
+    with anything but another GaussianRational is False.
     Mixing whole polynomials or matrices across fields is rejected at the
     Poly / ExactMatrix level.
     """
@@ -68,12 +71,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -97,35 +94,8 @@ class GaussianRational:
             (self.im * o.re - self.re * o.im) / norm,
         )
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return GaussianRational(1) / self ** (-exponent)
-        result = GaussianRational(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

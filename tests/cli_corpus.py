@@ -6,15 +6,18 @@ prints one line per argv: the sha256 of (exit code, stdout, stderr) from an
 in-process cli.run, then the argv as JSON.  Run it with PYTHONPATH set to
 each of two checkouts' src and compare the outputs: a change that keeps
 every exit code and report byte prints the same lines.  pytest does not
-collect this module; test_cli checks its coverage without running it.
+collect this module; test_cli checks its coverage, and test_corpus pins
+the lines of three of its parts.
 
-The argvs, in order:
+The argvs, in order, by the names of parts():
 
-* the 600 of tests/test_cli_fuzz.py, with its rng, format and --seed suffix;
-* every subcommand argv among the module-level constants of
+* fuzz: the 600 of tests/test_cli_fuzz.py, with its rng, format and --seed
+  suffix;
+* constants: every subcommand argv among the module-level constants of
   tests/test_cli.py (none with --out), each in json, text and csv;
-* the seed-1 job lists of the benchmark workloads (perfbench/workloads.py);
-* decompose over 6 psi x 6 f at --slack 0 to 3, with --vars x,y.
+* workloads: the seed-1 job lists of the benchmark workloads
+  (perfbench/workloads.py);
+* decompose: over 6 psi x 6 f at --slack 0 to 3, with --vars x,y.
 """
 
 import contextlib
@@ -47,7 +50,7 @@ def _fuzz_argvs():
                       "--seed", str(case)]
 
 
-def _pinned_argvs():
+def _constant_argvs():
     import test_cli
 
     found = []
@@ -89,9 +92,16 @@ def _decompose_argvs():
                        "--slack", str(slack)]
 
 
+def parts():
+    """{name: argvs} of the corpus's four parts, in corpus order; builds the
+    lists, runs nothing."""
+    return {"fuzz": list(_fuzz_argvs()), "constants": list(_constant_argvs()),
+            "workloads": list(_workload_argvs()), "decompose": list(_decompose_argvs())}
+
+
 def corpus():
     """Every argv of the corpus, in order; builds the list, runs nothing."""
-    return [*_fuzz_argvs(), *_pinned_argvs(), *_workload_argvs(), *_decompose_argvs()]
+    return [argv for argvs in parts().values() for argv in argvs]
 
 
 def digest(argv):
@@ -104,9 +114,14 @@ def digest(argv):
     return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
 
 
+def line(argv):
+    """The line printed for argv: its digest, then the argv as JSON."""
+    return f"{digest(argv)} {json.dumps(argv)}"
+
+
 def main():
     for argv in corpus():
-        print(digest(argv), json.dumps(argv), flush=True)
+        print(line(argv), flush=True)
 
 
 if __name__ == "__main__":

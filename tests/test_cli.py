@@ -1224,8 +1224,9 @@ def test_only_json_runs_build_the_report_envelope(capsys, monkeypatch):
 
 
 def test_the_same_bytes_corpus_covers_every_subcommand_in_every_format():
-    # tests/cli_corpus.py is run by hand against two checkouts; build its
-    # argvs here, without running them
+    # tests/cli_corpus.py is run by hand against two checkouts, and
+    # test_corpus runs three of its parts; build all its argvs here, without
+    # running them
     import argparse
 
     import cli_corpus

@@ -71,7 +71,7 @@ def _leads_mod(vectors, p):
 
 # 2013265921 = 15 * 2^27 + 1 is a prime whose residues take two CPython digits
 @pytest.mark.parametrize("p", [5, 7, _kernels.P, 2013265921])
-def test_insert_mod_p_keeps_monic_rows_and_agrees_with_a_dense_reduction(p):
+def test_insert_mod_p_leads_agree_with_a_dense_reduction(p):
     rng = random.Random(p)
     # keys in a small window, spread across 0, and far from 0
     for window in [range(-9, 1)] * 30 + [range(-400, 400, 7)] * 15 + [range(10**12, 10**12 + 30)] * 15:
@@ -80,15 +80,9 @@ def test_insert_mod_p_keeps_monic_rows_and_agrees_with_a_dense_reduction(p):
                    for _ in range(rng.randint(1, 7))]
         vectors.insert(rng.randint(0, len(vectors)), {})
         snapshot = [dict(v) for v in vectors]
-        echelon = _kernels.insert_mod_p(vectors, {}, p)
+        leads = _kernels.insert_mod_p(vectors, p)
         assert vectors == snapshot
-        assert sorted(echelon) == _leads_mod(vectors, p)
-        for lead, row in echelon.items():
-            assert min(row) == lead and row[lead] == 1
-            assert all(0 < x < p for x in row.values())
-        # inserted in two calls, the second into the first's echelon
-        cut = rng.randint(0, len(vectors))
-        assert _kernels.insert_mod_p(vectors[cut:], _kernels.insert_mod_p(vectors[:cut], {}, p), p) == echelon
+        assert sorted(leads) == _leads_mod(vectors, p)
 
 
 def test_rank_and_first_missing_at_the_edges():

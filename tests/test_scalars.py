@@ -55,20 +55,6 @@ def test_gaussian_division_by_zero():
         GaussianRational(1) / GaussianRational(0)
 
 
-def test_conjugate_times_self_is_norm():
-    z = GaussianRational(Fraction(3, 2), Fraction(-1, 5))
-    norm = z * z.conjugate()
-    assert norm.im == 0
-    assert norm.re == Fraction(3, 2) ** 2 + Fraction(1, 5) ** 2
-
-
-def test_gaussian_pow():
-    z = GaussianRational(1, 1)
-    assert z**2 == GaussianRational(0, 2)
-    assert z**0 == GaussianRational(1)
-    assert (GAUSSIAN_I ** (-1)) == -GAUSSIAN_I
-
-
 def test_real_gaussian_equals_only_within_field():
     # equality across scalar types is False, not an error
     assert GaussianRational(3, 0) != Fraction(3)
