@@ -12,26 +12,30 @@ decompose and dirichlet, by degree when psi's top form is semidefinite.
 import math
 from collections import namedtuple
 from functools import cached_property
+from itertools import count
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
 from .errors import InconsistentSystemError, NoDecompositionFoundError, SliceTooLargeError
 from .linalg import ExactMatrix, GrowingEchelon, rank_and_first_missing, solve
 # rref stays importable here: the benchmark's tracer wraps fischer.rref
 from .linalg import rref  # noqa: F401
 from .polyring import (
+    CODE_DEGREE_LIMIT,
     FILTERED,
     HOMOGENEOUS,
     Poly,
-    _gather,
+    _position,
     apply_operator,
     basis_dimension,
     check_slice_dimension,
+    code_exponents,
     coordinates,
     filtered_basis,
     from_coordinates,
     homogeneous_basis,
     lowest_terms,
+    monomial_code,
     overflow_error,
     squared_norm,
 )
@@ -82,17 +86,21 @@ class FischerOperator:
         """The stencil of the operator and its common denominator L.
 
         Each pair of an operator term d*D^g and a psi term c*x^b gives one
-        entry (b - g, the axes with g_i > 0 as (i, b_i, g_i) triples, C),
-        where C = c*d*L is an entry in integer form; L is the least common
-        denominator of every product c*d.  The entries run over the operator
-        terms and, within one, over the psi terms.  Built once per operator.
+        entry (the monomial code of b - g, the axes with g_i > 0 as
+        (i, b_i, g_i) triples, C), where C = c*d*L is an entry in integer
+        form; L is the least common denominator of every product c*d.  The
+        entries run over the operator terms and, within one, over the psi
+        terms.  Built once per operator, and only for a psi of degree below
+        polyring.CODE_DEGREE_LIMIT, so that no image code carries.
         """
+        if self.psi.degree >= CODE_DEGREE_LIMIT:
+            raise ValueError(f"psi must have degree below {CODE_DEGREE_LIMIT} to be assembled")
         (psi, psi_den), (ops, op_den) = self.psi.integer_form, self.operator.integer_form
         product = INTEGERS[self.field].mul
         products = [product(d, c) for d in ops.values() for c in psi.values()]
         ints, den = lowest_terms(dict(enumerate(products)), psi_den * op_den, self.field)
         pairs = [(g, b) for g in ops for b in psi]
-        return [(tuple(map(sub, b, g)), [(i, b[i], k) for i, k in enumerate(g) if k], c)
+        return [(monomial_code(map(sub, b, g)), [(i, b[i], k) for i, k in enumerate(g) if k], c)
                 for (g, b), c in zip(pairs, ints.values())], den
 
     def apply(self, q):
@@ -113,31 +121,44 @@ def operator_matrix(op, source, target):
     monomial a + b - g.  The products c*d are kept as integers over one
     common denominator, so a column is summed in int arithmetic, and those
     sums over that denominator are the matrix's stored rows: no scalar is
-    built.  Raises BasisOverflowError if an image monomial falls outside
-    the target slice.
+    built.  Monomials are their codes (polyring.monomial_code): the image
+    of x^a under a stencil entry is the code of a plus the entry's code of
+    b - g, with no carry between axes, since a nonzero falling factorial
+    makes every axis of a + b - g non-negative and the degree limits keep
+    it below the field width.  Raises BasisOverflowError if an image
+    monomial falls outside the target slice.
     """
     if source.arity != op.arity or target.arity != op.arity:
         raise ValueError("basis arity does not match the operator")
     stencil, denominator = op._stencil
     table = INTEGERS[op.field]
-    times, positions = table.times, target._positions
+    times, plus, zero = table.times, table.add, table.zero
+    positions, perm = target._positions, math.perm
     rows = [{} for _ in range(len(target))]
-    for j, a in enumerate(source.monomials):
+    for j, (a, code) in enumerate(zip(source.monomials, source.codes)):
         # the terms in the order, and with the cancellations, of
-        # apply_operator(operator, psi * x^a), so an overflow names the
-        # same monomial
-        pairs = []
+        # apply_operator(operator, psi * x^a): a sum that cancels is
+        # deleted, and appended again if it comes back, so an overflow
+        # names the same monomial
+        column = {}
         for shift, axes, c in stencil:
             factor = 1
             for i, b, k in axes:
-                factor *= math.perm(a[i] + b, k)
+                factor *= perm(a[i] + b, k)
             if factor:
-                pairs.append((tuple(map(add, a, shift)), times(c, factor)))
-        for m, value in _gather(pairs, table).items():
+                m = code + shift
+                value = times(c, factor)
+                if m in column:
+                    value = plus(column[m], value)
+                    if value == zero:
+                        del column[m]
+                        continue
+                column[m] = value
+        for m, value in column.items():
             try:
                 i = positions[m]
             except KeyError:
-                raise overflow_error(m, target) from None
+                raise overflow_error(code_exponents(m, op.arity), target) from None
             rows[i][j] = value
     return ExactMatrix.from_integer_rows(len(source), rows, denominator, op.field)
 
@@ -343,23 +364,25 @@ def _homogeneous_profile(op, max_target_degree):
 
 
 class _Slice:
-    """A growing list of monomials, read by operator_matrix as a target slice."""
+    """A growing list of monomials, read by operator_matrix as a target
+    slice.  Like a Basis it keeps one position map keyed by monomial code;
+    ``extend`` appends a basis's monomials and its codes, so no code is
+    built again as the slice grows."""
 
     def __init__(self, arity):
         self.arity = arity
         self.monomials = []
         self._positions = {}
 
-    def extend(self, monomials):
-        for exponents in monomials:
-            self._positions[exponents] = len(self.monomials)
-            self.monomials.append(exponents)
+    def extend(self, basis):
+        self._positions.update(zip(basis.codes, count(len(self.monomials))))
+        self.monomials.extend(basis.monomials)
 
     def __len__(self):
         return len(self.monomials)
 
     def index(self, exponents):
-        return self._positions[exponents]
+        return _position(self, exponents)
 
     def __repr__(self):
         return f"graded slice of {len(self)} monomials"
@@ -393,7 +416,7 @@ class _LadderImage:
             return  # deg psi = 1 sends the constants to 0
         while self.target_degree < top:
             self.target_degree += 1
-            self.target.extend(homogeneous_basis(op.arity, self.target_degree).monomials)
+            self.target.extend(homogeneous_basis(op.arity, self.target_degree))
         source = homogeneous_basis(op.arity, self.source_degree)
         self.echelon.extend(operator_matrix(op, source, self.target))
 

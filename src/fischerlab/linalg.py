@@ -304,8 +304,10 @@ def rank_and_first_missing(matrix):
 
     The columns are first reduced mod the prime ``_kernels.P``, i sent to
     ``_kernels.I_P``: a ring map from the integer matrix, so its rank r mod
-    P bounds the exact rank from below.  Two answers rest on that bound
-    alone.  With r = rows the rank is rows: the span is everything (None).
+    P bounds the exact rank from below.  Over Q the stored ints go in as
+    they are, since ``insert_mod_p`` takes its entries mod P itself; over
+    Qi each entry goes in as re + im * I_P mod P.  Two answers rest on that
+    bound alone.  With r = rows the rank is rows: the span is everything (None).
     With r = cols, e_0 outside the span mod P, the rank of [matrix | e_0]
     mod P is cols + 1: the rank is cols and e_0 is outside the span (0).
     Any other case, a rank deficit, a witness past e_0 or a prime at which
@@ -314,7 +316,8 @@ def rank_and_first_missing(matrix):
     degree 15 take 6655 reduction steps and 175k entry updates, not 5002 and 63k.
     """
     p, i_p, residue = _kernels.P, _kernels.I_P, INTEGERS[matrix.field].residue
-    leads = _kernels.insert_mod_p(_columns(matrix, lambda x: residue(x, i_p) % p), p)
+    entry = None if matrix.field == FIELD_Q else lambda x: residue(x, i_p) % p
+    leads = _kernels.insert_mod_p(_columns(matrix, entry), p)
     if len(leads) == matrix.rows:
         return matrix.rows, None
     if len(leads) == matrix.cols and 0 not in leads:

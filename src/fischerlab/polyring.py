@@ -426,22 +426,54 @@ def _exponents_of_degree(arity, degree):
 HOMOGENEOUS = "homogeneous"
 FILTERED = "filtered"
 
+# A monomial's code packs its exponent vector into one int, EXPONENT_BITS
+# bits per axis, the first axis highest (Monagan & Pearce 2007, CASC, packed
+# exponent vectors).  A code is linear in its exponents, so the code of
+# a + s is code(a) + code(s), and a shift s may have negative axes; the sum
+# is the code of a + s whenever every axis of a + s lies in [0, 2^16).  A
+# basis has degree below CODE_DEGREE_LIMIT = 2^15, and so has every psi that
+# fischer assembles a slice of, so an image axis a_i + b_i - g_i of the
+# operator's stencil stays below 2^16.  The slices a request admits
+# (check_slice_dimension) have degree below MAX_SLICE_DIMENSION, and so has
+# psi, plus 2: far below either limit.
+EXPONENT_BITS = 16
+CODE_DEGREE_LIMIT = 1 << (EXPONENT_BITS - 1)
+
+
+def monomial_code(exponents):
+    """The code of an exponent vector (axes may be negative in a shift)."""
+    code = 0
+    for e in exponents:
+        code = (code << EXPONENT_BITS) + e
+    return code
+
+
+def code_exponents(code, arity):
+    """The exponent tuple of a code whose axes all lie in [0, 2^EXPONENT_BITS)."""
+    mask = (1 << EXPONENT_BITS) - 1
+    return tuple(code >> (EXPONENT_BITS * i) & mask for i in range(arity - 1, -1, -1))
+
 
 class Basis:
     """Ordered monomial basis of a graded slice.
 
     kind "homogeneous" lists the monomials of total degree exactly n,
     kind "filtered" those of total degree at most n, both in ascending
-    graded lex order.
+    graded lex order.  ``codes`` holds their monomial codes, in that order,
+    and one map keyed by code gives each monomial's position; ``index``
+    encodes its argument.  The degree is below CODE_DEGREE_LIMIT, so that
+    no two monomials share a code.
     """
 
-    __slots__ = ("arity", "kind", "degree", "monomials", "_positions")
+    __slots__ = ("arity", "kind", "degree", "monomials", "codes", "_positions")
 
     def __init__(self, arity, kind, degree):
         if not isinstance(arity, int) or arity < 1:
             raise ValueError(f"arity must be a positive integer, got {arity!r}")
         if not isinstance(degree, int) or degree < 0:
             raise ValueError(f"slice degree must be a non-negative int, got {degree!r}")
+        if degree >= CODE_DEGREE_LIMIT:
+            raise ValueError(f"slice degree must be below {CODE_DEGREE_LIMIT}, got {degree}")
         if kind not in (HOMOGENEOUS, FILTERED):
             raise ValueError(f"unknown slice kind {kind!r}")
         if kind == HOMOGENEOUS:
@@ -450,11 +482,13 @@ class Basis:
             monomials = tuple(
                 m for n in range(degree + 1) for m in _exponents_of_degree(arity, n)
             )
+        codes = tuple(map(monomial_code, monomials))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "monomials", monomials)
-        object.__setattr__(self, "_positions", {m: i for i, m in enumerate(monomials)})
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "_positions", {m: i for i, m in enumerate(codes)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
@@ -466,10 +500,21 @@ class Basis:
         return iter(self.monomials)
 
     def index(self, exponents):
-        return self._positions[tuple(exponents)]
+        return _position(self, exponents)
 
     def __repr__(self):
         return f"Basis(arity={self.arity}, kind={self.kind!r}, degree={self.degree})"
+
+
+def _position(basis, exponents):
+    # the position of a monomial in a basis or a fischer._Slice by its code;
+    # KeyError when it is not there, also when its code is a basis
+    # monomial's (an axis negative or past the field width)
+    exponents = tuple(exponents)
+    i = basis._positions[monomial_code(exponents)]
+    if basis.monomials[i] != exponents:
+        raise KeyError(exponents)
+    return i
 
 
 # Basis is immutable, so one instance serves every caller; typed, so that

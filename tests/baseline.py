@@ -1,0 +1,104 @@
+"""The baseline rows of ROADMAP.md, timed in process.
+
+    PYTHONPATH=src python tests/baseline.py [--rounds 4] [--only TEXT]
+
+runs every row once per round, the rows in turn, and prints per row the
+minimum CPU time (time.process_time) over the rounds, in seconds, then the
+row's label as the ROADMAP table has it.  --only keeps the rows whose label
+contains TEXT.  The dirichlet_solve rows time the solve only, not
+verify_solution.  Each row checks its own outcome, so a row that stops
+computing what it names fails instead of getting faster.  Compare only runs
+made on one machine in one session, parent and change in alternation: on a
+shared machine a row moves by up to 2x between sessions.  pytest does not
+collect this module; test_corpus runs one of its rows.
+"""
+
+import argparse
+import time
+from fractions import Fraction
+
+from fischerlab import (
+    HOMOGENEOUS,
+    NoDecompositionFoundError,
+    QuadricDomain,
+    dirichlet_solve,
+    fischer_decompose,
+    khavinson_psi,
+    parse_polynomial,
+    rank_profile,
+)
+
+XYZ = ("x", "y", "z")
+
+
+def _poly(text):
+    return parse_polynomial(text, XYZ)
+
+
+def _ladder(phi, n, slack):
+    def run():
+        assert rank_profile(khavinson_psi(phi), n, slack=slack).all_surjective()
+    return run
+
+
+def _dirichlet(e):
+    domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    f = _poly(f"(x+y*z+1)^{e}")
+    return lambda: dirichlet_solve(domain, f)
+
+
+def _decompose(psi, f, found=True):
+    psi, f = _poly(psi), _poly(f)
+
+    def run():
+        try:
+            assert fischer_decompose(psi, f).verify() and found
+        except NoDecompositionFoundError:
+            assert not found
+    return run
+
+
+def _witness(n):
+    psi = _poly("x^3+2*y^3+3*z^3")
+    return lambda: rank_profile(psi, n, mode=HOMOGENEOUS)
+
+
+ROWS = (
+    ("ladder phi = z^2, n = 4, slack 10 (the tier-1 acceptance case)", _ladder([0, 0, 1], 4, 10)),
+    ("ladder phi = z^2, n = 8, slack 18", _ladder([0, 0, 1], 8, 18)),
+    ("ladder phi = 1,1,1, n = 5, slack 12", _ladder([1, 1, 1], 5, 12)),
+    ("ladder phi = 1,1,1, n = 6, slack 14", _ladder([1, 1, 1], 6, 14)),
+    ("`dirichlet_solve`, ellipsoid (3/2, 1, 5/3), f = (x+yz+1)^10", _dirichlet(10)),
+    ("the same, e = 12", _dirichlet(12)),
+    ("the same, e = 14", _dirichlet(14)),
+    ("`fischer_decompose`, psi = x^2+xy+y^2+z^2-1, f = (x+yz+1)^10",
+     _decompose("x^2+x*y+y^2+z^2-1", "(x+y*z+1)^10")),
+    ("`fischer_decompose`, psi = x^4+x^2y^2+y^4+z^4+x-1, f = (x+yz+1)^11 (exit 3)",
+     _decompose("x^4+x^2*y^2+y^4+z^4+x-1", "(x+y*z+1)^11", found=False)),
+    ("`rank_profile`, homogeneous, psi = x^3+2y^3+3z^3, max degree 22", _witness(22)),
+)
+
+
+def timings(rows, rounds):
+    """[(label, minimum CPU seconds over the rounds)] of the given rows."""
+    best = {label: float("inf") for label, _ in rows}
+    for _ in range(rounds):
+        for label, run in rows:
+            start = time.process_time()
+            run()
+            best[label] = min(best[label], time.process_time() - start)
+    return list(best.items())
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=4)
+    parser.add_argument("--only", default="")
+    args = parser.parse_args()
+    rows = [row for row in ROWS if args.only in row[0]]
+    for label, seconds in timings(rows, args.rounds):
+        print(f"{seconds:.3f} s  {label}")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,7 @@ names the argvs whose output changed.
 
 import hashlib
 
+import baseline
 import cli_corpus
 import cli_reach
 
@@ -33,3 +34,10 @@ def test_the_reach_audit_lists_what_its_argvs_skip():
     missed = {qualname for _, _, qualname in cli_reach.unreached(argvs)}
     assert "QuadricDomain.ellipsoid" in missed
     assert "operator_matrix" not in missed
+
+
+def test_the_baseline_script_times_a_row():
+    label, run = baseline.ROWS[0]
+    assert "tier-1" in label
+    [(timed, seconds)] = baseline.timings([(label, run)], rounds=1)
+    assert timed == label and seconds > 0

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -43,6 +43,15 @@ from fischerlab import (
     solve,
     squared_norm,
 )
+from fischerlab.polyring import (
+    CODE_DEGREE_LIMIT,
+    MAX_SLICE_DIMENSION,
+    _gather,
+    check_slice_dimension,
+    lowest_terms,
+    overflow_error,
+)
+from fischerlab.scalars import INTEGERS
 from helpers import (
     assert_first_unsolvable_unit,
     from_sympy,
@@ -252,25 +261,117 @@ def _slices():
     ]
 
 
+def _tuple_operator_matrix(op, source, target):
+    # the assembly that monomial codes replaced: the stencil's shifts as
+    # exponent tuples, one tuple per term, merged by polyring._gather
+    (psi, psi_den), (ops, op_den) = op.psi.integer_form, op.operator.integer_form
+    table = INTEGERS[op.field]
+    products = [table.mul(d, c) for d in ops.values() for c in psi.values()]
+    ints, den = lowest_terms(dict(enumerate(products)), psi_den * op_den, op.field)
+    stencil = [(g, b, c) for (g, b), c in zip([(g, b) for g in ops for b in psi], ints.values())]
+    positions = {m: i for i, m in enumerate(target.monomials)}
+    rows = [{} for _ in range(len(target))]
+    for j, a in enumerate(source.monomials):
+        pairs = []
+        for g, b, c in stencil:
+            factor = math.prod(map(math.perm, map(add, a, b), g))
+            if factor:
+                pairs.append((tuple(x + y - k for x, y, k in zip(a, b, g)), table.times(c, factor)))
+        for m, value in _gather(pairs, table).items():
+            if m not in positions:
+                raise overflow_error(m, target)
+            rows[positions[m]][j] = value
+    return ExactMatrix.from_integer_rows(len(source), rows, den, op.field)
+
+
+def _stored(matrix):
+    # the rows with their key order, and the denominator
+    return [list(row.items()) for row in matrix._rows], matrix._den
+
+
+def _assert_overflow_text_agrees(op, source, target):
+    with pytest.raises(BasisOverflowError) as raised:
+        operator_matrix(op, source, target)
+    for reference in (_dense_operator_matrix, _tuple_operator_matrix):
+        with pytest.raises(BasisOverflowError) as expected:
+            reference(op, source, target)
+        assert str(raised.value) == str(expected.value)
+    return str(raised.value)
+
+
 def test_operator_matrix_agrees_with_dense_assembly():
     fields = set()
     for op, source, target in _slices():
         matrix = operator_matrix(op, source, target)
         assert matrix == _dense_operator_matrix(op, source, target)
+        assert _stored(matrix) == _stored(_tuple_operator_matrix(op, source, target))
         assert (matrix.rows, matrix.cols, matrix.field) == (len(target), len(source), op.field)
         fields.add(op.field)
     assert fields == {FIELD_Q, FIELD_QI}
-    # a target slice that misses an image monomial: both name the same one
+    # a target slice that misses an image monomial: all name the same one
     for op, source, target in (
         (FischerOperator(CIRCLE), filtered_basis(2, 2), homogeneous_basis(2, 2)),
         (FischerOperator(khavinson_psi([0, 1])), filtered_basis(3, 2), filtered_basis(3, 1)),
         (FischerOperator(X * X - Y * Y), homogeneous_basis(2, 3), homogeneous_basis(2, 2)),
     ):
-        with pytest.raises(BasisOverflowError) as expected:
-            _dense_operator_matrix(op, source, target)
-        with pytest.raises(BasisOverflowError) as raised:
-            operator_matrix(op, source, target)
-        assert str(raised.value) == str(expected.value)
+        _assert_overflow_text_agrees(op, source, target)
+    # decoded with a zero axis between nonzero ones: x^2 -> laplacian(x^3*z) = 6xz
+    text = _assert_overflow_text_agrees(FischerOperator(Poly.monomial(3, (1, 0, 1))),
+                                        homogeneous_basis(3, 2), homogeneous_basis(3, 1))
+    assert text.startswith("monomial (1, 0, 1) ")
+
+
+def test_operator_matrix_on_a_target_slice_that_grows():
+    # as _LadderImage.grow does: the target is extended between calls, and
+    # each call reads it as the filtered slice of its monomials
+    image = fischer._khavinson_coordinates(khavinson_psi([0, 0, 2 + 3 * GAUSSIAN_I]))
+    op, target, top = image.operator, fischer._Slice(3), -1
+    for m in range(4):
+        while top < m + 2:
+            top += 1
+            target.extend(homogeneous_basis(3, top))
+        filtered = filtered_basis(3, m + 2)
+        assert target.monomials == list(filtered.monomials)
+        assert list(target._positions.items()) == list(zip(filtered.codes, range(len(filtered))))
+        assert [target.index(e) for e in filtered] == list(range(len(filtered)))
+        source = homogeneous_basis(3, m)
+        matrix = operator_matrix(op, source, target)
+        assert _stored(matrix) == _stored(_tuple_operator_matrix(op, source, filtered))
+        assert matrix == _dense_operator_matrix(op, source, filtered)
+    assert op.field == FIELD_QI
+
+
+def test_operator_matrix_at_the_top_degree_the_slice_bound_admits():
+    # arity 1, where an exponent gets largest: filtered(top) has
+    # MAX_SLICE_DIMENSION monomials, and psi's degree reaches top + 2
+    top = MAX_SLICE_DIMENSION - 1
+    check_slice_dimension(1, top)
+    with pytest.raises(SliceTooLargeError):
+        check_slice_dimension(1, top + 1)
+    x = Poly.variable(1, 0)
+    for psi, source, target in (
+        (x * x + Poly.constant(1, 3), filtered_basis(1, top), filtered_basis(1, top)),
+        (x ** (top + 2) - x.scale(5), homogeneous_basis(1, 0), homogeneous_basis(1, top)),
+    ):
+        op = FischerOperator(psi)
+        matrix = operator_matrix(op, source, target)
+        assert _stored(matrix) == _stored(_tuple_operator_matrix(op, source, target))
+        for j in (0, 1, len(source) - 1):
+            image = op.apply(Poly.monomial(1, source.monomials[j % len(source)]))
+            assert [matrix.entry(target.index(m), j % len(source)) for m in image.terms] == list(
+                image.terms.values())
+
+
+def test_assembly_refuses_a_psi_past_the_code_degree_limit():
+    psi = Poly.monomial(2, (CODE_DEGREE_LIMIT, 0)) + Poly.constant(2, 1)
+    basis = homogeneous_basis(2, 0)
+    with pytest.raises(ValueError, match="psi must have degree below 32768"):
+        operator_matrix(FischerOperator(psi), basis, basis)
+    # one degree lower it assembles: laplacian(x^32767) = 32767*32766*x^32765
+    psi = Poly.monomial(1, (CODE_DEGREE_LIMIT - 1,))
+    target = homogeneous_basis(1, CODE_DEGREE_LIMIT - 3)
+    assert operator_matrix(FischerOperator(psi), homogeneous_basis(1, 0), target).entry(0, 0) == (
+        (CODE_DEGREE_LIMIT - 1) * (CODE_DEGREE_LIMIT - 2))
 
 
 def _assemble_every_command():

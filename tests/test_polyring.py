@@ -396,6 +396,37 @@ def test_coordinates_overflow():
         coordinates(Poly.constant(2, 4), basis)
 
 
+def test_index_codes_and_coordinates_agree_on_every_monomial():
+    for arity in (1, 2, 3, 4):
+        for kind, make in ((HOMOGENEOUS, homogeneous_basis), ("filtered", filtered_basis)):
+            for degree in range(5):
+                basis = make(arity, degree)
+                assert len(basis.codes) == len(set(basis.codes)) == len(basis)
+                for i, (m, code) in enumerate(zip(basis.monomials, basis.codes)):
+                    assert code == polyring.monomial_code(m)
+                    assert polyring.code_exponents(code, arity) == m
+                    assert basis.index(m) == basis.index(list(m)) == basis._positions[code] == i
+                    unit = coordinates(Poly.monomial(arity, m), basis)
+                    assert unit.index(1) == i and sum(unit) == 1
+                # outside: one degree up, and an exponent past the field
+                # width, whose code is that of a basis monomial when arity > 1
+                outside = [(degree + 1,) + (0,) * (arity - 1),
+                           (0,) * (arity - 1) + (1 << polyring.EXPONENT_BITS,)]
+                if arity > 1:
+                    assert polyring.monomial_code(outside[1]) == polyring.monomial_code(
+                        (0,) * (arity - 2) + (1, 0))
+                for m in outside:
+                    with pytest.raises(KeyError):
+                        basis.index(m)
+                    with pytest.raises(BasisOverflowError) as raised:
+                        coordinates(Poly.monomial(arity, m), basis)
+                    assert str(raised.value) == (
+                        f"monomial {m} of the polynomial falls outside the target basis "
+                        f"(Basis(arity={arity}, kind={kind!r}, degree={degree}))")
+    with pytest.raises(ValueError, match="below 32768"):
+        Basis(2, HOMOGENEOUS, polyring.CODE_DEGREE_LIMIT)
+
+
 def test_poly_json_round_trip():
     rng = random.Random(59)
     for field in (FIELD_Q, FIELD_QI):
