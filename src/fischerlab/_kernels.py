@@ -85,20 +85,22 @@ def _qi_dot(row, values):
 # For entries x, y and ints k, den: add, mul; times(x, k) = x*k; scale(x, k,
 # g) = x // g * k, g dividing x's parts; parts(x), flat(xs): the ints of one
 # and of many entries; residue(x, i): x mod p, i being the image of i mod p;
-# to_float(x, den): x / den, complex over Qi; den(x): the int of a real x.
+# to_float(x, den): x / den, complex over Qi; den(x): the int of a real x;
+# is_entry(x): whether x is in this integer form (a bool is not an int).
 Q = SimpleNamespace(
     reduce=_q_reduce, store=lambda v, lead: _q_primitive(v, -1 if v[lead] < 0 else 1),
     dot=lambda row, values: sum(x * values[k] for k, x in row.items() if k in values),
     den=int, zero=0, one=1, minus_one=-1, add=add, mul=mul, times=mul,
     scale=lambda x, k, g=1: x // g * k, parts=lambda x: (x,), flat=lambda xs: xs,
-    residue=lambda x, i: x, to_float=truediv)
+    residue=lambda x, i: x, to_float=truediv, is_entry=lambda x: type(x) is int)
 QI = SimpleNamespace(
     reduce=_qi_reduce, store=_qi_store, dot=_qi_dot, den=itemgetter(0),
     zero=(0, 0), one=(1, 0), minus_one=(-1, 0), add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
     mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
     times=lambda x, k: (x[0] * k, x[1] * k), scale=lambda x, k, g=1: (x[0] // g * k, x[1] // g * k),
     parts=lambda x: x, flat=chain.from_iterable, residue=lambda x, i: x[0] + x[1] * i,
-    to_float=lambda x, den: complex(x[0] / den, x[1] / den))
+    to_float=lambda x, den: complex(x[0] / den, x[1] / den),
+    is_entry=lambda x: type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int)
 
 
 def remainder(field, vector, echelon):

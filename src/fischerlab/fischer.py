@@ -28,6 +28,7 @@ from .polyring import (
     _position,
     apply_operator,
     basis_dimension,
+    canonical_poly,
     check_slice_dimension,
     code_exponents,
     coordinates,
@@ -209,6 +210,15 @@ def has_semidefinite_top_form(psi):
             and not any(e % 2 for m, _ in top for e in m))
 
 
+def _solve_slice(op, source, target, p):
+    """The q in the source slice with op(q) == p, free variables pinned to 0:
+    p enters solve as its stored ints (coordinates), and q is rebuilt from
+    solve's scalars by one lcm (from_coordinates).  Raises
+    InconsistentSystemError when the target slice holds no such image."""
+    x = solve(operator_matrix(op, source, target), coordinates(p, target))
+    return from_coordinates(x, source, p.field)
+
+
 def solve_by_degree(psi, lap_f):
     """The unique q with laplacian(psi*q) == lap_f when psi, of degree dp,
     has a semidefinite top form P.
@@ -218,8 +228,9 @@ def solve_by_degree(psi, lap_f):
     q_j is solved on its block for l = deg lap_f down to dp - 2, and each
     laplacian(psi_i*q_j) is then taken off the rhs of its degree.  Raises
     InconsistentSystemError, as no q exists, when a block's rhs is outside its
-    image or a rhs below degree dp - 2 is not 0.  The parts share no monomial,
-    so q gathers their ints over one lcm, in order of degree as their sum does.
+    image or a rhs below degree dp - 2 is not 0.  The parts share no monomial
+    and are in canonical form, so q gathers their ints over one lcm, in
+    canonical form too, in order of degree as their sum does.
     """
     arity, dp = psi.arity, psi.degree
     block = FischerOperator(psi.homogeneous_component(dp))
@@ -230,8 +241,7 @@ def solve_by_degree(psi, lap_f):
         j = l + 2 - dp
         target = homogeneous_basis(arity, l)
         source = target if j == l else homogeneous_basis(arity, j)
-        x = solve(operator_matrix(block, source, target), coordinates(rhs[l], target))
-        part = from_coordinates(x, source, FIELD_Q)
+        part = _solve_slice(block, source, target, rhs[l])
         for i, c in lower:
             if j + i >= 2:
                 rhs[j + i - 2] -= c * part.laplacian() if i == 0 else (c * part).laplacian()
@@ -240,7 +250,8 @@ def solve_by_degree(psi, lap_f):
         raise InconsistentSystemError("a part below degree deg psi - 2 is left")
     den = math.lcm(*(d for _, d in forms))
     factors = [(ints, den // d) for ints, d in reversed(forms)]
-    return lap_f._wrap({m: n * k for ints, k in factors for m, n in ints.items()}, den)
+    return canonical_poly(lap_f.arity, FIELD_Q,
+                          {m: n * k for ints, k in factors for m, n in ints.items()}, den)
 
 
 def solve_quotient(psi, f, slack=0):
@@ -268,10 +279,9 @@ def solve_quotient(psi, f, slack=0):
         source = filtered_basis(f.arity, m)
         target = filtered_basis(f.arity, max(m + psi.degree - 2, lap_f.degree))
         try:
-            x = solve(operator_matrix(op, source, target), coordinates(lap_f, target))
+            return _solve_slice(op, source, target, lap_f)
         except InconsistentSystemError:
             continue
-        return from_coordinates(x, source, f.field)
     raise InconsistentSystemError(f"no filtered slice up to degree {start + slack} holds a q")
 
 

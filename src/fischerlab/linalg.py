@@ -6,9 +6,11 @@ echelon insertion as they are, and scalars are built only when an entry is
 read.  On top of it this module owns reduced row echelon form, solving, the
 rank and first missing unit vector of a column span, certified mod a prime,
 and the growing echelon of a filtered ladder.  Apart from GrowingEchelon, all
-operations are pure functions.  ``solve`` eliminates only the rows that
-the right-hand side reaches through shared columns; every other unknown is
-0, as a free one is, and its exact recheck still covers every row.
+operations are pure functions.  ``solve`` takes its right-hand side in
+integer form, (ints, den) as polyring.coordinates gives it, so no scalar is
+built before its solution; it eliminates only the rows that the right-hand
+side reaches through shared columns, every other unknown is 0, as a free
+one is, and its exact recheck still covers every row.
 """
 
 from collections import namedtuple
@@ -254,38 +256,56 @@ def _reached(int_rows, seeds):
     return sorted(reached)
 
 
+def _rhs_form(rhs, rows, field):
+    # the (ints, den) pair of solve's rhs, or a ValueError
+    try:
+        ints, den = rhs
+        ints = list(ints)
+    except (TypeError, ValueError):
+        raise ValueError("the rhs must be an (ints, den) pair, as coordinates returns") from None
+    if len(ints) != rows:
+        raise ValueError(f"rhs length {len(ints)} does not match rows {rows}")
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"the rhs denominator must be a positive int, got {den!r}")
+    is_entry = INTEGERS[field].is_entry
+    for b in ints:
+        if not is_entry(b):
+            raise ValueError(f"rhs entry {b!r} is not in the integer form of field {field}")
+    return ints, den
+
+
 def solve(matrix, rhs):
     """One exact solution of matrix @ x == rhs, free variables pinned to zero.
 
-    The rhs is written as ints b over one common denominator, so the stored
-    row a / den and rhs entry b / common give the row [a | b * den]: the
-    stored ints go into the echelon as they are, and the unknowns are y =
-    x * common.  Only the rows that a row with a nonzero rhs entry reaches
-    through shared columns (Gilbert & Peierls 1988, SIAM J. Sci. Stat.
-    Comput. 9) go into the echelon.  The other rows share no column with
-    them and have a zero rhs, so they would only add leads whose value is 0,
-    and their unknowns are 0, as free ones are; the reached rows' echelon is
-    the one all rows would give.  That echelon, its leads and x do not
-    depend on the order of the rows, but its cost does: the rows go in from
-    the last reached one to the first, which on the operator slices leaves
-    far less for each insertion to reduce than the graded order.  Raises
+    The rhs is a pair (ints, common) in integer form, as
+    polyring.coordinates returns it: entry i is ints[i] / common, each
+    ints[i] an int over Q and an (re, im) pair of ints over Qi, and common
+    a positive int.  Any other rhs is a ValueError.  The stored row a / den
+    and rhs entry b / common give the row [a | b * den]: the stored ints go
+    into the echelon as they are, and the unknowns are y = x * common.  Only
+    the rows that a row with a nonzero rhs entry reaches through shared
+    columns (Gilbert & Peierls 1988, SIAM J. Sci. Stat. Comput. 9) go into
+    the echelon.  The other rows share no column with them and have a zero
+    rhs, so they would only add leads whose value is 0, and their unknowns
+    are 0, as free ones are; the reached rows' echelon is the one all rows
+    would give.  That echelon, its leads and x do not depend on the order of
+    the rows, but its cost does: the rows go in from the last reached one
+    to the first, which on the operator slices leaves far less for each
+    insertion to reduce than the graded order.  Raises
     InconsistentSystemError when the rhs column leads a row, i.e. rhs is
     outside the column space; otherwise back-substitution reads y = values
     / d off the rhs column, and x = values / (d * common).  Before x is
     returned, every row of the stored matrix, reached or not, is rechecked
-    exactly: dot(a, values) == b * d * den.
+    exactly: dot(a, values) == b * d * den.  x is returned as a list of
+    field scalars, the only scalars that solve builds.
     """
-    rhs = [as_scalar(v, matrix.field) for v in rhs]
-    if len(rhs) != matrix.rows:
-        raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
+    rhs_ints, common = _rhs_form(rhs, matrix.rows, matrix.field)
     kernel, field = _kernel(matrix.field)
     cols, den, times, int_rows = matrix.cols, matrix._den, field.times, matrix._rows
-    rhs_ints, common = integer_form(rhs, matrix.field)
     augmented = []
-    # the seeds test the scalar: over Qi a zero b is (0, 0), which is truthy
-    for i in reversed(_reached(int_rows, [i for i, v in enumerate(rhs) if v])):
-        row = int_rows[i]
-        augmented.append({**row, cols: times(rhs_ints[i], den)} if rhs[i] else row)
+    for i in reversed(_reached(int_rows, [i for i, b in enumerate(rhs_ints) if b != field.zero])):
+        row, b = int_rows[i], rhs_ints[i]
+        augmented.append({**row, cols: times(b, den)} if b != field.zero else row)
     echelon = kernel(augmented, {})
     if cols in echelon:
         raise InconsistentSystemError("right-hand side is outside the column space")

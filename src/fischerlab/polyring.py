@@ -5,7 +5,8 @@ entry in the integer form of its field, and one positive denominator den,
 in canonical form (den and every part have gcd 1), as an ExactMatrix
 stores its rows over one den.  That form and its arithmetic are defined once,
 by the field's table in scalars.INTEGERS (_kernels.Q and _kernels.QI), which
-every operation here reads.  Arithmetic runs on the ints and builds no scalar;
+every operation here reads.  Arithmetic runs on the ints and builds no scalar,
+and so does ``coordinates``, which places them in a basis for linalg.solve;
 ``terms`` builds the scalars each time it is read, and ``decimal_terms``
 builds the decimal strings of the reports (the printer's and
 poly_to_json's) once, straight from the ints.  Terms keep their
@@ -266,11 +267,7 @@ class Poly:
 
     def _wrap(self, ints, den):
         # a polynomial of this arity and field holding ints / den
-        p = Poly.__new__(Poly)
-        object.__setattr__(p, "arity", self.arity)
-        object.__setattr__(p, "field", self.field)
-        p._store(*lowest_terms(ints, den, self.field))
-        return p
+        return canonical_poly(self.arity, self.field, *lowest_terms(ints, den, self.field))
 
     @property
     def degree(self):
@@ -309,6 +306,17 @@ class Poly:
     def __repr__(self):
         body = ", ".join(f"{m}: {c}" for m, c in self.sorted_terms())
         return f"Poly(arity={self.arity}, field={self.field!r}, terms={{{body}}})"
+
+
+def canonical_poly(arity, field, ints, den):
+    """The polynomial of ints / den, taken as they are: the dict {exponents:
+    n} and the positive int den must already be in canonical form (gcd 1),
+    with no zero n, as a sum over the lcm of parts in canonical form is."""
+    p = Poly.__new__(Poly)
+    object.__setattr__(p, "arity", arity)
+    object.__setattr__(p, "field", field)
+    p._store(ints, den)
+    return p
 
 
 _OVERFLOW = ("floating-point evaluation overflowed: a coefficient or a power "
@@ -571,26 +579,44 @@ def overflow_error(exponents, basis):
 
 
 def coordinates(p, basis):
-    """Coordinate vector of p in the given basis.
+    """(ints, den): the coordinate vector of p in the given basis in integer
+    form, the rhs form that linalg.solve takes.  ints holds p's stored ints
+    at their basis positions and the field's zero elsewhere, over p's
+    denominator den; no scalar is built.
 
     Raises BasisOverflowError if p carries a monomial outside the basis.
     """
     if p.arity != basis.arity:
         raise ValueError(f"arity mismatch: poly {p.arity} vs basis {basis.arity}")
-    coords = [as_scalar(0, p.field)] * len(basis)
+    ints = [INTEGERS[p.field].zero] * len(basis)
     for m, n in p._ints.items():
         try:
-            coords[basis.index(m)] = from_integer(n, p._den)
+            ints[basis.index(m)] = n
         except KeyError:
             raise overflow_error(m, basis) from None
-    return coords
+    return ints, p._den
 
 
 def from_coordinates(coords, basis, field=FIELD_Q):
-    """Rebuild a polynomial from its coordinate vector in a basis."""
+    """The polynomial with the given coordinate vector of field scalars in a
+    basis (as solve returns it), its terms in basis order.
+
+    The nonzero coordinates go over the lcm of their denominators by one
+    integer_form.  Scalars in lowest terms over their lcm are in canonical
+    form (for each prime, the coordinate with its highest power in a
+    denominator keeps a part prime to it), so the ints are stored as they are.
+    A coordinate that is no scalar of the field, a Fraction over Qi among
+    them, is a ValueError.
+    """
+    validate_field(field)
     if len(coords) != len(basis):
         raise ValueError(f"expected {len(basis)} coordinates, got {len(coords)}")
-    return Poly(basis.arity, field, dict(zip(basis.monomials, coords)))
+    nonzero = [(m, c) for m, c in zip(basis.monomials, coords) if c]
+    try:
+        ints, den = integer_form([c for _, c in nonzero], field)
+    except AttributeError:
+        raise ValueError(f"coordinates must be scalars of field {field}") from None
+    return canonical_poly(basis.arity, field, {m: n for (m, _), n in zip(nonzero, ints)}, den)
 
 
 def poly_to_json(p):

@@ -6,7 +6,8 @@ runs every row once per round, the rows in turn, and prints per row the
 minimum CPU time (time.process_time) over the rounds, in seconds, then the
 row's label as the ROADMAP table has it.  --only keeps the rows whose label
 contains TEXT.  The dirichlet_solve rows time the solve only, not
-verify_solution.  Each row checks its own outcome, so a row that stops
+verify_solution; the `dirichlet` command row times the whole command through
+cli.run, parsing, solve, boundary check and json report.  Each row checks its own outcome, so a row that stops
 computing what it names fails instead of getting faster.  Compare only runs
 made on one machine in one session, parent and change in alternation: on a
 shared machine a row moves by up to 2x between sessions.  pytest does not
@@ -14,6 +15,8 @@ collect this module; test_corpus runs one of its rows.
 """
 
 import argparse
+import contextlib
+import io
 import time
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from fischerlab import (
     HOMOGENEOUS,
     NoDecompositionFoundError,
     QuadricDomain,
+    cli,
     dirichlet_solve,
     fischer_decompose,
     khavinson_psi,
@@ -47,6 +51,18 @@ def _dirichlet(e):
     return lambda: dirichlet_solve(domain, f)
 
 
+def _dirichlet_command(e):
+    argv = ["dirichlet", "--psi", "4/9*x^2+y^2+9/25*z^2-1", "--f", f"(x+y*z+1)^{e}",
+            "--vars", "x,y,z", "--interior", "0,0,0", "--format", "json"]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(argv)
+        assert code == 0 and '"passed": true' in out.getvalue()
+    return run
+
+
 def _decompose(psi, f, found=True):
     psi, f = _poly(psi), _poly(f)
 
@@ -71,6 +87,8 @@ ROWS = (
     ("`dirichlet_solve`, ellipsoid (3/2, 1, 5/3), f = (x+yz+1)^10", _dirichlet(10)),
     ("the same, e = 12", _dirichlet(12)),
     ("the same, e = 14", _dirichlet(14)),
+    ("the `dirichlet` command, same ellipsoid, e = 14, json report (`cli.run`)",
+     _dirichlet_command(14)),
     ("`fischer_decompose`, psi = x^2+xy+y^2+z^2-1, f = (x+yz+1)^10",
      _decompose("x^2+x*y+y^2+z^2-1", "(x+y*z+1)^10")),
     ("`fischer_decompose`, psi = x^4+x^2y^2+y^4+z^4+x-1, f = (x+yz+1)^11 (exit 3)",

@@ -13,9 +13,11 @@ from fischerlab import (
     Poly,
     QuadricDomain,
     as_scalar,
+    coordinates,
     filtered_basis,
     solve,
 )
+from fischerlab.scalars import from_integer, integer_form
 
 
 def random_fraction(rng, max_abs=9, max_den=9, nonzero=False):
@@ -116,13 +118,27 @@ def unit_vector(n, j, field=FIELD_Q):
     return [as_scalar(1 if i == j else 0, field) for i in range(n)]
 
 
+def scalar_solve(matrix, rhs):
+    """solve on a vector of field scalars: the rhs goes in as its
+    scalars.integer_form, ints over the lcm of its denominators."""
+    field = matrix.field
+    return solve(matrix, integer_form([as_scalar(v, field) for v in rhs], field))
+
+
+def scalar_coordinates(p, basis):
+    """The coordinates of p in a basis as field scalars: the ints of
+    polyring.coordinates over its den, each by scalars.from_integer."""
+    ints, den = coordinates(p, basis)
+    return [from_integer(n, den) for n in ints]
+
+
 def assert_first_unsolvable_unit(matrix, j):
     """Brute force: matrix @ x == e_j has no solution, and each e_i with
     i < j has one."""
     with pytest.raises(InconsistentSystemError):
-        solve(matrix, unit_vector(matrix.rows, j, matrix.field))
+        scalar_solve(matrix, unit_vector(matrix.rows, j, matrix.field))
     for i in range(j):
-        solve(matrix, unit_vector(matrix.rows, i, matrix.field))
+        scalar_solve(matrix, unit_vector(matrix.rows, i, matrix.field))
 
 
 def to_sympy(rows, shape, field):

@@ -62,6 +62,8 @@ from helpers import (
     random_scalar,
     reference_pivots,
     reference_rank,
+    scalar_coordinates,
+    scalar_solve,
     to_sympy,
 )
 
@@ -185,15 +187,15 @@ def test_matrix_is_consistent_with_apply():
     matrix = operator_matrix(op, source, target)
     for _ in range(100):
         q = random_poly(rng, 2, 3)
-        lhs = matrix_vector(matrix, coordinates(q, source))
-        assert lhs == coordinates(op.apply(q), target)
+        lhs = matrix_vector(matrix, scalar_coordinates(q, source))
+        assert lhs == scalar_coordinates(op.apply(q), target)
 
 
 def _dense_operator_matrix(op, source, target):
     # the dense assembly that operator_matrix replaced: one coordinate list
     # per source monomial, stacked as columns
     columns = [
-        coordinates(op.apply(Poly.monomial(op.arity, m, 1, op.field)), target)
+        scalar_coordinates(op.apply(Poly.monomial(op.arity, m, 1, op.field)), target)
         for m in source.monomials
     ]
     entries = [column[i] for i in range(len(target)) for column in columns]
@@ -444,14 +446,14 @@ def test_operator_slices_agree_with_sympy():
             reduced, pivots = to_sympy(augmented, (matrix.rows, matrix.cols + 1), op.field).rref()
             if matrix.cols in pivots:
                 with pytest.raises(InconsistentSystemError):
-                    solve(matrix, rhs)
+                    scalar_solve(matrix, rhs)
                 continue
             # free variables pinned to zero: x at a pivot is the reduced rhs
             expected = [as_scalar(0, op.field)] * matrix.cols
             reduced_rows = reduced.to_list()
             for r, pc in enumerate(pivots):
                 expected[pc] = from_sympy(reduced_rows[r][matrix.cols], op.field)
-            assert solve(matrix, rhs) == expected
+            assert scalar_solve(matrix, rhs) == expected
 
 
 def test_decompose_circle_x_squared():

@@ -30,6 +30,7 @@ from helpers import (
     random_matrix,
     random_scalar,
     reference_rank,
+    scalar_solve,
     to_sympy,
     unit_vector,
 )
@@ -80,12 +81,12 @@ def test_rref_structure_on_randoms():
 def test_solve_identity():
     rng = random.Random(13)
     b = [random_scalar(rng) for _ in range(4)]
-    assert solve(identity(4), b) == b
+    assert scalar_solve(identity(4), b) == b
 
 
 def test_solve_free_variable_zero_convention():
     m = ExactMatrix(1, 2, [1, 1])
-    assert solve(m, [2]) == [Fraction(2), Fraction(0)]
+    assert scalar_solve(m, [2]) == [Fraction(2), Fraction(0)]
 
 
 def test_solve_construct_then_solve():
@@ -96,7 +97,7 @@ def test_solve_construct_then_solve():
             m = random_matrix(rng, rows, cols, field)
             x0 = [random_scalar(rng, field) for _ in range(cols)]
             b = m.mul_vector(x0)
-            x = solve(m, b)
+            x = scalar_solve(m, b)
             assert m.mul_vector(x) == b
 
 
@@ -114,16 +115,16 @@ def test_solve_recheck_rejects_a_wrong_solution(monkeypatch, field):
 
     m = ExactMatrix(3, 3, [2, 1, 0, 1, 1, 1, 0, 3, 1], field)
     rhs = [as_scalar(v, field) for v in (1, 2, 3)]
-    assert m.mul_vector(solve(m, rhs)) == rhs
+    assert m.mul_vector(scalar_solve(m, rhs)) == rhs
     monkeypatch.setattr(_kernels, "solution", perturbed)
     with pytest.raises(AssertionError, match="exact recheck"):
-        solve(m, rhs)
+        scalar_solve(m, rhs)
 
 
 def test_solve_inconsistent():
     m = ExactMatrix(2, 2, [1, 0, 0, 0])
     with pytest.raises(InconsistentSystemError):
-        solve(m, [0, 1])
+        scalar_solve(m, [0, 1])
 
 
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
@@ -133,12 +134,12 @@ def test_solve_rhs_with_zero_entries(monkeypatch, field):
     c = GaussianRational(0, 1) if field == FIELD_QI else Fraction(5, 2)
     m = ExactMatrix(4, 3, [2, 1, 0, 0, 0, 0, 1, 0, c, 0, 3, 1], field)
     rhs = [as_scalar(v, field) for v in (0, 0, Fraction(1, 3), 0)]
-    x = solve(m, rhs)
+    x = scalar_solve(m, rhs)
     assert m.mul_vector(x) == rhs
     zero = [as_scalar(0, field)] * 4
-    assert solve(m, zero) == zero[:3]
+    assert scalar_solve(m, zero) == zero[:3]
     with pytest.raises(InconsistentSystemError):
-        solve(m, [as_scalar(v, field) for v in (0, 1, 0, 0)])
+        scalar_solve(m, [as_scalar(v, field) for v in (0, 1, 0, 0)])
     exact = _kernels.solution
 
     def perturbed(table, echelon, column):
@@ -156,7 +157,7 @@ def test_solve_rhs_with_zero_entries(monkeypatch, field):
     monkeypatch.setattr(_kernels, "solution", perturbed)
     for b in (rhs, zero):
         with pytest.raises(AssertionError, match="exact recheck"):
-            solve(m, b)
+            scalar_solve(m, b)
 
 
 def _oracle_solve(matrix, rhs):
@@ -226,9 +227,9 @@ def _solve_both(matrix, rhs):
         expected = _oracle_solve(matrix, rhs)
     except InconsistentSystemError:
         with pytest.raises(InconsistentSystemError):
-            solve(matrix, rhs)
+            scalar_solve(matrix, rhs)
         return None
-    x = solve(matrix, rhs)
+    x = scalar_solve(matrix, rhs)
     assert x == expected
     assert matrix.mul_vector(x) == rhs
     return x
@@ -278,7 +279,7 @@ def test_solve_inserts_only_the_reached_rows(monkeypatch):
         return kernel(vectors, echelon)
 
     monkeypatch.setattr(_kernels, "rref_q", spy)
-    assert solve(m, rhs) == [0, Fraction(1, 2), 0, 0]
+    assert scalar_solve(m, rhs) == [0, Fraction(1, 2), 0, 0]
     assert [sorted(v) for v in inserted] == [[0, 1, 4], [0, 1, 4]]
     exact = _kernels.solution
 
@@ -290,12 +291,36 @@ def test_solve_inserts_only_the_reached_rows(monkeypatch):
 
     monkeypatch.setattr(_kernels, "solution", planted)
     with pytest.raises(AssertionError, match="exact recheck"):
-        solve(m, rhs)
+        scalar_solve(m, rhs)
 
 
 def test_solve_rhs_length_check():
-    with pytest.raises(ValueError):
-        solve(identity(2), [1])
+    with pytest.raises(ValueError, match="rhs length 1 does not match rows 2"):
+        scalar_solve(identity(2), [1])
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_solve_refuses_an_rhs_not_in_integer_form(field):
+    m = identity(2, field)
+    one, zero = _kernels.Q.one if field == FIELD_Q else _kernels.QI.one, as_scalar(0, field)
+    # the pair form itself (a list of two entries over Qi reads as a pair
+    # whose den is no int), and its length
+    for rhs in ([one, one], [as_scalar(1, field), zero], 3, None):
+        with pytest.raises(ValueError, match="an \\(ints, den\\) pair|denominator"):
+            solve(m, rhs)
+    with pytest.raises(ValueError, match="rhs length 3 does not match rows 2"):
+        solve(m, ([one] * 3, 1))
+    # a denominator that is not a positive int
+    for den in (0, -2, True, 2.0, Fraction(2), "2"):
+        with pytest.raises(ValueError, match="denominator must be a positive int"):
+            solve(m, ([one, one], den))
+    # an entry that is not in the field's integer form
+    others = ([True, 1.0, Fraction(1), (1, 0), "1"] if field == FIELD_Q
+              else [1, (1,), (1, 0, 0), [1, 0], (1, 0.0), (True, 0), Fraction(1), zero])
+    for entry in others:
+        with pytest.raises(ValueError, match="not in the integer form of field"):
+            solve(m, ([one, entry], 1))
+    assert solve(m, ([one, one], 2)) == [as_scalar(Fraction(1, 2), field)] * 2
 
 
 def test_rank_nullity_and_kernel_membership():
@@ -342,7 +367,7 @@ def test_cokernel_witness_is_unsolvable():
             continue
         found += 1
         with pytest.raises(InconsistentSystemError):
-            solve(m, unit_vector(m.rows, j))
+            scalar_solve(m, unit_vector(m.rows, j))
     assert found > 0
 
 
@@ -505,7 +530,7 @@ def test_growing_echelon_membership_agrees_with_solve(field):
         units = [unit_vector(rows, j, field) for j in range(rows)]
         for vector in inside + others + units + [[0] * rows]:
             try:
-                solve(matrix, vector)
+                scalar_solve(matrix, vector)
                 solvable = True
             except InconsistentSystemError:
                 solvable = False
@@ -526,8 +551,8 @@ def test_kernels_do_not_mutate_input():
         m = random_matrix(rng, 4, 4, field)
         snapshot = [m.row(i) for i in range(4)]
         # the entry points, each on the caller's matrix and right-hand side
-        rhs = [random_scalar(rng, field) for _ in range(4)]
-        rhs_snapshot = list(rhs)
+        rhs = integer_form([random_scalar(rng, field) for _ in range(4)], field)
+        rhs_snapshot = (list(rhs[0]), rhs[1])
         rref(m)
         GrowingEchelon(field).extend(m)
         try:
@@ -613,7 +638,7 @@ def test_solve_does_not_depend_on_the_order_of_the_rows(field):
             rhs = (matrix.mul_vector(x) if rng.random() < 0.5
                    else [value(rng, field) for _ in range(rows)])
         try:
-            expected = solve(matrix, rhs)
+            expected = scalar_solve(matrix, rhs)
         except InconsistentSystemError:
             expected = None
             refused[trial >= 40] += 1
@@ -626,9 +651,9 @@ def test_solve_does_not_depend_on_the_order_of_the_rows(field):
                                    [e for i in order for e in matrix.row(i)], field)
             if expected is None:
                 with pytest.raises(InconsistentSystemError):
-                    solve(shuffled, [rhs[i] for i in order])
+                    scalar_solve(shuffled, [rhs[i] for i in order])
             else:
-                assert solve(shuffled, [rhs[i] for i in order]) == expected
+                assert scalar_solve(shuffled, [rhs[i] for i in order]) == expected
     assert all(0 < count < 40 for count in refused)
 
 
@@ -654,7 +679,7 @@ def test_solve_hands_the_kernel_the_stored_rows_as_they_are(monkeypatch, field):
         return kernel(vectors, echelon)
 
     monkeypatch.setattr(_kernels, name, spy)
-    x = solve(m, rhs)
+    x = scalar_solve(m, rhs)
     assert x == expected
     assert m.mul_vector(x) == rhs
     assert len(handed) == 4
@@ -780,14 +805,14 @@ def test_solve_agrees_with_sympy(field):
         reduced, pivots = to_sympy(augmented, (m.rows, m.cols + 1)).rref()
         if m.cols in pivots:
             with pytest.raises(InconsistentSystemError):
-                solve(m, rhs)
+                scalar_solve(m, rhs)
             return
         # free variables pinned to zero: x at a pivot is the reduced rhs entry
         expected = [as_scalar(0, field)] * m.cols
         rows = reduced.to_list()
         for r, pc in enumerate(pivots):
             expected[pc] = from_sympy(rows[r][m.cols], field)
-        assert solve(m, rhs) == expected
+        assert scalar_solve(m, rhs) == expected
 
     _run(hypothesis, systems(), check)
 

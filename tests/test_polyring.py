@@ -34,7 +34,8 @@ from fischerlab.dirichlet import boundary_mismatches
 from fischerlab.exprs import parse_polynomial
 from fischerlab.fischer import solve_by_degree
 from fischerlab.polyring import check_slice_dimension, evaluate_columns, float_sums
-from helpers import random_poly
+from fischerlab.scalars import INTEGERS
+from helpers import random_poly, scalar_coordinates
 
 
 def xy(arity=2):
@@ -386,8 +387,26 @@ def test_coordinates_round_trip():
     for field in (FIELD_Q, FIELD_QI):
         for _ in range(10):
             p = random_poly(rng, 2, 5, field)
-            coords = coordinates(p, basis)
+            coords = scalar_coordinates(p, basis)
             assert from_coordinates(coords, basis, field) == p
+            # the int form: p's stored ints at their positions, over its den
+            ints, den = coordinates(p, basis)
+            stored, p_den = p.integer_form
+            assert den == p_den and len(ints) == len(basis)
+            assert {basis.monomials[i]: n for i, n in enumerate(ints)
+                    if n != INTEGERS[field].zero} == stored
+
+
+def test_from_coordinates_refuses_scalars_of_another_field():
+    basis = homogeneous_basis(2, 1)
+    for coords, field in (([GaussianRational(1, 1), 0], FIELD_Q),
+                          ([Fraction(1, 2), 0], FIELD_QI), ([0.5, 0], FIELD_Q)):
+        with pytest.raises(ValueError, match=f"scalars of field {field}"):
+            from_coordinates(coords, basis, field)
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        from_coordinates([Fraction(1, 2)], basis)
+    # zero coordinates are left out, whatever their type
+    assert from_coordinates([0, GaussianRational(0, 0)], basis, FIELD_Q) == Poly.zero(2)
 
 
 def test_coordinates_overflow():
@@ -406,7 +425,7 @@ def test_index_codes_and_coordinates_agree_on_every_monomial():
                     assert code == polyring.monomial_code(m)
                     assert polyring.code_exponents(code, arity) == m
                     assert basis.index(m) == basis.index(list(m)) == basis._positions[code] == i
-                    unit = coordinates(Poly.monomial(arity, m), basis)
+                    unit = scalar_coordinates(Poly.monomial(arity, m), basis)
                     assert unit.index(1) == i and sum(unit) == 1
                 # outside: one degree up, and an exponent past the field
                 # width, whose code is that of a basis monomial when arity > 1
