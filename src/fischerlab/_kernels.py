@@ -8,20 +8,34 @@ kernel's own loops are their specialized entries.  An echelon is a
 dict {lead: row}, a row's lead being its lowest key; each row is primitive
 (its ints have gcd 1) with a positive int at its lead.  ``insert`` takes a
 vector v, at its lowest key, to b*v - a*row (a = v[lead] and b = row[lead]
-over their gcd), then divides it by the gcd of its parts: no gcd runs per
-entry, and Bareiss (1968, Math. Comp. 22) bounds the growth.  ``solution``
-is the one back-substitution: linalg reads solve's x and each column of the
-reduced form off it.  Its values and the leads are unique.  Callers look
-``rref_q`` and ``rref_qi`` up here at call time, so a wrapper installed on
-them (a tracer) sees every exact elimination.  ``insert_mod_p`` runs the
+over their gcd), with no gcd per entry.  It divides v by the gcd of its
+parts, its content, only once the product of the multipliers b applied
+since the last such division reaches one CPython digit (DIGIT), and once
+more when v is stored.  A division only takes v to a positive int
+multiple of itself, so every later lead, zero test and stored row is the
+same as when v is made primitive after every step, a schedule whose growth
+Bareiss (1968, Math. Comp. 22) bounds.  On the operator slices most
+multipliers are 1 and most steps find no content.  Between divisions v
+carries less than one digit of scaling besides its last multiplier, plus
+the additive growth of its steps, at most the bits of the row plus two
+per step.  ``solution`` is the one back-substitution: linalg reads
+solve's x and each column of the reduced form off it.  Its values and the
+leads are unique.  Callers look ``rref_q`` and ``rref_qi`` up here at call
+time, so a wrapper installed on them (a tracer) sees every exact
+elimination.  ``insert_mod_p`` runs the
 same insertion on residues mod a prime and returns only its leads, whose
 count bounds the rank from below.
 """
 
+import sys
 from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter, mul, truediv
 from types import SimpleNamespace
+
+# The product of multipliers at which ``remainder`` removes a vector's
+# content: below it, the scaling adds at most one digit to each int.
+DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 def backend_name():
@@ -47,7 +61,7 @@ def _q_reduce(vector, row, lead):
             vector[key] = value
         else:
             del vector[key]
-    return _q_primitive(vector)
+    return vector, b
 
 
 def _qi_primitive(vector):
@@ -68,7 +82,7 @@ def _qi_reduce(vector, row, lead):
             vector[key] = vr, vi
         else:
             del vector[key]
-    return _qi_primitive(vector)
+    return vector, b
 
 
 def _qi_store(vector, lead):
@@ -82,19 +96,24 @@ def _qi_dot(row, values):
             sum(a * d + b * c for (a, b), (c, d) in pairs))
 
 
+# For a vector v: reduce(v, row, lead) = (b*v - a*row, b), v's content left
+# in it (v may be changed in place); primitive(v), v over its content, which
+# ``remainder`` takes once the product of the b since the last one reaches
+# DIGIT; store(v, lead), the primitive row with a positive int at its lead.
 # For entries x, y and ints k, den: add, mul; times(x, k) = x*k; scale(x, k,
 # g) = x // g * k, g dividing x's parts; parts(x), flat(xs): the ints of one
 # and of many entries; residue(x, i): x mod p, i being the image of i mod p;
 # to_float(x, den): x / den, complex over Qi; den(x): the int of a real x;
 # is_entry(x): whether x is in this integer form (a bool is not an int).
 Q = SimpleNamespace(
-    reduce=_q_reduce, store=lambda v, lead: _q_primitive(v, -1 if v[lead] < 0 else 1),
+    reduce=_q_reduce, primitive=_q_primitive,
+    store=lambda v, lead: _q_primitive(v, -1 if v[lead] < 0 else 1),
     dot=lambda row, values: sum(x * values[k] for k, x in row.items() if k in values),
     den=int, zero=0, one=1, minus_one=-1, add=add, mul=mul, times=mul,
     scale=lambda x, k, g=1: x // g * k, parts=lambda x: (x,), flat=lambda xs: xs,
     residue=lambda x, i: x, to_float=truediv, is_entry=lambda x: type(x) is int)
 QI = SimpleNamespace(
-    reduce=_qi_reduce, store=_qi_store, dot=_qi_dot, den=itemgetter(0),
+    reduce=_qi_reduce, primitive=_qi_primitive, store=_qi_store, dot=_qi_dot, den=itemgetter(0),
     zero=(0, 0), one=(1, 0), minus_one=(-1, 0), add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
     mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
     times=lambda x, k: (x[0] * k, x[1] * k), scale=lambda x, k, g=1: (x[0] // g * k, x[1] // g * k),
@@ -105,15 +124,20 @@ QI = SimpleNamespace(
 
 def remainder(field, vector, echelon):
     """The vector reduced until its lowest key leads no row: empty exactly
-    when the vector lies in the span.  The vector and echelon are left as
-    they are."""
-    vector = dict(vector)
+    when the vector lies in the span, and a positive int multiple of the
+    primitive remainder otherwise.  The vector and echelon are left as they
+    are."""
+    vector, scaled = dict(vector), 1
     while vector:
         lead = min(vector)
         row = echelon.get(lead)
         if row is None:
             break
-        vector = field.reduce(vector, row, lead)
+        vector, b = field.reduce(vector, row, lead)
+        if b != 1:
+            scaled *= b
+            if scaled >= DIGIT:
+                vector, scaled = field.primitive(vector), 1
     return vector
 
 

@@ -332,8 +332,10 @@ def rank_and_first_missing(matrix):
     mod P is cols + 1: the rank is cols and e_0 is outside the span (0).
     Any other case, a rank deficit, a witness past e_0 or a prime at which
     the rank drops, is answered by an exact GrowingEchelon.  The columns go
-    in in their own order: reversed, the 15 slices of x^3+2y^3+3z^3 to
-    degree 15 take 6655 reduction steps and 175k entry updates, not 5002 and 63k.
+    in in their own order.  Inserted exactly, the columns of the 15 slices
+    of x^3+2y^3+3z^3 to degree 15 take 5002 reduction steps, which subtract
+    58,362 row entries past the rows' leads; reversed, they take 6655 steps
+    and 168,432 entries.
     """
     p, i_p, residue = _kernels.P, _kernels.I_P, INTEGERS[matrix.field].residue
     entry = None if matrix.field == FIELD_Q else lambda x: residue(x, i_p) % p

@@ -7,8 +7,12 @@ minimum CPU time (time.process_time) over the rounds, in seconds, then the
 row's label as the ROADMAP table has it.  --only keeps the rows whose label
 contains TEXT.  The dirichlet_solve rows time the solve only, not
 verify_solution; the `dirichlet` command row times the whole command through
-cli.run, parsing, solve, boundary check and json report.  Each row checks its own outcome, so a row that stops
-computing what it names fails instead of getting faster.  Compare only runs
+cli.run, parsing, solve, boundary check and json report.  The rows labelled
+"guard" insert seeded matrices that no command builds straight into the
+exact kernel (_kernels.rref_q / rref_qi), so that a change tuned to the
+operator slices shows what it costs elsewhere.  Each row checks its own
+outcome (a guard row, its rank), so a row that stops computing what it
+names fails instead of getting faster.  Compare only runs
 made on one machine in one session, parent and change in alternation: on a
 shared machine a row moves by up to 2x between sessions.  pytest does not
 collect this module; test_corpus runs one of its rows.
@@ -17,6 +21,7 @@ collect this module; test_corpus runs one of its rows.
 import argparse
 import contextlib
 import io
+import random
 import time
 from fractions import Fraction
 
@@ -31,6 +36,7 @@ from fischerlab import (
     parse_polynomial,
     rank_profile,
 )
+from fischerlab import _kernels
 
 XYZ = ("x", "y", "z")
 
@@ -79,6 +85,35 @@ def _witness(n):
     return lambda: rank_profile(psi, n, mode=HOMOGENEOUS)
 
 
+def _guard(kernel, vectors, rank):
+    def run():
+        assert len(kernel(vectors, {})) == rank
+    return run
+
+
+def _random_rows(seed, rows, cols, density, entry):
+    rng = random.Random(seed)
+    return [{key: entry(rng) for key in range(cols) if rng.random() < density}
+            for _ in range(rows)]
+
+
+def _nonzero(rng):
+    return rng.choice((-1, 1)) * rng.randint(1, 99)
+
+
+def _nonzero_pair(rng):
+    return _nonzero(rng), rng.randint(-99, 99)
+
+
+def _unit_lead_chain(seed, n, bits):
+    # rows {i: 1, i+1: X_i} and a vector with an entry at every key: it
+    # reduces through all n rows with multiplier 1, its entry at the next key
+    # growing by X_i at each step, and stays outside their span
+    rng = random.Random(seed)
+    rows = [{i: 1, i + 1: rng.randrange(1 << (bits - 1), 1 << bits)} for i in range(n)]
+    return rows + [dict.fromkeys(range(n + 1), 1)]
+
+
 ROWS = (
     ("ladder phi = z^2, n = 4, slack 10 (the tier-1 acceptance case)", _ladder([0, 0, 1], 4, 10)),
     ("ladder phi = z^2, n = 8, slack 18", _ladder([0, 0, 1], 8, 18)),
@@ -94,6 +129,14 @@ ROWS = (
     ("`fischer_decompose`, psi = x^4+x^2y^2+y^4+z^4+x-1, f = (x+yz+1)^11 (exit 3)",
      _decompose("x^4+x^2*y^2+y^4+z^4+x-1", "(x+y*z+1)^11", found=False)),
     ("`rank_profile`, homogeneous, psi = x^3+2y^3+3z^3, max degree 22", _witness(22)),
+    ("guard: random dense 80x80 over Q, entries up to 99, rank 80",
+     _guard(_kernels.rref_q, _random_rows(1, 80, 80, 1.0, _nonzero), 80)),
+    ("guard: random sparse 150x150 over Q, density 0.1, rank 150",
+     _guard(_kernels.rref_q, _random_rows(2, 150, 150, 0.1, _nonzero), 150)),
+    ("guard: random dense 60x60 over Qi, parts up to 99, rank 60",
+     _guard(_kernels.rref_qi, _random_rows(3, 60, 60, 1.0, _nonzero_pair), 60)),
+    ("guard: unit-lead chain {i: 1, i+1: X_i}, n = 600, 60-bit X_i, and a vector of ones, rank 601",
+     _guard(_kernels.rref_q, _unit_lead_chain(4, 600, 60), 601)),
 )
 
 

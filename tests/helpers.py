@@ -2,6 +2,8 @@
 test modules."""
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
@@ -139,6 +141,45 @@ def assert_first_unsolvable_unit(matrix, j):
         scalar_solve(matrix, unit_vector(matrix.rows, j, matrix.field))
     for i in range(j):
         scalar_solve(matrix, unit_vector(matrix.rows, i, matrix.field))
+
+
+def reference_insert(field, vectors, echelon):
+    """A copy of the echelon {lead: row} after inserting the vectors, in the
+    kernel's integer form, by the schedule that makes the vector primitive
+    after every reduction step: the oracle of _kernels.insert, which removes
+    content less often and must store the same rows in the same order.  No
+    fischerlab kernel; an entry is worked on as an (re, im) pair over both
+    fields, and a stored row is the vector times the conjugate of its lead
+    over its content (over Q: over its content, signed by its lead)."""
+    qi = field != FIELD_Q
+    pairs = {lead: {k: x if qi else (x, 0) for k, x in row.items()} for lead, row in echelon.items()}
+
+    def primitive(v):
+        g = gcd(*chain.from_iterable(v.values()))
+        return {k: (re // g, im // g) for k, (re, im) in v.items()}
+
+    for vector in vectors:
+        v = {k: x if qi else (x, 0) for k, x in vector.items()}
+        while v and min(v) in pairs:
+            lead = min(v)
+            row = pairs[lead]
+            (ar, ai), b = v[lead], row[lead][0]
+            g = gcd(ar, ai, b)
+            ar, ai, b = ar // g, ai // g, b // g
+            v = {k: (b * re, b * im) for k, (re, im) in v.items()}
+            for k, (re, im) in row.items():
+                vr, vi = v.pop(k, (0, 0))
+                vr, vi = vr - ar * re + ai * im, vi - ar * im - ai * re
+                if vr or vi:
+                    v[k] = vr, vi
+            if v:
+                v = primitive(v)
+        if v:
+            lead = min(v)
+            cr, ci = v[lead]
+            pairs[lead] = primitive({k: (re * cr + im * ci, im * cr - re * ci)
+                                     for k, (re, im) in v.items()})
+    return {lead: {k: x if qi else x[0] for k, x in row.items()} for lead, row in pairs.items()}
 
 
 def to_sympy(rows, shape, field):
