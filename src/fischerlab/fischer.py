@@ -12,7 +12,6 @@ decompose and dirichlet, by degree when psi's top form is semidefinite.
 import math
 from collections import namedtuple
 from functools import cached_property
-from itertools import count
 from fractions import Fraction
 from operator import sub
 
@@ -25,7 +24,6 @@ from .polyring import (
     FILTERED,
     HOMOGENEOUS,
     Poly,
-    _position,
     apply_operator,
     basis_dimension,
     canonical_poly,
@@ -126,8 +124,10 @@ def operator_matrix(op, source, target):
     of x^a under a stencil entry is the code of a plus the entry's code of
     b - g, with no carry between axes, since a nonzero falling factorial
     makes every axis of a + b - g non-negative and the degree limits keep
-    it below the field width.  Raises BasisOverflowError if an image
-    monomial falls outside the target slice.
+    it below the field width.  Both slices are polyring.Basis objects, the
+    target read through its code-keyed position map, so a filtered target
+    grown by Basis.extended is read as any other.  Raises
+    BasisOverflowError if an image monomial falls outside the target slice.
     """
     if source.arity != op.arity or target.arity != op.arity:
         raise ValueError("basis arity does not match the operator")
@@ -373,31 +373,6 @@ def _homogeneous_profile(op, max_target_degree):
     return rows, verdicts
 
 
-class _Slice:
-    """A growing list of monomials, read by operator_matrix as a target
-    slice.  Like a Basis it keeps one position map keyed by monomial code;
-    ``extend`` appends a basis's monomials and its codes, so no code is
-    built again as the slice grows."""
-
-    def __init__(self, arity):
-        self.arity = arity
-        self.monomials = []
-        self._positions = {}
-
-    def extend(self, basis):
-        self._positions.update(zip(basis.codes, count(len(self.monomials))))
-        self.monomials.extend(basis.monomials)
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def index(self, exponents):
-        return _position(self, exponents)
-
-    def __repr__(self):
-        return f"graded slice of {len(self)} monomials"
-
-
 class _LadderImage:
     """The image of filtered(m) under the operator in a change of
     coordinates, as one growing echelon; it starts at m = -1.
@@ -405,17 +380,18 @@ class _LadderImage:
     ``change`` holds the original coordinates as polynomials in the new ones
     (an affine change with an invertible linear part, so it keeps degrees)
     and ``operator`` is the Fischer operator in the new coordinates.  The
-    echelon's coordinates are the target monomials in graded order, so a
-    filtered target of higher degree appends to them.
+    echelon's coordinates are the monomials of ``target``, the filtered
+    basis that holds every image, in graded order.  Each grow raises its
+    degree by one (Basis.extended), so its monomials append to the
+    echelon's coordinates.
     """
 
     def __init__(self, change, operator):
         self.change = change
         self.operator = operator
-        self.target = _Slice(operator.arity)
+        self.target = None
         self.echelon = GrowingEchelon(operator.field)
         self.source_degree = -1
-        self.target_degree = -1
 
     def grow(self):
         """Add the images of the monomials of the next source degree."""
@@ -424,16 +400,15 @@ class _LadderImage:
         top = self.source_degree + op.psi.degree - 2
         if top < 0:
             return  # deg psi = 1 sends the constants to 0
-        while self.target_degree < top:
-            self.target_degree += 1
-            self.target.extend(homogeneous_basis(op.arity, self.target_degree))
+        target = self.target
+        self.target = filtered_basis(op.arity, top) if target is None else target.extended()
         source = homogeneous_basis(op.arity, self.source_degree)
         self.echelon.extend(operator_matrix(op, source, self.target))
 
     def missed_degree(self):
         """The least degree of a coordinate outside the image, or None when
         every coordinate up to the target degree lies in it."""
-        missed = self.echelon.first_missing(len(self.target))
+        missed = self.echelon.first_missing(self.echelon.width)
         return None if missed is None else sum(self.target.monomials[missed])
 
     def contains(self, exponents):

@@ -180,13 +180,13 @@ class GrowingEchelon:
     ones, which keep their indices (as a filtered slice extends a smaller
     one).  The kernel echelon is kept across calls, keyed by -j for
     coordinate j, so each row leads with its highest nonzero coordinate and
-    only the new columns are inserted.  ``leading`` is the set of those
-    coordinates: e_j lies in span + span(e_0..e_{j-1}) exactly when j is in
-    it, and ``rank`` is its size.  Neither depends on the order in which
-    vectors arrive.  So the first coordinate that leads no row, ``covered``,
-    is the first e_j outside the span (``first_missing``), and every e_i
-    with i < covered lies in it.  ``contains`` tests one vector without
-    changing the span.
+    only the new columns are inserted.  e_j lies in span + span(e_0..e_{j-1})
+    exactly when -j keys a row, and ``rank`` counts the rows; ``leading``,
+    the set of those j, is built only when read.  Neither depends on the
+    order in which vectors arrive.  So the first coordinate that leads no
+    row, ``covered``, is the first e_j outside the span (``first_missing``),
+    and every e_i with i < covered lies in it.  ``contains`` tests one
+    vector without changing the span.
     """
 
     def __init__(self, field=FIELD_Q):
@@ -195,8 +195,11 @@ class GrowingEchelon:
         self.width = 0
         self.rank = 0
         self.covered = 0
-        self.leading = frozenset()
         self._echelon = {}
+
+    @property
+    def leading(self):
+        return frozenset(-lead for lead in self._echelon)
 
     def extend(self, matrix):
         if matrix.field != self.field:
@@ -207,8 +210,7 @@ class GrowingEchelon:
         kernel(_columns(matrix), self._echelon)
         self.width = matrix.rows
         self.rank = len(self._echelon)
-        self.leading = frozenset(-lead for lead in self._echelon)
-        while self.covered in self.leading:
+        while -self.covered in self._echelon:
             self.covered += 1
 
     def first_missing(self, count):
@@ -230,7 +232,7 @@ class GrowingEchelon:
         if not entries:
             return True
         top = max(entries)
-        if top not in self.leading:
+        if -top not in self._echelon:
             return False
         if top < self.covered:
             return True

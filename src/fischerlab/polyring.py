@@ -491,12 +491,11 @@ class Basis:
                 m for n in range(degree + 1) for m in _exponents_of_degree(arity, n)
             )
         codes = tuple(map(monomial_code, monomials))
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "monomials", monomials)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "_positions", {m: i for i, m in enumerate(codes)})
+        self._set(arity, kind, degree, monomials, codes, {m: i for i, m in enumerate(codes)})
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
@@ -508,21 +507,31 @@ class Basis:
         return iter(self.monomials)
 
     def index(self, exponents):
-        return _position(self, exponents)
+        # KeyError when the monomial is not here, also when its code is a
+        # basis monomial's (an axis negative or past the field width)
+        exponents = tuple(exponents)
+        i = self._positions[monomial_code(exponents)]
+        if self.monomials[i] != exponents:
+            raise KeyError(exponents)
+        return i
+
+    def extended(self):
+        """The filtered basis one degree up: copies of this one's monomials,
+        codes and position map, with the cached homogeneous basis of the
+        next degree appended to each, so that no monomial or code is built
+        again.  A homogeneous basis is refused."""
+        if self.kind != FILTERED:
+            raise ValueError("only a filtered basis extends")
+        part, size = homogeneous_basis(self.arity, self.degree + 1), len(self)
+        positions = self._positions.copy()
+        positions.update(zip(part.codes, range(size, size + len(part))))
+        basis = Basis.__new__(Basis)
+        basis._set(self.arity, FILTERED, self.degree + 1, self.monomials + part.monomials,
+                   self.codes + part.codes, positions)
+        return basis
 
     def __repr__(self):
         return f"Basis(arity={self.arity}, kind={self.kind!r}, degree={self.degree})"
-
-
-def _position(basis, exponents):
-    # the position of a monomial in a basis or a fischer._Slice by its code;
-    # KeyError when it is not there, also when its code is a basis
-    # monomial's (an axis negative or past the field width)
-    exponents = tuple(exponents)
-    i = basis._positions[monomial_code(exponents)]
-    if basis.monomials[i] != exponents:
-        raise KeyError(exponents)
-    return i
 
 
 # Basis is immutable, so one instance serves every caller; typed, so that

@@ -51,6 +51,14 @@ def _ladder(phi, n, slack):
     return run
 
 
+def _arity_one_ladder(n):
+    psi = parse_polynomial("x^2-1", ("x",))
+
+    def run():
+        assert rank_profile(psi, n).all_surjective()
+    return run
+
+
 def _dirichlet(e):
     domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
     f = _poly(f"(x+y*z+1)^{e}")
@@ -119,6 +127,7 @@ ROWS = (
     ("ladder phi = z^2, n = 8, slack 18", _ladder([0, 0, 1], 8, 18)),
     ("ladder phi = 1,1,1, n = 5, slack 12", _ladder([1, 1, 1], 5, 12)),
     ("ladder phi = 1,1,1, n = 6, slack 14", _ladder([1, 1, 1], 6, 14)),
+    ("ladder psi = x^2-1, arity 1, max degree 2000", _arity_one_ladder(2000)),
     ("`dirichlet_solve`, ellipsoid (3/2, 1, 5/3), f = (x+yz+1)^10", _dirichlet(10)),
     ("the same, e = 12", _dirichlet(12)),
     ("the same, e = 14", _dirichlet(14)),

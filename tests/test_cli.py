@@ -1078,11 +1078,32 @@ _PINNED_SLICE_REPORTS = [
             "text": "ecdae441d5d7c605da1ac2dc39d65339d4aa2295fa09830c7dde002db292899f",
         },
     ),
+    # two slices whose mod-p answer needs the exact GrowingEchelon fallback
+    # of rank_and_first_missing
+    (
+        ("fischer-theorem", "--p", "x+i*y", "--vars", "x,y", "--field", "Qi", "--max-degree", "3"),
+        1,
+        {
+            "json": "210cb6d1005c310b7c9ef6ee8d1ddfeca573610b9d89eedc53ab00a84fe3c516",
+            "text": "0afdbd084ea39c5cca5ff4e0b739fc2a49d5588dd520192ffb7e10474c460937",
+        },
+    ),
+    (
+        ("rank-profile", "--psi=x*y", "--vars", "x,y", "--max-degree", "4", "--mode",
+         "homogeneous"),
+        1,
+        {
+            "json": "4073bf6e1f30e1109e5330de28aa1332eace4a1af316f9860a75a543f7c9bc4c",
+            "text": "25e152d75c3b5576f0c486d9dbebe8b7df54525031778aa81c03e05f88a8c793",
+            "csv": "9f1623c63f1e2bf489d7d2d17106bda257bb053365108a8f9b609275702352ef",
+        },
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digests", _PINNED_SLICE_REPORTS,
-                         ids=[argv[0] for argv, _, _ in _PINNED_SLICE_REPORTS])
+                         ids=["rank-profile", "fischer-theorem", "fischer-theorem-exact",
+                              "rank-profile-exact"])
 def test_slice_reports_are_pinned_at_benchmark_scale(capsys, argv, code, digests):
     for fmt, digest in digests.items():
         got, out, _ = run_cli(capsys, *argv, "--format", fmt)

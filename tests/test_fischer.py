@@ -5,7 +5,7 @@ from operator import add, mul
 
 import pytest
 
-from fischerlab import _kernels, fischer, linalg
+from fischerlab import _kernels, fischer, linalg, polyring
 from fischerlab import (
     BasisOverflowError,
     DecompositionCertificate,
@@ -45,6 +45,7 @@ from fischerlab import (
 )
 from fischerlab.polyring import (
     CODE_DEGREE_LIMIT,
+    FILTERED,
     MAX_SLICE_DIMENSION,
     _gather,
     check_slice_dimension,
@@ -324,23 +325,40 @@ def test_operator_matrix_agrees_with_dense_assembly():
 
 
 def test_operator_matrix_on_a_target_slice_that_grows():
-    # as _LadderImage.grow does: the target is extended between calls, and
-    # each call reads it as the filtered slice of its monomials
+    # as _LadderImage.grow does: the target grows by Basis.extended between
+    # calls, and each call reads it as the filtered slice of its degree
     image = fischer._khavinson_coordinates(khavinson_psi([0, 0, 2 + 3 * GAUSSIAN_I]))
-    op, target, top = image.operator, fischer._Slice(3), -1
+    op, target = image.operator, filtered_basis(3, 2)
     for m in range(4):
-        while top < m + 2:
-            top += 1
-            target.extend(homogeneous_basis(3, top))
         filtered = filtered_basis(3, m + 2)
-        assert target.monomials == list(filtered.monomials)
-        assert list(target._positions.items()) == list(zip(filtered.codes, range(len(filtered))))
-        assert [target.index(e) for e in filtered] == list(range(len(filtered)))
+        assert target.monomials == filtered.monomials
         source = homogeneous_basis(3, m)
         matrix = operator_matrix(op, source, target)
         assert _stored(matrix) == _stored(_tuple_operator_matrix(op, source, filtered))
         assert matrix == _dense_operator_matrix(op, source, filtered)
+        target = target.extended()
     assert op.field == FIELD_QI
+
+
+def test_the_ladder_builds_each_basis_once(monkeypatch):
+    # a ladder target is grown by Basis.extended, which builds no Basis: over
+    # 201 grows only the homogeneous bases and the first filtered target are
+    # built, so the targets cost no filtered enumeration per grow
+    built = []
+    init = polyring.Basis.__init__
+
+    def spy(self, arity, kind, degree):
+        built.append((kind, degree))
+        init(self, arity, kind, degree)
+
+    monkeypatch.setattr(polyring.Basis, "__init__", spy)
+    polyring.homogeneous_basis.cache_clear()
+    polyring.filtered_basis.cache_clear()
+    x = Poly.variable(1, 0)
+    assert rank_profile(x * x - Poly.constant(1, 1), 200).all_surjective()
+    homogeneous = [degree for kind, degree in built if kind == HOMOGENEOUS]
+    assert sorted(homogeneous) == sorted(set(homogeneous))
+    assert [b for b in built if b[0] != HOMOGENEOUS] == [(FILTERED, 0)]
 
 
 def test_operator_matrix_at_the_top_degree_the_slice_bound_admits():

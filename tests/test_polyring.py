@@ -446,6 +446,31 @@ def test_index_codes_and_coordinates_agree_on_every_monomial():
         Basis(2, HOMOGENEOUS, polyring.CODE_DEGREE_LIMIT)
 
 
+def test_extended_basis_is_the_filtered_basis_one_degree_up():
+    for arity in (1, 2, 3, 4):
+        basis = filtered_basis(arity, 0)
+        for degree in range(9):
+            grown, expected = basis.extended(), filtered_basis(arity, degree + 1)
+            assert (grown.arity, grown.kind, grown.degree) == (arity, "filtered", degree + 1)
+            assert grown.monomials == expected.monomials and grown.codes == expected.codes
+            assert list(grown._positions.items()) == list(expected._positions.items())
+            assert [grown.index(m) for m in expected] == list(range(len(expected)))
+            assert repr(grown) == repr(expected)
+            # the basis it grew from keeps its own position map
+            assert list(basis._positions.values()) == list(range(len(basis)))
+            # an exponent past the field width whose code is a basis monomial's
+            aliased = (0,) * (arity - 1) + (1 << polyring.EXPONENT_BITS,)
+            if arity > 1:
+                assert polyring.monomial_code(aliased) in grown._positions
+            with pytest.raises(KeyError):
+                grown.index(aliased)
+            with pytest.raises(KeyError):
+                grown.index((degree + 2,) + (0,) * (arity - 1))
+            basis = grown
+        with pytest.raises(ValueError, match="only a filtered basis extends"):
+            homogeneous_basis(arity, 3).extended()
+
+
 def test_poly_json_round_trip():
     rng = random.Random(59)
     for field in (FIELD_Q, FIELD_QI):
