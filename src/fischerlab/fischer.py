@@ -118,9 +118,10 @@ def operator_matrix(op, source, target):
     each pair of an operator term d*D^g and a psi term c*x^b with
     a + b >= g adds c*d * prod_i (a_i + b_i)! / (a_i + b_i - g_i)! at the
     monomial a + b - g.  The products c*d are kept as integers over one
-    common denominator, so a column is summed in int arithmetic, and those
-    sums over that denominator are the matrix's stored rows: no scalar is
-    built.  Monomials are their codes (polyring.monomial_code): the image
+    common denominator, so a column is summed in int arithmetic, straight
+    into the kernel vector that the matrix stores (keyed by -i for target
+    position i): no scalar is built, and nothing is allocated per target
+    row.  Monomials are their codes (polyring.monomial_code): the image
     of x^a under a stencil entry is the code of a plus the entry's code of
     b - g, with no carry between axes, since a nonzero falling factorial
     makes every axis of a + b - g non-negative and the degree limits keep
@@ -134,13 +135,14 @@ def operator_matrix(op, source, target):
     stencil, denominator = op._stencil
     table = INTEGERS[op.field]
     times, plus, zero = table.times, table.add, table.zero
-    positions, perm = target._positions, math.perm
-    rows = [{} for _ in range(len(target))]
-    for j, (a, code) in enumerate(zip(source.monomials, source.codes)):
+    position, perm = target._positions.get, math.perm
+    columns, outside = [], {}
+    for a, code in zip(source.monomials, source.codes):
         # the terms in the order, and with the cancellations, of
-        # apply_operator(operator, psi * x^a): a sum that cancels is
-        # deleted, and appended again if it comes back, so an overflow
-        # names the same monomial
+        # apply_operator(operator, psi * x^a), each summed at -(its target
+        # position), or at its code in outside if the target lacks it: a
+        # sum that cancels is deleted, and appended again if it comes back,
+        # so an overflow names the same monomial
         column = {}
         for shift, axes, c in stencil:
             factor = 1
@@ -148,20 +150,22 @@ def operator_matrix(op, source, target):
                 factor *= perm(a[i] + b, k)
             if factor:
                 m = code + shift
+                at = position(m)
+                if at is None:
+                    sums, key = outside, m
+                else:
+                    sums, key = column, -at
                 value = times(c, factor)
-                if m in column:
-                    value = plus(column[m], value)
+                if key in sums:
+                    value = plus(sums[key], value)
                     if value == zero:
-                        del column[m]
+                        del sums[key]
                         continue
-                column[m] = value
-        for m, value in column.items():
-            try:
-                i = positions[m]
-            except KeyError:
-                raise overflow_error(code_exponents(m, op.arity), target) from None
-            rows[i][j] = value
-    return ExactMatrix.from_integer_rows(len(source), rows, denominator, op.field)
+                sums[key] = value
+        if outside:
+            raise overflow_error(code_exponents(next(iter(outside)), op.arity), target)
+        columns.append(column)
+    return ExactMatrix.from_integer_columns(len(target), columns, denominator, op.field)
 
 
 class DecompositionCertificate(namedtuple(

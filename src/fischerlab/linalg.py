@@ -1,16 +1,17 @@
 """Exact linear algebra over the coefficient fields.
 
-ExactMatrix is stored as a Poly is, its rows vectors of the elimination
-kernel, fischerlab._kernels, over one denominator: they go into its sparse
-echelon insertion as they are, and scalars are built only when an entry is
-read.  On top of it this module owns reduced row echelon form, solving, the
-rank and first missing unit vector of a column span, certified mod a prime,
-and the growing echelon of a filtered ladder.  Apart from GrowingEchelon, all
-operations are pure functions.  ``solve`` takes its right-hand side in
-integer form, (ints, den) as polyring.coordinates gives it, so no scalar is
-built before its solution; it eliminates only the rows that the right-hand
-side reaches through shared columns, every other unknown is 0, as a free
-one is, and its exact recheck still covers every row.
+ExactMatrix is stored as a Poly is, over one denominator, by column: each
+column is a vector of the elimination kernel, fischerlab._kernels, keyed by
+-i for row i, that goes into its sparse echelon insertion as it is, and
+scalars are built only when an entry is read.  On top of it this module owns
+reduced row echelon form, solving, the rank and first missing unit vector of
+a column span, certified mod a prime, and the growing echelon of a filtered
+ladder.  Apart from GrowingEchelon, all operations are pure functions.
+``solve`` takes its right-hand side in integer form, (ints, den) as
+polyring.coordinates gives it, so no scalar is built before its solution.
+It transposes the columns into rows once; it eliminates only the rows that
+the right-hand side reaches through shared columns, every other unknown is
+0, as a free one is, and its exact recheck still covers every row.
 """
 
 from collections import namedtuple
@@ -24,47 +25,48 @@ from .scalars import FIELD_Q, INTEGERS, as_scalar, from_integer, integer_form, v
 class ExactMatrix:
     """Immutable matrix of exact field scalars.
 
-    As in a Poly, the entries are ints over one positive int den: row i is a
-    dict mapping the columns of its nonzero entries to den times the entry,
-    an int over Q and an (re, im) pair of ints over Qi.  den is not always
-    the least, so equality compares values.  The constructor takes dense
-    row-major entries, ``from_integer_rows`` the rows and den.  No path in
-    the package calls ``from_columns``, ``hstack`` or ``mul_vector``; they
-    stay while the benchmark's tracer wraps them.
+    As in a Poly, the entries are ints over one positive int den, kept by
+    column in the kernel's vector form: column j is a dict mapping -i, for
+    each row i of a nonzero entry, to den times the entry, an int over Q and
+    an (re, im) pair of ints over Qi.  den is not always the least, so
+    equality compares values.  The constructor takes dense row-major
+    entries, ``from_integer_columns`` the columns and den.  The readers of
+    rows (solve, rref, mul_vector) transpose the columns with ``_int_rows``.
+    No path in the package calls ``from_columns``, ``hstack`` or
+    ``mul_vector``; they stay while the benchmark's tracer wraps them.
     """
 
-    __slots__ = ("rows", "cols", "field", "_rows", "_den")
+    __slots__ = ("rows", "cols", "field", "_columns", "_den")
 
     def __init__(self, rows, cols, entries, field=FIELD_Q):
         entries = list(entries)
-        if rows < 0 or len(entries) != rows * cols:
+        if min(rows, cols) < 0 or len(entries) != rows * cols:
             raise ValueError(f"expected {rows} x {cols} entries, got {len(entries)}")
         nonzero = {k: v for k, e in enumerate(entries) if (v := as_scalar(e, field))}
         ints, den = integer_form(nonzero.values(), field)
-        int_rows = [{} for _ in range(rows)]
+        columns = [{} for _ in range(cols)]
         for k, x in zip(nonzero, ints):
-            int_rows[k // cols][k % cols] = x
-        self._store(cols, int_rows, den, field)
+            columns[k % cols][-(k // cols)] = x
+        self._store(rows, columns, den, field)
 
-    def _store(self, cols, int_rows, den, field):
+    def _store(self, rows, columns, den, field):
         validate_field(field)
-        if cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        object.__setattr__(self, "rows", len(int_rows))
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_rows", tuple(int_rows))
+        object.__setattr__(self, "_columns", tuple(columns))
         object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def from_integer_rows(cls, cols, int_rows, den, field=FIELD_Q):
-        """The matrix of the given stored rows over the positive int den,
-        taken as they are: no entry is checked or converted."""
+    def from_integer_columns(cls, rows, int_columns, den, field=FIELD_Q):
+        """The matrix of the given stored columns, each keyed by -i for row
+        i, over the positive int den, taken as they are: no entry is checked
+        or converted."""
         matrix = cls.__new__(cls)
-        matrix._store(cols, int_rows, den, field)
+        matrix._store(rows, int_columns, den, field)
         return matrix
 
     @classmethod
@@ -82,8 +84,8 @@ class ExactMatrix:
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range")
-        ints = self._rows[i]
-        return from_integer(ints[j], self._den) if j in ints else as_scalar(0, self.field)
+        ints = self._columns[j]
+        return from_integer(ints[-i], self._den) if -i in ints else as_scalar(0, self.field)
 
     def row(self, i):
         return tuple(self.entry(i, j) for j in range(self.cols))
@@ -100,8 +102,8 @@ class ExactMatrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and all(a.keys() == b.keys() and all(times(a[j], db) == times(b[j], da) for j in a)
-                    for a, b in zip(self._rows, other._rows))
+            and all(a.keys() == b.keys() and all(times(a[i], db) == times(b[i], da) for i in a)
+                    for a, b in zip(self._columns, other._columns))
         )
 
     def mul_vector(self, vec):
@@ -111,20 +113,29 @@ class ExactMatrix:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
         ints, vec_den = integer_form(vec, self.field)
         values, dot, den = dict(enumerate(ints)), INTEGERS[self.field].dot, self._den * vec_den
-        return [from_integer(dot(row, values), den) for row in self._rows]
+        return [from_integer(dot(row, values), den) for row in _int_rows(self)]
 
     def hstack(self, other):
         """Concatenate columns: [self | other]."""
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack needs matching row count and field")
         times, da, db = INTEGERS[self.field].times, self._den, other._den
-        int_rows = [{**{j: times(x, db) for j, x in a.items()},
-                     **{self.cols + j: times(x, da) for j, x in b.items()}}
-                    for a, b in zip(self._rows, other._rows)]
-        return ExactMatrix.from_integer_rows(self.cols + other.cols, int_rows, da * db, self.field)
+        columns = ([{i: times(x, db) for i, x in c.items()} for c in self._columns]
+                   + [{i: times(x, da) for i, x in c.items()} for c in other._columns])
+        return ExactMatrix.from_integer_columns(self.rows, columns, da * db, self.field)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, field={self.field!r})"
+
+
+def _int_rows(matrix):
+    """The stored ints of the matrix by row, row i a dict {j: x} in order of
+    j: one pass over the nonzeros, built afresh on every call."""
+    rows = [{} for _ in range(matrix.rows)]
+    for j, column in enumerate(matrix._columns):
+        for key, x in column.items():
+            rows[-key][j] = x
+    return rows
 
 
 def _kernel(field):
@@ -144,32 +155,21 @@ class RrefResult(namedtuple("RrefResult", "rref rank pivot_cols")):
 
 
 def rref(matrix):
-    """Reduced row echelon form: the rows go into one echelon, and each
-    column j that is no pivot is _kernels.solution(field, echelon, j), the
-    reduced rows going over the lcm of those dens.  No path in the package
-    calls rref; it stays while the benchmark's tracer wraps it."""
+    """Reduced row echelon form: the rows go into one echelon, each pivot
+    column is e_r, r the rank of its lead, and each other column j is
+    _kernels.solution(field, echelon, j), the columns going over the lcm of
+    those dens.  No path in the package calls rref; it stays while the
+    benchmark's tracer wraps it."""
     kernel, field = _kernel(matrix.field)
-    echelon = kernel(matrix._rows, {})
+    echelon = kernel(_int_rows(matrix), {})
     pivots = tuple(sorted(echelon))
-    columns = {j: _kernels.solution(field, echelon, j) for j in range(matrix.cols) if j not in echelon}
-    den = lcm(*(d for _, d in columns.values()))
-    int_rows = [{lead: field.times(field.one, den),
-                 **{j: field.times(values[lead], den // d)
-                    for j, (values, d) in columns.items() if values[lead] != field.zero}}
-                for lead in pivots] + [{}] * (matrix.rows - len(pivots))
-    return RrefResult(ExactMatrix.from_integer_rows(matrix.cols, int_rows, den, matrix.field),
+    solved = [({j: field.one}, 1) if j in echelon else _kernels.solution(field, echelon, j)
+              for j in range(matrix.cols)]
+    den = lcm(*(d for _, d in solved))
+    columns = [{-r: field.times(values[lead], den // d) for r, lead in enumerate(pivots)
+                if values.get(lead, field.zero) != field.zero} for values, d in solved]
+    return RrefResult(ExactMatrix.from_integer_columns(matrix.rows, columns, den, matrix.field),
                       len(pivots), pivots)
-
-
-def _columns(matrix, entry=None):
-    """The columns of the matrix as kernel vectors, coordinate i keyed by -i:
-    those of den times the matrix, its stored ints, or entry(x) of each
-    stored x when entry is given."""
-    columns = [{} for _ in range(matrix.cols)]
-    for i, row in enumerate(matrix._rows):
-        for j, x in row.items():
-            columns[j][-i] = x if entry is None else entry(x)
-    return columns
 
 
 class GrowingEchelon:
@@ -180,7 +180,8 @@ class GrowingEchelon:
     ones, which keep their indices (as a filtered slice extends a smaller
     one).  The kernel echelon is kept across calls, keyed by -j for
     coordinate j, so each row leads with its highest nonzero coordinate and
-    only the new columns are inserted.  e_j lies in span + span(e_0..e_{j-1})
+    only the new columns are inserted, the matrix's stored columns as they
+    are: a call costs its own columns, whatever the width.  e_j lies in span + span(e_0..e_{j-1})
     exactly when -j keys a row, and ``rank`` counts the rows; ``leading``,
     the set of those j, is built only when read.  Neither depends on the
     order in which vectors arrive.  So the first coordinate that leads no
@@ -207,7 +208,7 @@ class GrowingEchelon:
         if matrix.rows < self.width:
             raise ValueError("a later matrix cannot have fewer rows than an earlier one")
         kernel, _ = _kernel(self.field)
-        kernel(_columns(matrix), self._echelon)
+        kernel(matrix._columns, self._echelon)
         self.width = matrix.rows
         self.rank = len(self._echelon)
         while -self.covered in self._echelon:
@@ -240,21 +241,17 @@ class GrowingEchelon:
         return not _kernels.remainder(INTEGERS[self.field], vector, self._echelon)
 
 
-def _reached(int_rows, seeds):
+def _reached(matrix, int_rows, seeds):
     """The indices, in order, of the rows joined to a seed row by a chain of
-    rows that share a column, the seeds included: one pass over the
-    nonzeros to index rows by column, then a search from the seeds."""
-    rows_of = {}
-    for i, row in enumerate(int_rows):
-        for j in row:
-            rows_of.setdefault(j, []).append(i)
-    reached, stack = set(seeds), list(seeds)
+    rows that share a column, the seeds included: a search from the seeds
+    that reads the rows of each column off its stored keys, once."""
+    unvisited, reached, stack = dict(enumerate(matrix._columns)), set(seeds), list(seeds)
     while stack:
         for j in int_rows[stack.pop()]:
-            for i in rows_of.pop(j, ()):
-                if i not in reached:
-                    reached.add(i)
-                    stack.append(i)
+            for key in unvisited.pop(j, ()):
+                if -key not in reached:
+                    reached.add(-key)
+                    stack.append(-key)
     return sorted(reached)
 
 
@@ -282,12 +279,15 @@ def solve(matrix, rhs):
     The rhs is a pair (ints, common) in integer form, as
     polyring.coordinates returns it: entry i is ints[i] / common, each
     ints[i] an int over Q and an (re, im) pair of ints over Qi, and common
-    a positive int.  Any other rhs is a ValueError.  The stored row a / den
-    and rhs entry b / common give the row [a | b * den]: the stored ints go
-    into the echelon as they are, and the unknowns are y = x * common.  Only
+    a positive int.  Any other rhs is a ValueError.  The stored columns are
+    transposed into rows once, in one pass over the nonzeros.  The row
+    a / den and rhs entry b / common give the row [a | b * den]: the stored
+    ints go into the echelon as they are, and the unknowns are
+    y = x * common.  Only
     the rows that a row with a nonzero rhs entry reaches through shared
-    columns (Gilbert & Peierls 1988, SIAM J. Sci. Stat. Comput. 9) go into
-    the echelon.  The other rows share no column with them and have a zero
+    columns (Gilbert & Peierls 1988, SIAM J. Sci. Stat. Comput. 9), found
+    from the rows of each column as the columns store them, go into the
+    echelon.  The other rows share no column with them and have a zero
     rhs, so they would only add leads whose value is 0, and their unknowns
     are 0, as free ones are; the reached rows' echelon is the one all rows
     would give.  That echelon, its leads and x do not depend on the order of
@@ -303,9 +303,10 @@ def solve(matrix, rhs):
     """
     rhs_ints, common = _rhs_form(rhs, matrix.rows, matrix.field)
     kernel, field = _kernel(matrix.field)
-    cols, den, times, int_rows = matrix.cols, matrix._den, field.times, matrix._rows
+    cols, den, times, int_rows = matrix.cols, matrix._den, field.times, _int_rows(matrix)
     augmented = []
-    for i in reversed(_reached(int_rows, [i for i, b in enumerate(rhs_ints) if b != field.zero])):
+    seeds = [i for i, b in enumerate(rhs_ints) if b != field.zero]
+    for i in reversed(_reached(matrix, int_rows, seeds)):
         row, b = int_rows[i], rhs_ints[i]
         augmented.append({**row, cols: times(b, den)} if b != field.zero else row)
     echelon = kernel(augmented, {})
@@ -326,9 +327,9 @@ def rank_and_first_missing(matrix):
 
     The columns are first reduced mod the prime ``_kernels.P``, i sent to
     ``_kernels.I_P``: a ring map from the integer matrix, so its rank r mod
-    P bounds the exact rank from below.  Over Q the stored ints go in as
+    P bounds the exact rank from below.  Over Q the stored columns go in as
     they are, since ``insert_mod_p`` takes its entries mod P itself; over
-    Qi each entry goes in as re + im * I_P mod P.  Two answers rest on that
+    Qi each stored entry goes in as re + im * I_P mod P.  Two answers rest on that
     bound alone.  With r = rows the rank is rows: the span is everything (None).
     With r = cols, e_0 outside the span mod P, the rank of [matrix | e_0]
     mod P is cols + 1: the rank is cols and e_0 is outside the span (0).
@@ -340,8 +341,10 @@ def rank_and_first_missing(matrix):
     and 168,432 entries.
     """
     p, i_p, residue = _kernels.P, _kernels.I_P, INTEGERS[matrix.field].residue
-    entry = None if matrix.field == FIELD_Q else lambda x: residue(x, i_p) % p
-    leads = _kernels.insert_mod_p(_columns(matrix, entry), p)
+    columns = matrix._columns
+    if matrix.field != FIELD_Q:
+        columns = [{key: residue(x, i_p) % p for key, x in column.items()} for column in columns]
+    leads = _kernels.insert_mod_p(columns, p)
     if len(leads) == matrix.rows:
         return matrix.rows, None
     if len(leads) == matrix.cols and 0 not in leads:

@@ -3,7 +3,7 @@
 A polynomial stores a dict {exponents: n} of its nonzero terms, n an
 entry in the integer form of its field, and one positive denominator den,
 in canonical form (den and every part have gcd 1), as an ExactMatrix
-stores its rows over one den.  That form and its arithmetic are defined once,
+stores its columns over one den.  That form and its arithmetic are defined once,
 by the field's table in scalars.INTEGERS (_kernels.Q and _kernels.QI), which
 every operation here reads.  Arithmetic runs on the ints and builds no scalar,
 and so does ``coordinates``, which places them in a basis for linalg.solve;

@@ -26,6 +26,7 @@ import time
 from fractions import Fraction
 
 from fischerlab import (
+    GAUSSIAN_I,
     HOMOGENEOUS,
     NoDecompositionFoundError,
     QuadricDomain,
@@ -127,7 +128,10 @@ ROWS = (
     ("ladder phi = z^2, n = 8, slack 18", _ladder([0, 0, 1], 8, 18)),
     ("ladder phi = 1,1,1, n = 5, slack 12", _ladder([1, 1, 1], 5, 12)),
     ("ladder phi = 1,1,1, n = 6, slack 14", _ladder([1, 1, 1], 6, 14)),
+    ("ladder phi = 0,0,2+3i, n = 3, slack 8 (the ladder-qi job)",
+     _ladder([0, 0, 2 + 3 * GAUSSIAN_I], 3, 8)),
     ("ladder psi = x^2-1, arity 1, max degree 2000", _arity_one_ladder(2000)),
+    ("ladder psi = x^2-1, arity 1, max degree 4000", _arity_one_ladder(4000)),
     ("`dirichlet_solve`, ellipsoid (3/2, 1, 5/3), f = (x+yz+1)^10", _dirichlet(10)),
     ("the same, e = 12", _dirichlet(12)),
     ("the same, e = 14", _dirichlet(14)),
@@ -167,7 +171,7 @@ def main():
     args = parser.parse_args()
     rows = [row for row in ROWS if args.only in row[0]]
     for label, seconds in timings(rows, args.rounds):
-        print(f"{seconds:.3f} s  {label}")
+        print(f"{seconds:.4f} s  {label}")
 
 
 if __name__ == "__main__":

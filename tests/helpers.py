@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from fischerlab import linalg
 from fischerlab import (
     ExactMatrix,
     FIELD_Q,
@@ -74,6 +75,12 @@ def matrix_product(a, b):
     entries = [sum((x * y for x, y in zip(a.row(i), column)), zero)
                for i in range(a.rows) for column in columns]
     return ExactMatrix(a.rows, b.cols, entries, a.field)
+
+
+def stored_rows(matrix):
+    """The stored ints of the matrix by row, as a tuple: row i is a dict
+    {j: x} in order of j, transposed from the stored columns as solve reads them."""
+    return tuple(linalg._int_rows(matrix))
 
 
 def reference_pivots(rows):

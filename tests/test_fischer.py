@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 from operator import add, mul
 
@@ -65,6 +67,7 @@ from helpers import (
     reference_rank,
     scalar_coordinates,
     scalar_solve,
+    stored_rows,
     to_sympy,
 )
 
@@ -264,9 +267,10 @@ def _slices():
     ]
 
 
-def _tuple_operator_matrix(op, source, target):
+def _tuple_operator_rows(op, source, target):
     # the assembly that monomial codes replaced: the stencil's shifts as
-    # exponent tuples, one tuple per term, merged by polyring._gather
+    # exponent tuples, one tuple per term, merged by polyring._gather and
+    # scattered into one dict per target row; the rows and their den
     (psi, psi_den), (ops, op_den) = op.psi.integer_form, op.operator.integer_form
     table = INTEGERS[op.field]
     products = [table.mul(d, c) for d in ops.values() for c in psi.values()]
@@ -284,12 +288,22 @@ def _tuple_operator_matrix(op, source, target):
             if m not in positions:
                 raise overflow_error(m, target)
             rows[positions[m]][j] = value
-    return ExactMatrix.from_integer_rows(len(source), rows, den, op.field)
+    return rows, den
+
+
+def _transposed(rows, cols):
+    # the kernel vectors {-i: x} of the columns of the rows
+    return [{-i: row[j] for i, row in enumerate(rows) if j in row} for j in range(cols)]
+
+
+def _tuple_operator_matrix(op, source, target):
+    rows, den = _tuple_operator_rows(op, source, target)
+    return ExactMatrix.from_integer_columns(len(rows), _transposed(rows, len(source)), den, op.field)
 
 
 def _stored(matrix):
     # the rows with their key order, and the denominator
-    return [list(row.items()) for row in matrix._rows], matrix._den
+    return [list(row.items()) for row in stored_rows(matrix)], matrix._den
 
 
 def _assert_overflow_text_agrees(op, source, target):
@@ -322,6 +336,18 @@ def test_operator_matrix_agrees_with_dense_assembly():
     text = _assert_overflow_text_agrees(FischerOperator(Poly.monomial(3, (1, 0, 1))),
                                         homogeneous_basis(3, 2), homogeneous_basis(3, 1))
     assert text.startswith("monomial (1, 0, 1) ")
+
+
+def test_operator_matrix_stores_the_transposed_rows_of_the_tuple_assembly():
+    # each stored column is the kernel vector {-i: x} of the reference's
+    # rows, over the reference's denominator
+    fields = set()
+    for op, source, target in _slices():
+        matrix = operator_matrix(op, source, target)
+        rows, den = _tuple_operator_rows(op, source, target)
+        assert (list(matrix._columns), matrix._den) == (_transposed(rows, len(source)), den)
+        fields.add(op.field)
+    assert fields == {FIELD_Q, FIELD_QI}
 
 
 def test_operator_matrix_on_a_target_slice_that_grows():
@@ -359,6 +385,49 @@ def test_the_ladder_builds_each_basis_once(monkeypatch):
     homogeneous = [degree for kind, degree in built if kind == HOMOGENEOUS]
     assert sorted(homogeneous) == sorted(set(homogeneous))
     assert [b for b in built if b[0] != HOMOGENEOUS] == [(FILTERED, 0)]
+
+
+def test_a_ladder_grow_costs_only_its_new_columns(monkeypatch):
+    # rank_profile(x^2-1, 200) in arity 1: each grow assembles one column,
+    # the kernel gets exactly that stored column, and the fischerlab lines
+    # that a grow runs do not grow with its target (1 to 201 monomials), so
+    # no grow builds a container per target row or transposes its slice
+    assembled, handed, lines = [], [], []
+    assemble, kernel, grow = fischer.operator_matrix, _kernels.rref_q, fischer._LadderImage.grow
+    package = os.path.dirname(fischer.__file__)
+
+    def spy_assemble(op, source, target):
+        assembled.append(assemble(op, source, target))
+        return assembled[-1]
+
+    def spy_kernel(vectors, echelon):
+        handed.append(list(vectors))
+        return kernel(vectors, echelon)
+
+    def trace(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        lines[-1] += event == "line"
+        return trace
+
+    def spy_grow(self):
+        lines.append(0)
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            grow(self)
+        finally:
+            sys.settrace(previous)
+
+    monkeypatch.setattr(fischer, "operator_matrix", spy_assemble)
+    monkeypatch.setattr(_kernels, "rref_q", spy_kernel)
+    monkeypatch.setattr(fischer._LadderImage, "grow", spy_grow)
+    x = Poly.variable(1, 0)
+    assert rank_profile(x * x - Poly.constant(1, 1), 200).all_surjective()
+    assert len(assembled) == len(handed) == len(lines) == 201
+    for matrix, vectors in zip(assembled, handed):
+        assert matrix.cols == 1 and vectors == list(matrix._columns)
+    assert max(lines[2:]) - min(lines[2:]) <= 10
 
 
 def test_operator_matrix_at_the_top_degree_the_slice_bound_admits():

@@ -31,6 +31,7 @@ from helpers import (
     random_scalar,
     reference_rank,
     scalar_solve,
+    stored_rows,
     to_sympy,
     unit_vector,
 )
@@ -403,12 +404,12 @@ def test_matrix_validation():
     # the dense constructor drops zero entries, keeps one denominator for
     # the whole matrix and checks the field
     m = ExactMatrix(2, 2, [0, Fraction(3, 2), Fraction(1, 3), 0])
-    assert (m._rows, m._den) == (({1: 9}, {0: 2}), 6)
-    assert ExactMatrix(2, 2, [0, 3, 0, 0])._rows == ({1: 3}, {})
+    assert (stored_rows(m), m._den) == (({1: 9}, {0: 2}), 6)
+    assert stored_rows(ExactMatrix(2, 2, [0, 3, 0, 0])) == ({1: 3}, {})
     with pytest.raises(ValueError):
         ExactMatrix(1, 1, [GaussianRational(1)])
     # stored ints that share a factor with the denominator read as their values
-    m = ExactMatrix.from_integer_rows(3, [{0: 2, 2: -4}, {}], 6)
+    m = ExactMatrix.from_integer_columns(2, [{0: 2}, {}, {0: -4}], 6)
     assert m == ExactMatrix(2, 3, [Fraction(1, 3), 0, Fraction(-2, 3), 0, 0, 0])
     assert m.entry(0, 2) == Fraction(-2, 3)
     assert m.row(0) == (Fraction(1, 3), 0, Fraction(-2, 3))
@@ -562,7 +563,7 @@ def test_kernels_do_not_mutate_input():
         assert [m.row(i) for i in range(4)] == snapshot
         assert rhs == rhs_snapshot
         # the kernel itself: its vectors stay as they were, its echelon grows
-        vectors = list(m._rows)
+        vectors = list(stored_rows(m))
         vectors_snapshot = [dict(v) for v in vectors]
         echelon = getattr(_kernels, kernel)(vectors, {})
         assert vectors == vectors_snapshot
@@ -686,7 +687,7 @@ def test_solve_hands_the_kernel_the_stored_rows_as_they_are(monkeypatch, field):
     scales = set()
     for vector, i in zip(handed, (3, 2, 1, 0)):
         b = vector.pop(m.cols, None)
-        assert vector == m._rows[i]
+        assert vector == stored_rows(m)[i]
         assert (b is None) == (not rhs[i])
         if b is not None:
             scales.add(from_integer(b, m._den) / rhs[i])

@@ -27,7 +27,7 @@ from fischerlab import _kernels
 from fischerlab.fischer import solve_by_degree, solve_quotient
 from fischerlab.polyring import overflow_error
 from fischerlab.scalars import GaussianRational, as_scalar, from_integer, integer_form
-from helpers import random_ellipsoid, random_poly
+from helpers import random_ellipsoid, random_poly, stored_rows
 
 XYZ = ("x", "y", "z")
 
@@ -117,10 +117,10 @@ def _scalar_solve(matrix, rhs):
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match rows {matrix.rows}")
     kernel, field = linalg._kernel(matrix.field)
-    cols, den, times, int_rows = matrix.cols, matrix._den, field.times, matrix._rows
+    cols, den, times, int_rows = matrix.cols, matrix._den, field.times, stored_rows(matrix)
     rhs_ints, common = integer_form(rhs, matrix.field)
     augmented = []
-    for i in reversed(linalg._reached(int_rows, [i for i, v in enumerate(rhs) if v])):
+    for i in reversed(linalg._reached(matrix, int_rows, [i for i, v in enumerate(rhs) if v])):
         row = int_rows[i]
         augmented.append({**row, cols: times(rhs_ints[i], den)} if rhs[i] else row)
     echelon = kernel(augmented, {})
