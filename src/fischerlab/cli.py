@@ -13,10 +13,11 @@ alone assembles the envelope, for json output only, and renders the
 chosen format.
 
 Each polynomial of a report is printed once, as its "expr" and its "poly",
-both from the decimal strings that Poly.decimal_terms builds from its ints.
+both from the decimal strings that Poly.decimal_terms builds once (from a
+solve's lowest-terms coordinates for q, else from the ints).
 The JSON text is that of json.dumps(report, indent=2), written in one pass
 (see _jsonwriter) by the one call site json.dumps(report, indent=2,
-cls=ReportEncoder).
+cls=ReportEncoder), and its closing newline is a second write: no copy.
 """
 
 import argparse
@@ -427,9 +428,9 @@ def run(argv=None):
         return 1
     if config.output == "json":
         report = _report(args.command, config, result, checks)
-        payload = json.dumps(report, indent=2, cls=ReportEncoder) + "\n"
+        payload = [json.dumps(report, indent=2, cls=ReportEncoder), "\n"]
     elif config.output == "text":
-        payload = "\n".join(text_lines) + "\n"
+        payload = ["\n".join(text_lines), "\n"]
     else:
         if csv_text is None:
             print(
@@ -437,17 +438,17 @@ def run(argv=None):
                 file=sys.stderr,
             )
             return 2
-        payload = csv_text
+        payload = [csv_text]
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+                handle.writelines(payload)
         except OSError as exc:  # a missing directory, a directory, no permission
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"report written to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(payload)
     return code
 
 

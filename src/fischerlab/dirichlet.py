@@ -209,16 +209,16 @@ def boundary_mismatches(f, h, points):
 def verify_solution(solution, count=100, tol=1e-9, rng=None, root_tol=1e-12):
     """Recheck a solution exactly and against sampled boundary points.
 
-    The exact checks are recomputed from the stored polynomials, independent
-    of how they were produced; the boundary check evaluates f and h
-    separately in floating point and records the largest |f - h|.  A sample
-    passes when |f - h| < tol * scale, with the scale of boundary_mismatches
-    (rays cast in rounds, f and h each over its own power table, with no
-    cache); the updated record and the sampled points are stored on the
-    solution, and the record is returned.
+    The exact checks, h harmonic and psi*q + h == f, are recomputed from the
+    stored polynomials, independent of how they were produced; the boundary
+    check evaluates f and h separately in floating point and records the
+    largest |f - h|.  A sample passes when |f - h| < tol * scale, with the
+    scale of boundary_mismatches (rays cast in rounds, f and h each over its
+    own power table, with no cache); the updated record and the sampled
+    points are stored on the solution, and the record is returned.
     """
     harmonic_exact = not solution.h.laplacian()
-    identity_exact = not (solution.f - solution.h - solution.domain.psi * solution.q)
+    identity_exact = solution.domain.psi * solution.q + solution.h == solution.f
     points = boundary_samples(solution.domain, count, root_tol, rng)
     max_error = 0.0
     within = True

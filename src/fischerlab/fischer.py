@@ -26,12 +26,12 @@ from .polyring import (
     Poly,
     apply_operator,
     basis_dimension,
-    canonical_poly,
     check_slice_dimension,
     code_exponents,
     coordinates,
     filtered_basis,
     from_coordinates,
+    graded_sum,
     homogeneous_basis,
     lowest_terms,
     monomial_code,
@@ -184,7 +184,7 @@ class DecompositionCertificate(namedtuple(
 
     def verify(self):
         """Re-run both exact checks from scratch, ignoring the stored flags."""
-        return (not (self.f - self.psi * self.q - self.h)) and (not self.h.laplacian())
+        return self.psi * self.q + self.h == self.f and not self.h.laplacian()
 
 
 def ellipsoidal_form(psi):
@@ -232,15 +232,15 @@ def solve_by_degree(psi, lap_f):
     q_j is solved on its block for l = deg lap_f down to dp - 2, and each
     laplacian(psi_i*q_j) is then taken off the rhs of its degree.  Raises
     InconsistentSystemError, as no q exists, when a block's rhs is outside its
-    image or a rhs below degree dp - 2 is not 0.  The parts share no monomial
-    and are in canonical form, so q gathers their ints over one lcm, in
-    canonical form too, in order of degree as their sum does.
+    image or a rhs below degree dp - 2 is not 0.  q is the graded_sum of the
+    parts in ascending degree: their ints over one lcm, and the seeds of
+    their decimal_terms joined.
     """
     arity, dp = psi.arity, psi.degree
     block = FischerOperator(psi.homogeneous_component(dp))
     lower = [(i, c) for i in range(dp) if (c := psi.homogeneous_component(i))]
     rhs = [lap_f.homogeneous_component(l) for l in range(lap_f.degree + 1)]
-    forms = []
+    parts = []
     for l in range(lap_f.degree, dp - 3, -1):
         j = l + 2 - dp
         target = homogeneous_basis(arity, l)
@@ -249,13 +249,10 @@ def solve_by_degree(psi, lap_f):
         for i, c in lower:
             if j + i >= 2:
                 rhs[j + i - 2] -= c * part.laplacian() if i == 0 else (c * part).laplacian()
-        forms.append(part.integer_form)
+        parts.append(part)
     if any(rhs[: dp - 2]):
         raise InconsistentSystemError("a part below degree deg psi - 2 is left")
-    den = math.lcm(*(d for _, d in forms))
-    factors = [(ints, den // d) for ints, d in reversed(forms)]
-    return canonical_poly(lap_f.arity, FIELD_Q,
-                          {m: n * k for ints, k in factors for m, n in ints.items()}, den)
+    return graded_sum(lap_f.arity, FIELD_Q, parts[::-1])
 
 
 def solve_quotient(psi, f, slack=0):

@@ -7,9 +7,9 @@ stores its columns over one den.  That form and its arithmetic are defined once,
 by the field's table in scalars.INTEGERS (_kernels.Q and _kernels.QI), which
 every operation here reads.  Arithmetic runs on the ints and builds no scalar,
 and so does ``coordinates``, which places them in a basis for linalg.solve;
-``terms`` builds the scalars each time it is read, and ``decimal_terms``
-builds the decimal strings of the reports (the printer's and
-poly_to_json's) once, straight from the ints.  Terms keep their
+``terms`` builds the scalars each time it is read; ``decimal_terms`` builds
+the reports' decimal strings once, when read: from a solve's lowest-terms
+coordinates if from_coordinates kept them, else from the ints.  Terms keep their
 insertion order (a term that cancels is deleted, and appended again if it
 comes back), and float evaluation sums in that order, each polynomial over
 its own table of powers per point, with no cache (float_sums).  The
@@ -168,9 +168,16 @@ class Poly:
         """((exponents, parts), ...) in ascending graded lex order, parts the
         (numerator, denominator) decimal strings of the coefficient in lowest
         terms: one pair over Q, the real and the imaginary part over Qi.
-        Built once, from the ints, with one gcd per part and no scalar."""
+        Built once, when first read, with no scalar: from the seed, lowest-terms
+        [(exponents, scalar)] in that order, with no gcd, and replacing it;
+        else from the ints, with one gcd per part."""
         decimals = getattr(self, "_decimals", None)
-        if decimals is None:
+        if type(decimals) is list:
+            split = (lambda c: (c.re, c.im)) if self.field == FIELD_QI else (lambda c: (c,))
+            den_text = lru_cache(maxsize=None)(decimal_text)
+            decimals = tuple((m, tuple([(decimal_text(x.numerator), den_text(x.denominator))
+                                        for x in split(c)])) for m, c in decimals)
+        elif decimals is None:
             den, den_texts = self._den, {}
             # grlex: the exponents in descending order, then the degrees in
             # ascending order by a stable sort
@@ -179,7 +186,7 @@ class Poly:
             parts = INTEGERS[self.field].parts
             decimals = tuple((m, tuple([_decimal(x, den, den_texts) for x in parts(n)]))
                              for m, n in items)
-            object.__setattr__(self, "_decimals", decimals)
+        object.__setattr__(self, "_decimals", decimals)
         return decimals
 
     @property
@@ -308,14 +315,17 @@ class Poly:
         return f"Poly(arity={self.arity}, field={self.field!r}, terms={{{body}}})"
 
 
-def canonical_poly(arity, field, ints, den):
+def canonical_poly(arity, field, ints, den, seed=None):
     """The polynomial of ints / den, taken as they are: the dict {exponents:
     n} and the positive int den must already be in canonical form (gcd 1),
-    with no zero n, as a sum over the lcm of parts in canonical form is."""
+    with no zero n, as a sum over the lcm of parts in canonical form is; so
+    must a seed of decimal_terms, if given."""
     p = Poly.__new__(Poly)
     object.__setattr__(p, "arity", arity)
     object.__setattr__(p, "field", field)
     p._store(ints, den)
+    if seed is not None:
+        object.__setattr__(p, "_decimals", seed)
     return p
 
 
@@ -614,6 +624,7 @@ def from_coordinates(coords, basis, field=FIELD_Q):
     integer_form.  Scalars in lowest terms over their lcm are in canonical
     form (for each prime, the coordinate with its highest power in a
     denominator keeps a part prime to it), so the ints are stored as they are.
+    Its nonzero (monomial, coordinate) pairs, graded lex, seed decimal_terms.
     A coordinate that is no scalar of the field, a Fraction over Qi among
     them, is a ValueError.
     """
@@ -625,7 +636,21 @@ def from_coordinates(coords, basis, field=FIELD_Q):
         ints, den = integer_form([c for _, c in nonzero], field)
     except AttributeError:
         raise ValueError(f"coordinates must be scalars of field {field}") from None
-    return canonical_poly(basis.arity, field, {m: n for (m, _), n in zip(nonzero, ints)}, den)
+    return canonical_poly(basis.arity, field, {m: n for (m, _), n in zip(nonzero, ints)}, den,
+                          nonzero)
+
+
+def graded_sum(arity, field, parts):
+    """The sum of homogeneous parts in canonical form, of ascending degrees:
+    their ints over one lcm, in that order, as their sum has them, and their
+    seeds joined when each has one (from_coordinates)."""
+    den, times = lcm(*(p._den for p in parts)), INTEGERS[field].times
+    factors = [(p._ints, den // p._den) for p in parts]
+    seeds = [getattr(p, "_decimals", None) for p in parts]
+    seeded = all(type(seed) is list for seed in seeds)
+    return canonical_poly(arity, field, {m: times(n, k) for ints, k in factors
+                                         for m, n in ints.items()}, den,
+                          [pair for seed in seeds for pair in seed] if seeded else None)
 
 
 def poly_to_json(p):

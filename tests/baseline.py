@@ -36,6 +36,7 @@ from fischerlab import (
     khavinson_psi,
     parse_polynomial,
     rank_profile,
+    verify_solution,
 )
 from fischerlab import _kernels
 
@@ -66,8 +67,16 @@ def _dirichlet(e):
     return lambda: dirichlet_solve(domain, f)
 
 
-def _dirichlet_command(e):
-    argv = ["dirichlet", "--psi", "4/9*x^2+y^2+9/25*z^2-1", "--f", f"(x+y*z+1)^{e}",
+def _verify(e):
+    solution = _dirichlet(e)()
+
+    def run():
+        assert verify_solution(solution, rng=random.Random(0)).passed
+    return run
+
+
+def _dirichlet_command(f):
+    argv = ["dirichlet", "--psi", "4/9*x^2+y^2+9/25*z^2-1", "--f", f,
             "--vars", "x,y,z", "--interior", "0,0,0", "--format", "json"]
 
     def run():
@@ -136,7 +145,10 @@ ROWS = (
     ("the same, e = 12", _dirichlet(12)),
     ("the same, e = 14", _dirichlet(14)),
     ("the `dirichlet` command, same ellipsoid, e = 14, json report (`cli.run`)",
-     _dirichlet_command(14)),
+     _dirichlet_command("(x+y*z+1)^14")),
+    ("the `dirichlet` command, same ellipsoid, f = (3x+yz+2)^8, json (the solve-q job)",
+     _dirichlet_command("(3*x+y*z+2)^8")),
+    ("`verify_solution`, same ellipsoid, e = 14", _verify(14)),
     ("`fischer_decompose`, psi = x^2+xy+y^2+z^2-1, f = (x+yz+1)^10",
      _decompose("x^2+x*y+y^2+z^2-1", "(x+y*z+1)^10")),
     ("`fischer_decompose`, psi = x^4+x^2y^2+y^4+z^4+x-1, f = (x+yz+1)^11 (exit 3)",

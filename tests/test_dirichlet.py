@@ -27,6 +27,7 @@ from fischerlab import (
     ks_residual,
     operator_matrix,
     parse_polynomial,
+    polyring,
     solve,
     squared_norm,
     verify_solution,
@@ -165,6 +166,42 @@ def test_verify_solution_detects_tampering():
     record = verify_solution(solution, count=10, rng=random.Random(6))
     assert not record.identity_exact
     assert not record.passed
+
+
+def test_verify_solution_detects_a_changed_coefficient_of_q():
+    domain = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    f = parse_polynomial("(3*x+y*z+2)^4", ("x", "y", "z"))
+    solution = dirichlet_solve(domain, f)
+    assert verify_solution(solution, count=10, rng=random.Random(6)).identity_exact
+    ints, den = solution.q.integer_form
+    m = next(iter(ints))
+    solution.q = solution.q + Poly.monomial(3, m, Fraction(1, den))
+    assert solution.q.integer_form[0][m] != ints[m]
+    record = verify_solution(solution, count=10, rng=random.Random(6))
+    assert record.harmonic_exact and not record.identity_exact
+    assert not record.passed
+
+
+def test_solving_builds_no_decimal_string(monkeypatch):
+    # q's report strings are built when a report reads them, not by a solve;
+    # on the blocks (an ellipsoid), on a filtered slice and in ks_residual
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return str(n)
+
+    monkeypatch.setattr(polyring, "decimal_text", spy)
+    xyz = ("x", "y", "z")
+    ellipsoid = QuadricDomain.ellipsoid([Fraction(3, 2), 1, Fraction(5, 3)])
+    hyperboloid = QuadricDomain(parse_polynomial("x^2+y^2-z^2-1", xyz), (0.0, 0.0, 0.0))
+    f = parse_polynomial("(3*x+y*z+2)^4", xyz)
+    solutions = [dirichlet_solve(ellipsoid, f), dirichlet_solve(hyperboloid, f)]
+    ks_residual(ellipsoid)
+    assert calls == []
+    for solution in solutions:
+        assert solution.q and solution.q.decimal_terms
+    assert calls
 
 
 def test_boundary_check_is_relative_to_the_size_of_the_terms():

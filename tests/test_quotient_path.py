@@ -2,7 +2,9 @@
 the stored ints of a Poly (coordinates), and q is rebuilt from solve's
 scalars by one lcm (from_coordinates), with no scalar made on the way in.
 The reference is the scalar route it replaced: coordinates as scalars, a
-solve that takes scalars, and Poly(...) from the solution."""
+solve that takes scalars, and Poly(...) from the solution.  q's report
+strings come from solve's lowest-terms scalars (the seed of decimal_terms);
+their reference is the same ints and den with no seed."""
 
 import random
 import sys
@@ -18,14 +20,16 @@ from fischerlab import (
     Poly,
     QuadricDomain,
     dirichlet_solve,
+    filtered_basis,
     fischer,
     fischer_decompose,
+    homogeneous_basis,
     linalg,
     parse_polynomial,
 )
 from fischerlab import _kernels
 from fischerlab.fischer import solve_by_degree, solve_quotient
-from fischerlab.polyring import overflow_error
+from fischerlab.polyring import canonical_poly, from_coordinates, graded_sum, overflow_error
 from fischerlab.scalars import GaussianRational, as_scalar, from_integer, integer_form
 from helpers import random_ellipsoid, random_poly, stored_rows
 
@@ -139,27 +143,57 @@ def _scalar_from_coordinates(coords, basis, field=FIELD_Q):
     return Poly(basis.arity, field, dict(zip(basis.monomials, coords)))
 
 
-def _outcome(run):
-    """(q's stored ints, their key order, den, h, h's key order) of the run's
-    result (h None for a bare q), or the type and text of what it raised."""
+def _seed(p):
+    # the seed of p's decimal_terms: a list until they are read, else not one
+    return getattr(p, "_decimals", None)
+
+
+def _unseeded_decimals(p):
+    # the decimal_terms of p's ints and den, rendered from the ints
+    ints, den = p.integer_form
+    return canonical_poly(p.arity, p.field, dict(ints), den).decimal_terms
+
+
+def _outcome(run, seeded=None):
+    """(q's stored ints, their key order, den, decimal_terms, h, h's key
+    order) of the run's result (h None for a bare q), or the type and text
+    of what it raised.  q's decimal_terms must be those of its ints; seeded,
+    if given, gets whether q held a seed before they were read."""
     try:
         result = run()
     except (FischerlabError, ValueError) as error:
         return type(error), str(error)
     q, h = (result.q, result.h) if hasattr(result, "q") else (result, None)
+    if seeded is not None:
+        seeded.append(type(_seed(q)) is list)
     ints, den = q.integer_form
-    return dict(ints), list(ints), den, h, None if h is None else list(h.integer_form[0])
+    assert q.decimal_terms == _unseeded_decimals(q)
+    return (dict(ints), list(ints), den, q.decimal_terms, h,
+            None if h is None else list(h.integer_form[0]))
 
 
 def _both_routes(monkeypatch, run):
-    new = _outcome(run)
+    made, seeded = [], []
+
+    def recording_from_coordinates(*args):
+        made.append(from_coordinates(*args))
+        return made[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fischer, "from_coordinates", recording_from_coordinates)
+        new = _outcome(run, seeded)
+    # every q a solve returned, and every block part that q was joined from,
+    # renders as its ints do; a nonzero q was seeded
+    assert all(seeded) or new[0] == {}
+    for p in made:
+        assert p.decimal_terms == _unseeded_decimals(p)
     with monkeypatch.context() as patched:
         patched.setattr(fischer, "coordinates", _scalar_coordinates)
         patched.setattr(fischer, "solve", _scalar_solve)
         patched.setattr(fischer, "from_coordinates", _scalar_from_coordinates)
         # the merge of the blocks' parts, through lowest terms as a sum is
-        patched.setattr(fischer, "canonical_poly",
-                        lambda arity, field, ints, den: Poly.zero(arity, field)._wrap(ints, den))
+        patched.setattr(fischer, "graded_sum",
+                        lambda arity, field, parts: sum(parts, Poly.zero(arity, field)))
         old = _outcome(run)
     return new, old
 
@@ -230,3 +264,34 @@ def test_the_integer_route_matches_the_scalar_route_on_filtered_quadrics(
             assert new == old
             raised += isinstance(new[0], type)
     assert (raised > 0) == refuses
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_seeded_strings_match_the_ints_on_random_coordinates(field):
+    # coordinates with zeros, ints and shared denominators on the homogeneous
+    # bases of ascending degrees; their graded_sum is the polynomial of the
+    # joined coordinates in the filtered basis, and both are seeded.  A part
+    # whose strings were read, or one built by Poly(), hands on no seed.
+    rng = random.Random(4027)
+    for trial in range(30):
+        arity, top = 1 + trial % 3, rng.randint(0, 4)
+        parts, joined = [], []
+        for degree in range(top + 1):
+            basis = homogeneous_basis(arity, degree)
+            coords = [rng.choice([0, 0, rng.randint(-9, 9),
+                                  Fraction(rng.randint(-99, 99), rng.choice([2, 6, 7 ** 40]))])
+                      for _ in basis]
+            if field == FIELD_QI:
+                coords = [GaussianRational(c, rng.choice([0, c, Fraction(1, 3)])) for c in coords]
+            parts.append(from_coordinates(coords, basis, field))
+            joined += coords
+        total = graded_sum(arity, field, parts)
+        whole = from_coordinates(joined, filtered_basis(arity, top), field)
+        assert total == whole == sum(parts, Poly.zero(arity, field))
+        assert list(total.integer_form[0]) == list(whole.integer_form[0])
+        assert type(_seed(total)) is list and type(_seed(whole)) is list
+        for p in [total, whole, *parts]:
+            assert p.decimal_terms == _unseeded_decimals(p)
+        assert _seed(graded_sum(arity, field, parts)) is None
+        unseeded = Poly(arity, field, parts[-1].terms)
+        assert _seed(graded_sum(arity, field, parts[:-1] + [unseeded])) is None
